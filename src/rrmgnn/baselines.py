@@ -18,6 +18,7 @@ from .chansim import IBC, NumericalError
 
 _BISECT_STEPS = 100
 _MU_CAP = 1e30
+_INITS = ("mrt", "random", "zero")
 
 
 def _scaled_copy(instance):
@@ -45,12 +46,15 @@ class SolverConfig:
     power_tol: float = 1e-10       # relative power residual left by bisection
     gp_init_step: float = 1.0
     gp_min_step: float = 1e-12
-    init: str = "mrt"              # "mrt" (full-power matched filter) or "random"
+    init: str = "mrt"              # "mrt" (full-power matched filter), "random", or
+                                   # "zero" (GP only; WMMSE starts from "mrt")
     init_seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0 or self.power_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.init not in _INITS:
+            raise ValueError(f"init must be one of {_INITS}, got {self.init!r}")
 
 
 @dataclass

@@ -1,16 +1,18 @@
 """Random scenario generation: geometry, path loss, Rayleigh fading, and the
-HetGraph/ScenarioInstance builders for the three supported setups.
+ScenarioInstance builders for the three supported setups.
 
-All powers are handled internally in watts; dBm appears only at the config
+A ScenarioInstance is the single source of truth; `graph_of` derives the
+HetGraph view of it and is the one place that knows the feature layout. All
+powers are handled internally in watts; dBm appears only at the config
 boundary. Generation is pure given (config, seed).
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import container
-from .hetgraph import HetGraph, split_complex
+from .hetgraph import HetGraph, _relabel, split_complex
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -166,22 +168,20 @@ def sample_geometry(cfg, rng, n_bs, n_ue, anchor_bs):
 
 
 def channel(d, n_antennas, rng):
-    """Rayleigh-faded channel with log-distance path loss; d in meters."""
-    if np.any(np.asarray(d) <= 0):
+    """Rayleigh-faded channels, shape d.shape + (N,), with log-distance path
+    loss; d in meters. Per distance (C order) it draws N real then N imaginary
+    parts: the same stream as one call per distance."""
+    d = np.asarray(d, dtype=np.float64)
+    if np.any(d <= 0):
         raise ValueError("distance must be positive")
     amp = np.sqrt(10.0 ** (-path_loss_db(d) / 10.0))
-    z = (rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)) / np.sqrt(2.0)
-    return amp * z
+    g = rng.standard_normal(d.shape + (2, n_antennas))
+    z = (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
+    return amp[..., None] * z
 
 
 def _channel_matrix(bs_pos, ue_pos, n, rng):
-    m, k = len(bs_pos), len(ue_pos)
-    h = np.empty((m, k, n), dtype=np.complex128)
-    for i in range(m):
-        for j in range(k):
-            d = np.linalg.norm(bs_pos[i] - ue_pos[j])
-            h[i, j] = channel(d, n, rng)
-    return h
+    return channel(np.linalg.norm(bs_pos[:, None] - ue_pos[None], axis=-1), n, rng)
 
 
 def _rng_from(cfg, seed):
@@ -190,35 +190,53 @@ def _rng_from(cfg, seed):
     return np.random.default_rng(seed)
 
 
-def build_ic_instance(cfg, seed=None):
-    """K BS-UE pairs; BS k serves UE k. Returns (instance, graph).
+def graph_of(inst):
+    """The HetGraph view of an instance; relabels exactly as the instance does.
 
-    Edge fibers are the one-hot complex layout [h; 0] on serving links and
-    [0; h] on interference links, split to real pairs (width 4N). TX features
-    are the power budgets in watts, RX features the noise standard deviations.
+    TX features are the power budgets in watts (ibc: the budget of each
+    entity's cell), RX features the noise standard deviations. The direct
+    link of UE k is the edge (serving[k], k). Edge fibers, split to reals:
+    ic: the one-hot complex layout [h; 0] on direct links and [0; h] on
+    interference links (width 4N); ibc: the equivalent gain in the
+    [direct, intra-cell, inter-cell] slot (width 3); coop: the channel
+    (width 2N). Every graph is complete bipartite.
     """
+    m, k = inst.n_tx_entities, inst.n_ue
+    f_tx = inst.budgets[inst.tx_cell] if inst.kind == IBC else inst.budgets
+    direct = np.zeros((m, k), bool)
+    if inst.kind != COOP:
+        direct[inst.serving, np.arange(k)] = True
+    if inst.kind == IC:
+        on = direct[:, :, None]
+        fibers = split_complex(np.concatenate([np.where(on, inst.channels, 0),
+                                               np.where(on, 0, inst.channels)], axis=-1))
+    elif inst.kind == IBC:
+        slot = np.where(direct, 0, np.where(inst.tx_cell[:, None] == inst.rx_cell, 1, 2))
+        fibers = np.where(slot[:, :, None] == np.arange(3), inst.gains[:, :, None], 0.0)
+    else:
+        fibers = split_complex(inst.channels)
+    return HetGraph(f_tx[:, None], np.sqrt(inst.noise)[:, None], fibers,
+                    np.ones((m, k), bool))
+
+
+def _build_served(kind, cfg, seed):
+    """M BSs and K UEs; UE j lies in the serving annulus of BS j mod M."""
+    m, k = cfg.n_tx, cfg.n_rx
+    rng = _rng_from(cfg, seed)
+    serving = np.arange(k) % m
+    bs, ue = sample_geometry(cfg, rng, m, k, anchor_bs=serving)
+    inst = ScenarioInstance(kind, _channel_matrix(bs, ue, cfg.n_antennas, rng),
+                            np.full(m, dbm_to_watts(cfg.budget_dbm)),
+                            np.full(k, dbm_to_watts(cfg.noise_dbm)), serving,
+                            bs_pos=bs, ue_pos=ue)
+    return inst, graph_of(inst)
+
+
+def build_ic_instance(cfg, seed=None):
+    """K BS-UE pairs; BS k serves UE k. Returns (instance, graph_of(instance))."""
     if cfg.n_tx != cfg.n_rx:
         raise ValueError(f"pairs scenario needs n_tx == n_rx, got {cfg.n_tx} != {cfg.n_rx}")
-    k, n = cfg.n_rx, cfg.n_antennas
-    rng = _rng_from(cfg, seed)
-    bs, ue = sample_geometry(cfg, rng, k, k, anchor_bs=np.arange(k))
-    h = _channel_matrix(bs, ue, n, rng)
-
-    budgets = np.full(k, dbm_to_watts(cfg.budget_dbm))
-    noise = np.full(k, dbm_to_watts(cfg.noise_dbm))
-    inst = ScenarioInstance(IC, h, budgets, noise, serving=np.arange(k),
-                            bs_pos=bs, ue_pos=ue)
-
-    fibers = np.zeros((k, k, 2 * n), dtype=np.complex128)
-    for m in range(k):
-        for j in range(k):
-            if m == j:
-                fibers[m, j, :n] = h[m, j]
-            else:
-                fibers[m, j, n:] = h[m, j]
-    graph = HetGraph(budgets[:, None], np.sqrt(noise)[:, None], split_complex(fibers),
-                     np.ones((k, k), bool))
-    return inst, graph
+    return _build_served(IC, cfg, seed)
 
 
 def zero_forcing(h_cell):
@@ -236,9 +254,8 @@ def zero_forcing(h_cell):
 def build_ibc_instance(cfg, seed=None):
     """B cells x Q UEs with per-cell zero-forcing; returns (instance, graph).
 
-    Each of the K = B*Q equivalent TX entities carries one UE's beam; edge
-    fibers are the 3-way one-hot [direct, intra-cell, inter-cell] of the
-    equivalent gain (width 3). TX features replicate the cell budget.
+    Each of the K = B*Q equivalent TX entities carries one UE's beam, and
+    gains[m, k] = |h_{cell(m), k}^H w_m| is its equivalent channel gain.
     """
     b_cells, q, n = cfg.n_tx, cfg.n_rx, cfg.n_antennas
     if n < q:
@@ -249,94 +266,44 @@ def build_ibc_instance(cfg, seed=None):
     bs, ue = sample_geometry(cfg, rng, b_cells, k, anchor_bs=rx_cell)
     h_phys = _channel_matrix(bs, ue, n, rng)  # (B, K, N)
 
-    zf = np.empty((b_cells, n, q), dtype=np.complex128)
-    for b in range(b_cells):
-        own = h_phys[b, rx_cell == b].T  # (N, Q)
-        zf[b] = zero_forcing(own)
+    zf = np.stack([zero_forcing(h_phys[b, rx_cell == b].T) for b in range(b_cells)])
 
     tx_cell = rx_cell.copy()          # TX entity m = (cell, beam slot) like UE k
     channels = h_phys[tx_cell]        # (K, K, N): channel from BS of entity m to UE k
-    gains = np.empty((k, k))
-    for m in range(k):
-        w = zf[tx_cell[m]][:, m % q]
-        for j in range(k):
-            gains[m, j] = np.abs(h_phys[tx_cell[m], j].conj() @ w)
+    beams = zf[tx_cell, :, np.arange(k) % q]  # (K, N): beam of entity m
+    gains = np.abs(np.einsum("mkn,mn->mk", channels.conj(), beams))
 
     budgets = np.full(b_cells, dbm_to_watts(cfg.budget_dbm))
     noise = np.full(k, dbm_to_watts(cfg.noise_dbm))
     inst = ScenarioInstance(IBC, channels, budgets, noise, serving=np.arange(k),
                             tx_cell=tx_cell, rx_cell=rx_cell, gains=gains, zf_beams=zf,
                             bs_pos=bs, ue_pos=ue)
-
-    fibers = np.zeros((k, k, 3))
-    for m in range(k):
-        for j in range(k):
-            if m == j:
-                slot = 0                               # direct link
-            elif tx_cell[m] == rx_cell[j]:
-                slot = 1                               # intra-cell interference
-            else:
-                slot = 2                               # inter-cell interference
-            fibers[m, j, slot] = gains[m, j]
-    graph = HetGraph(budgets[tx_cell][:, None], np.sqrt(noise)[:, None], fibers,
-                     np.ones((k, k), bool))
-    return inst, graph
+    return inst, graph_of(inst)
 
 
 def build_coop_instance(cfg, seed=None):
     """M BSs cooperatively serving K UEs; returns (instance, graph).
 
-    Every BS serves every UE, so the graph is complete bipartite with the raw
-    split channel (width 2N) on each edge. UE j is placed in the annulus of
-    BS j mod M (round-robin anchors; the generator only needs *some* BS per UE
-    to apply the serving-distance rule).
+    Every BS serves every UE; `serving` (BS j mod M for UE j) only anchors
+    UE placement, since the generator needs *some* BS per UE to apply the
+    serving-distance rule.
     """
-    m, k, n = cfg.n_tx, cfg.n_rx, cfg.n_antennas
-    rng = _rng_from(cfg, seed)
-    bs, ue = sample_geometry(cfg, rng, m, k, anchor_bs=np.arange(k) % m)
-    h = _channel_matrix(bs, ue, n, rng)
-
-    budgets = np.full(m, dbm_to_watts(cfg.budget_dbm))
-    noise = np.full(k, dbm_to_watts(cfg.noise_dbm))
-    inst = ScenarioInstance(COOP, h, budgets, noise, serving=np.arange(k) % m,
-                            bs_pos=bs, ue_pos=ue)
-    graph = HetGraph(budgets[:, None], np.sqrt(noise)[:, None], split_complex(h),
-                     np.ones((m, k), bool))
-    return inst, graph
+    return _build_served(COOP, cfg, seed)
 
 
 def permute_instance(inst, p):
     """Relabel TX entities and UEs of an instance consistently with a graph
     permutation; cell identities and per-cell quantities are untouched."""
-
-    def tx(a):
-        if a is None:
-            return None
-        out = np.empty_like(a)
-        out[p.pi_tx] = a
-        return out
-
-    def rx(a):
-        if a is None:
-            return None
-        out = np.empty_like(a)
-        out[p.pi_rx] = a
-        return out
-
-    channels = np.empty_like(inst.channels)
-    channels[np.ix_(p.pi_tx, p.pi_rx)] = inst.channels
-    serving = np.empty_like(inst.serving)
-    serving[p.pi_rx] = p.pi_tx[inst.serving]
-    gains = None
-    if inst.gains is not None:
-        gains = np.empty_like(inst.gains)
-        gains[np.ix_(p.pi_tx, p.pi_rx)] = inst.gains
-    budgets = inst.budgets if inst.kind == IBC else tx(inst.budgets)
-    return ScenarioInstance(inst.kind, channels, budgets, rx(inst.noise), serving,
-                            tx_cell=tx(inst.tx_cell), rx_cell=rx(inst.rx_cell),
-                            gains=gains, zf_beams=inst.zf_beams,
-                            bs_pos=tx(inst.bs_pos) if inst.kind != IBC else inst.bs_pos,
-                            ue_pos=rx(inst.ue_pos))
+    tx, rx, both = p.pi_tx, p.pi_rx, (p.pi_tx, p.pi_rx)
+    per_bs = inst.kind != IBC  # ibc budgets and BS positions belong to cells
+    return ScenarioInstance(
+        inst.kind, _relabel(inst.channels, *both),
+        _relabel(inst.budgets, tx) if per_bs else inst.budgets,
+        _relabel(inst.noise, rx), _relabel(tx[inst.serving], rx),
+        tx_cell=_relabel(inst.tx_cell, tx), rx_cell=_relabel(inst.rx_cell, rx),
+        gains=_relabel(inst.gains, *both), zf_beams=inst.zf_beams,
+        bs_pos=_relabel(inst.bs_pos, tx) if per_bs else inst.bs_pos,
+        ue_pos=_relabel(inst.ue_pos, rx))
 
 
 _BUILDERS = {IC: build_ic_instance, IBC: build_ibc_instance, COOP: build_coop_instance}

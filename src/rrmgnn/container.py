@@ -18,6 +18,8 @@ Readers must reject unknown magics and versions.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,48 +44,77 @@ def _coerce(arr):
 
 
 def write_bundle(path, meta, arrays):
-    """Write `arrays` (dict name -> ndarray) with a JSON `meta` dict."""
+    """Write `arrays` (dict name -> ndarray) with a JSON `meta` dict.
+
+    The bundle goes to a temporary file next to `path` that replaces it only
+    once complete, so a failed write leaves any previous file intact.
+    """
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(_coerce(arr))
-            name_b = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<BB", _CODES[arr.dtype], arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
+                    + struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.ascontiguousarray(_coerce(arr))
+                name_b = name.encode("utf-8")
+                f.write(struct.pack("<I", len(name_b)) + name_b
+                        + struct.pack(f"<BB{arr.ndim}Q", _CODES[arr.dtype], arr.ndim, *arr.shape))
+                f.write(arr.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_bundle(path):
-    """Read a container written by write_bundle; returns (meta, arrays)."""
+    """Read a container written by write_bundle; returns (meta, arrays).
+
+    Every length is checked against the bytes left in the file before it is
+    read, so truncated or corrupt input raises ValueError naming the path.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
+        left = os.fstat(f.fileno()).st_size
+
+        def take(n, what):
+            nonlocal left
+            if n > left:
+                raise ValueError(f"{path}: truncated container: {what} needs {n} bytes, "
+                                 f"{left} left")
+            left -= n
+            return f.read(n)
+
+        def unpack(fmt, what):
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+        magic = take(8, "magic")
         if magic != MAGIC:
-            raise ValueError(f"not a recognized container file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise ValueError(f"{path}: not a recognized container file: bad magic {magic!r}")
+        (version,) = unpack("<I", "version")
         if version != VERSION:
-            raise ValueError(f"unsupported container version {version} (expected {VERSION})")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        (n_arrays,) = struct.unpack("<I", f.read(4))
-        arrays = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", f.read(2))
-            if code not in _DTYPES:
-                raise ValueError(f"unknown dtype code {code} for array {name!r}")
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
-            dtype = np.dtype(_DTYPES[code])
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-            arr = np.frombuffer(f.read(n_bytes), dtype=dtype).reshape(shape)
-            arrays[name] = arr.copy()
+            raise ValueError(f"{path}: unsupported container version {version} "
+                             f"(expected {VERSION})")
+        try:
+            (meta_len,) = unpack("<Q", "meta_len")
+            meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
+            (n_arrays,) = unpack("<I", "array count")
+            arrays = {}
+            for i in range(n_arrays):
+                (name_len,) = unpack("<I", f"array {i} name length")
+                name = take(name_len, f"array {i} name").decode("utf-8")
+                code, ndim = unpack("<BB", f"array {name!r} header")
+                if code not in _DTYPES:
+                    raise ValueError(f"{path}: corrupt container: unknown dtype code {code} "
+                                     f"for array {name!r}")
+                shape = unpack(f"<{ndim}Q", f"array {name!r} dims")
+                dtype = np.dtype(_DTYPES[code])
+                raw = take(math.prod(shape) * dtype.itemsize, f"array {name!r} payload")
+                arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: corrupt container: {exc}") from exc
     return meta, arrays
 
 

@@ -14,9 +14,7 @@ import numpy as np
 
 from . import container
 from . import numkernel as nk
-from . import objectives
 from .chansim import COOP, IBC, IC
-from .hetgraph import VariableBundle
 
 HEADS = ("edge", "tx_node", "rx_node")
 AGGREGATORS = ("max", "mean")
@@ -222,12 +220,6 @@ class RawOutputs:
     s_rx: object = None
     xi: object = None
 
-    def active(self):
-        for v in (self.s_tx, self.s_rx, self.xi):
-            if v is not None:
-                return v
-        raise ValueError("no active head output")
-
 
 def forward(graph, cfg, params):
     """Full pass: preprocess, L synchronous updating layers, affine head."""
@@ -269,31 +261,6 @@ def extract_variables(raw, instance, cfg):
             raise ConfigError("cooperative variables live on edges; use the edge head")
         return raw.xi
     raise ValueError(f"unknown scenario kind {instance.kind!r}")
-
-
-def normalize(raw, instance, cfg):
-    """Project head outputs onto the scenario's feasible set as a bundle.
-
-    The returned VariableBundle stores numpy data (xi fibers zero off the
-    serving links for pair scenarios). The differentiable path used in
-    training is extract_variables + objectives.normalize.
-    """
-    var = objectives.normalize(extract_variables(raw, instance, cfg), instance)
-    data = var.data
-    k = instance.n_ue
-    if instance.kind == COOP:
-        return VariableBundle(xi=data.copy())
-    rows = data.reshape(k, -1)
-    if cfg.output_head == "edge":
-        m = raw.xi.data.shape[0]
-        xi = np.zeros((m, k, rows.shape[1]))
-        xi[instance.serving, np.arange(k)] = rows
-        return VariableBundle(xi=xi)
-    if cfg.output_head == "tx_node":
-        s_tx = np.zeros((raw.s_tx.data.shape[0], rows.shape[1]))
-        s_tx[instance.serving] = rows
-        return VariableBundle(s_tx=s_tx)
-    return VariableBundle(s_rx=rows.copy())
 
 
 def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge",

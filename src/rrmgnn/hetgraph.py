@@ -1,4 +1,4 @@
-"""Bipartite TX/RX graph data model, neighbor queries, and permutation machinery.
+"""Bipartite TX/RX graph data model and permutation machinery.
 
 Edges are stored densely as M x K feature tensors plus a boolean mask; all
 three supported scenarios are complete bipartite, and dense storage keeps the
@@ -70,19 +70,6 @@ class HetGraph:
 
 
 @dataclass(frozen=True)
-class VariableBundle:
-    """Optimized variables on TX-nodes, RX-nodes, and edges.
-
-    Inactive heads are None. Complex variables are stored split, so widths are
-    2x the complex dimension. xi fibers are zero where the edge is absent.
-    """
-
-    s_tx: np.ndarray | None = None
-    s_rx: np.ndarray | None = None
-    xi: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class NodePermutation:
     """A pair of bijections on TX indices {0..M-1} and RX indices {0..K-1}."""
 
@@ -108,68 +95,23 @@ class NodePermutation:
         return NodePermutation(np.argsort(self.pi_tx), np.argsort(self.pi_rx))
 
 
+def _relabel(a, *pis):
+    """Scatter the leading axes: out[pi_0[i], pi_1[j], ...] = a[i, j, ...].
+
+    None passes through, so optional instance fields need no special case.
+    """
+    if a is None:
+        return None
+    out = np.empty_like(a)
+    out[np.ix_(*pis)] = a
+    return out
+
+
 def permute_graph(g, p):
     """Relabel nodes: output node pi(m) carries input node m's features."""
     if p.pi_tx.size != g.m or p.pi_rx.size != g.k:
         raise ValueError(f"permutation sizes ({p.pi_tx.size}, {p.pi_rx.size}) do not "
                          f"match graph ({g.m}, {g.k})")
-    f_tx = np.empty_like(g.f_tx)
-    f_tx[p.pi_tx] = g.f_tx
-    f_rx = np.empty_like(g.f_rx)
-    f_rx[p.pi_rx] = g.f_rx
-    e = np.empty_like(g.e)
-    e[np.ix_(p.pi_tx, p.pi_rx)] = g.e
-    mask = np.empty_like(g.edge_mask)
-    mask[np.ix_(p.pi_tx, p.pi_rx)] = g.edge_mask
-    return HetGraph(f_tx, f_rx, e, mask)
-
-
-def permute_vars(v, p):
-    """Apply the same relabeling to a variable bundle."""
-    s_tx = s_rx = xi = None
-    if v.s_tx is not None:
-        if p.pi_tx.size != v.s_tx.shape[0]:
-            raise ValueError("pi_tx size does not match s_tx")
-        s_tx = np.empty_like(v.s_tx)
-        s_tx[p.pi_tx] = v.s_tx
-    if v.s_rx is not None:
-        if p.pi_rx.size != v.s_rx.shape[0]:
-            raise ValueError("pi_rx size does not match s_rx")
-        s_rx = np.empty_like(v.s_rx)
-        s_rx[p.pi_rx] = v.s_rx
-    if v.xi is not None:
-        if p.pi_tx.size != v.xi.shape[0] or p.pi_rx.size != v.xi.shape[1]:
-            raise ValueError("permutation sizes do not match xi")
-        xi = np.empty_like(v.xi)
-        xi[np.ix_(p.pi_tx, p.pi_rx)] = v.xi
-    return VariableBundle(s_tx=s_tx, s_rx=s_rx, xi=xi)
-
-
-def tx_neighbors(g, m):
-    """RX indices adjacent to TX m (ascending)."""
-    if not 0 <= m < g.m:
-        raise ValueError(f"TX index {m} out of range for M={g.m}")
-    return np.flatnonzero(g.edge_mask[m])
-
-
-def rx_neighbors(g, k):
-    """TX indices adjacent to RX k (ascending)."""
-    if not 0 <= k < g.k:
-        raise ValueError(f"RX index {k} out of range for K={g.k}")
-    return np.flatnonzero(g.edge_mask[:, k])
-
-
-def edge_neighbors(g, m, k):
-    """The two neighbor families of edge (m, k): via TX m and via RX k.
-
-    Returns (tx_side, rx_side) where tx_side is the list of edges (m, k1) with
-    k1 a neighbor of TX m other than k, and rx_side the edges (m1, k) with m1 a
-    neighbor of RX k other than m.
-    """
-    if not 0 <= m < g.m or not 0 <= k < g.k:
-        raise ValueError(f"edge index ({m}, {k}) out of range")
-    if not g.edge_mask[m, k]:
-        raise ValueError(f"edge ({m}, {k}) is absent")
-    tx_side = [(m, int(k1)) for k1 in tx_neighbors(g, m) if k1 != k]
-    rx_side = [(int(m1), k) for m1 in rx_neighbors(g, k) if m1 != m]
-    return tx_side, rx_side
+    both = (p.pi_tx, p.pi_rx)
+    return HetGraph(_relabel(g.f_tx, p.pi_tx), _relabel(g.f_rx, p.pi_rx),
+                    _relabel(g.e, *both), _relabel(g.edge_mask, *both))

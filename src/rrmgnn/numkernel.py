@@ -337,17 +337,6 @@ def tsum(a, axis=None):
     return _make(out_data, (a,), backward)
 
 
-def mean(a):
-    a = as_tensor(a)
-    n = a.data.size
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, np.full(a.data.shape, g / n))
-
-    return _make(a.data.mean(), (a,), backward)
-
-
 def dot(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:

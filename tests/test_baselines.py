@@ -216,3 +216,8 @@ def test_baselines_permutation_consistent():
     r1 = wmmse_coop(inst_c).report.sum_rate
     r2 = wmmse_coop(permute_instance(inst_c, pc)).report.sum_rate
     assert abs(r1 - r2) <= 1e-6 * max(1.0, r1)
+
+
+def test_solver_config_rejects_unknown_init():
+    with pytest.raises(ValueError, match="init"):
+        SolverConfig(init="mtr")

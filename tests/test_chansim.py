@@ -3,10 +3,14 @@ import pytest
 
 from rrmgnn import chansim
 from rrmgnn.chansim import (GenerationError, GeometryConfig, build_coop_instance,
-                            build_ibc_instance, build_ic_instance, channel,
-                            dbm_to_watts, path_loss_db, sample_geometry,
-                            watts_to_dbm, zero_forcing)
-from rrmgnn.hetgraph import merge_complex
+                            build_ibc_instance, build_ic_instance, build_instance, channel,
+                            dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
+                            permute_instance, sample_geometry, watts_to_dbm, zero_forcing)
+from rrmgnn.hetgraph import NodePermutation, merge_complex, permute_graph
+
+GEOMETRIES = {"ic": GeometryConfig(n_tx=4, n_rx=4, n_antennas=2),
+              "ibc": GeometryConfig(n_tx=2, n_rx=2, n_antennas=4),
+              "coop": GeometryConfig(n_tx=3, n_rx=2, n_antennas=2)}
 
 
 def test_dbm_conversions():
@@ -45,6 +49,40 @@ def test_channel_mean_power_monte_carlo():
     mean_per_antenna = acc / (draws * n)
     expected = 10 ** (-path_loss_db(d) / 10)
     assert abs(mean_per_antenna / expected - 1.0) < 0.02
+
+
+def test_channel_vectorized_matches_per_pair_loop():
+    rng = np.random.default_rng(12)
+    d = np.linalg.norm(rng.uniform(0, 2000, (5, 1, 2)) - rng.uniform(0, 2000, (1, 7, 2)),
+                       axis=-1)
+    oracle_rng, rng = np.random.default_rng(13), np.random.default_rng(13)
+    want = np.empty((5, 7, 3), dtype=np.complex128)
+    for i in range(5):
+        for j in range(7):
+            amp = np.sqrt(10.0 ** (-path_loss_db(d[i, j]) / 10.0))
+            z = (oracle_rng.standard_normal(3) + 1j * oracle_rng.standard_normal(3)) / np.sqrt(2.0)
+            want[i, j] = amp * z
+    got = channel(d, 3, rng)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert rng.random() == oracle_rng.random()  # same stream consumed
+
+
+def test_graph_of_commutes_with_permutation():
+    rng = np.random.default_rng(14)
+    for kind, geo in GEOMETRIES.items():
+        for seed in range(4):
+            inst, g = build_instance(kind, geo, [14, seed])
+            p = NodePermutation.random(g.m, g.k, rng)
+            want = permute_graph(graph_of(inst), p)
+            got = graph_of(permute_instance(inst, p))
+            for name in ("f_tx", "f_rx", "e", "edge_mask"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_graph_of_widths_match_declared_widths():
+    for kind, geo in GEOMETRIES.items():
+        inst, _ = build_instance(kind, geo)
+        assert graph_of(inst).widths == instance_feature_widths(kind, geo.n_antennas)
 
 
 def test_geometry_single_bs_uniform():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rrmgnn import chansim, engnn, numkernel as nk, objectives as obj
-from rrmgnn.chansim import GeometryConfig, permute_instance
+from rrmgnn.chansim import GeometryConfig
 from rrmgnn.engnn import (ENGNNConfig, config_for_scenario, edge_update, forward,
                           init_params, load_checkpoint, preprocess, rx_update,
                           save_checkpoint, tx_update)
@@ -290,8 +290,6 @@ def test_ibc_node_head_variable_path():
     rep = obj.sinr_ibc(inst, p)
     nk.backward(rep.sum_rate)
     assert obj.constraint_residual(inst, p.data) <= 1e-12
-    bundle = engnn.normalize(raw, inst, cfg)
-    assert bundle.s_rx.shape == (4, 1)
 
 
 def test_forward_identity_permutation_identical():
@@ -316,28 +314,6 @@ def test_forward_runs_across_sizes_with_same_params():
         assert np.isfinite(out.data).all()
 
 
-def test_normalize_bundles_per_scenario():
-    rng = np.random.default_rng(30)
-    for kind, geo in (("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=30)),
-                      ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2, seed=30))):
-        inst, g = chansim.build_instance(kind, geo)
-        cfg = config_for_scenario(kind, geo.n_antennas, hidden=4)
-        params = init_params(cfg, seed=30)
-        bundle = engnn.normalize(forward(g, cfg, params), inst, cfg)
-        assert bundle.xi is not None and bundle.s_tx is None and bundle.s_rx is None
-        if kind == "ibc":
-            assert bundle.xi.shape == (4, 4, 1)
-            direct = bundle.xi[inst.serving, np.arange(4), 0]
-            assert obj.constraint_residual(inst, direct) <= 1e-12
-            off = bundle.xi.copy()
-            off[inst.serving, np.arange(4)] = 0.0
-            assert np.all(off == 0.0)  # variables live on serving edges only
-        else:
-            assert bundle.xi.shape == (3, 2, 4)
-            assert obj.constraint_residual(
-                inst, bundle.xi.reshape(3, 2, 4)) <= 1e-12
-
-
 def test_forward_node_heads():
     geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=5)
     inst, g = chansim.build_ic_instance(geo)
@@ -347,9 +323,6 @@ def test_forward_node_heads():
         raw = forward(g, cfg, params)
         v = engnn.extract_variables(raw, inst, cfg)
         assert v.data.shape == (3, 4)
-        bundle = engnn.normalize(raw, inst, cfg)
-        target = bundle.s_rx if head == "rx_node" else bundle.s_tx
-        assert target.shape == (3, 4)
 
 
 def test_layer_synchrony_sequential_update_differs():

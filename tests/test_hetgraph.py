@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from rrmgnn import container
-from rrmgnn.hetgraph import (HetGraph, NodePermutation, VariableBundle, edge_neighbors,
-                             merge_complex, permute_graph, permute_vars, rx_neighbors,
-                             split_complex, tx_neighbors)
+from rrmgnn.hetgraph import (HetGraph, NodePermutation, merge_complex, permute_graph,
+                             split_complex)
 
 
 def random_graph(rng, m, k, d_tx=2, d_rx=3, d_e=4, p_edge=1.0):
@@ -63,91 +62,14 @@ def test_permute_then_inverse_roundtrip_exact():
         assert graphs_equal(back, g)
 
 
-def test_permute_vars_identity_and_independence():
-    rng = np.random.default_rng(4)
-    v = VariableBundle(s_tx=rng.normal(size=(3, 2)), s_rx=rng.normal(size=(4, 2)),
-                       xi=rng.normal(size=(3, 4, 2)))
-    ident = permute_vars(v, NodePermutation.identity(3, 4))
-    np.testing.assert_array_equal(ident.s_tx, v.s_tx)
-    np.testing.assert_array_equal(ident.s_rx, v.s_rx)
-    np.testing.assert_array_equal(ident.xi, v.xi)
-
-    # swapping two TX rows leaves the RX block untouched
-    p = NodePermutation([1, 0, 2], [0, 1, 2, 3])
-    out = permute_vars(v, p)
-    np.testing.assert_array_equal(out.s_rx, v.s_rx)
-    np.testing.assert_array_equal(out.s_tx[1], v.s_tx[0])
-
-
-def test_permute_vars_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        v = VariableBundle(s_tx=rng.normal(size=(5, 3)), s_rx=rng.normal(size=(2, 1)),
-                           xi=rng.normal(size=(5, 2, 4)))
-        p = NodePermutation.random(5, 2, rng)
-        back = permute_vars(permute_vars(v, p), p.inverse())
-        np.testing.assert_array_equal(back.s_tx, v.s_tx)
-        np.testing.assert_array_equal(back.s_rx, v.s_rx)
-        np.testing.assert_array_equal(back.xi, v.xi)
-
-
-def test_neighbors_complete_bipartite():
-    g = HetGraph(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 3, 1)),
-                 np.ones((2, 3), bool))
-    np.testing.assert_array_equal(tx_neighbors(g, 0), [0, 1, 2])
-    np.testing.assert_array_equal(rx_neighbors(g, 2), [0, 1])
-
-
-def test_neighbors_single_edge_and_empty():
-    mask = np.zeros((3, 2), bool)
-    mask[1, 0] = True
-    g = HetGraph(np.zeros((3, 1)), np.zeros((2, 1)), np.zeros((3, 2, 1)), mask)
-    np.testing.assert_array_equal(rx_neighbors(g, 0), [1])
-    np.testing.assert_array_equal(tx_neighbors(g, 0), [])
-    with pytest.raises(ValueError):
-        tx_neighbors(g, 3)
-
-
-def test_edge_neighbors_two_families():
-    # 2 TX, 3 RX, fully connected: families of edge (0, 0) are (0,1),(0,2) and (1,0)
-    g = HetGraph(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 3, 1)),
-                 np.ones((2, 3), bool))
-    tx_side, rx_side = edge_neighbors(g, 0, 0)
-    assert tx_side == [(0, 1), (0, 2)]
-    assert rx_side == [(1, 0)]
-
-
-def test_edge_neighbors_degenerate_and_complete():
-    g1 = HetGraph(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1, 1)),
-                  np.ones((1, 1), bool))
-    assert edge_neighbors(g1, 0, 0) == ([], [])
-
-    g3 = HetGraph(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 3, 1)),
-                  np.ones((3, 3), bool))
-    tx_side, rx_side = edge_neighbors(g3, 1, 1)
-    assert len(tx_side) == 2 and len(rx_side) == 2
-
-    masked = np.ones((2, 2), bool)
-    masked[0, 1] = False
-    g = HetGraph(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2, 1)), masked)
-    with pytest.raises(ValueError):
-        edge_neighbors(g, 0, 1)
-
-
 def test_neighbor_sets_commute_with_permutation():
+    # the mask lands where the permutation sends each edge
     rng = np.random.default_rng(6)
     for _ in range(10):
         g = random_graph(rng, 4, 3, p_edge=0.6)
         p = NodePermutation.random(4, 3, rng)
         pg = permute_graph(g, p)
-        for m in range(4):
-            orig = set(int(k) for k in tx_neighbors(g, m))
-            permuted = set(int(k) for k in tx_neighbors(pg, p.pi_tx[m]))
-            assert permuted == {int(p.pi_rx[k]) for k in orig}
-        for k in range(3):
-            orig = set(int(m) for m in rx_neighbors(g, k))
-            permuted = set(int(m) for m in rx_neighbors(pg, p.pi_rx[k]))
-            assert permuted == {int(p.pi_tx[m]) for m in orig}
+        np.testing.assert_array_equal(pg.edge_mask[np.ix_(p.pi_tx, p.pi_rx)], g.edge_mask)
 
 
 def test_mask_zero_fiber_consistency_after_permutation():
@@ -187,4 +109,50 @@ def test_container_rejects_version_mismatch(tmp_path):
     raw[8] = 99  # bump version field
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
+        container.read_bundle(path)
+
+
+def test_container_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    container.write_bundle(path, {"epoch": 1}, {"x": np.arange(4.0)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        container.write_bundle(path, {"epoch": 2}, {"y": np.ones(3), "bad": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
+def test_container_truncation_at_every_offset_is_a_clear_error(tmp_path):
+    path = tmp_path / "t.bin"
+    container.write_bundle(path, {"kind": "test"}, {"x": np.arange(3), "m": np.eye(2) > 0})
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match="truncated") as info:
+            container.read_bundle(path)
+        assert str(path) in str(info.value)
+
+
+def test_container_oversized_lengths_are_clear_errors(tmp_path):
+    path = tmp_path / "o.bin"
+    container.write_bundle(path, {}, {"x": np.zeros(2)})
+    raw = path.read_bytes()
+    meta_len = int.from_bytes(raw[12:20], "little")
+    dims_at = 20 + meta_len + 4 + 4 + 1 + 2   # n_arrays, name_len, name "x", dtype, ndim
+    for offset, part in ((12, "metadata"), (dims_at, "payload")):  # meta_len, dim of "x"
+        bad = bytearray(raw)
+        bad[offset:offset + 8] = (2 ** 62).to_bytes(8, "little")
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match=f"truncated.*{part}") as info:
+            container.read_bundle(path)
+        assert str(path) in str(info.value)
+
+
+def test_container_corrupt_metadata_is_a_clear_error(tmp_path):
+    path = tmp_path / "c.bin"
+    container.write_bundle(path, {"a": 1}, {})
+    raw = bytearray(path.read_bytes())
+    raw[20] = 0xFF  # first byte of the JSON blob: not UTF-8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt"):
         container.read_bundle(path)
