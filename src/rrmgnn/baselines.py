@@ -1,10 +1,12 @@
 """Classical solvers: WMMSE block-coordinate ascent for all three scenarios
 and projected gradient ascent for the cooperative one.
 
-WMMSE alternates MMSE receivers u, rate weights w, and transmit variables; the
-transmit step enforces power budgets through bisected nonnegative multipliers,
-so every iterate is feasible and the sum-rate trace is non-decreasing up to
-the bisection tolerance.
+WMMSE alternates MMSE receivers u, rate weights w, and transmit variables. The
+transmit step minimizes convex quadratics under power budgets: each quadratic
+is eigendecomposed once, and its budget's multiplier mu >= 0 is the root of a
+scalar secular equation, found by safeguarded Newton for a batch of
+quadratics at a time. Every iterate is feasible and the sum-rate trace is
+non-decreasing up to the power tolerance.
 """
 
 import dataclasses
@@ -16,15 +18,14 @@ from . import numkernel as nk
 from . import objectives
 from .chansim import IBC, NumericalError
 
-_BISECT_STEPS = 100
-_MU_CAP = 1e30
+_NEWTON_STEPS = 100
 _INITS = ("mrt", "random", "zero")
 
 
 def _scaled_copy(instance):
     """Unit-rescaled view: channels/gamma and noise/gamma^2 leave every SINR
     and the feasible set unchanged but bring the solver algebra to O(1),
-    which the multiplier bisections need for well-conditioned solves."""
+    which keeps the quadratics and their multipliers well scaled."""
     if instance.kind == IBC:
         gamma2 = float(np.mean(instance.gains ** 2))
     else:
@@ -43,11 +44,11 @@ def _scaled_copy(instance):
 class SolverConfig:
     max_iters: int = 500
     tol: float = 1e-6              # absolute sum-rate change at convergence
-    power_tol: float = 1e-10       # relative power residual left by bisection
+    power_tol: float = 1e-10       # relative power residual of a binding budget
     gp_init_step: float = 1.0
     gp_min_step: float = 1e-12
     init: str = "mrt"              # "mrt" (full-power matched filter), "random", or
-                                   # "zero" (GP only; WMMSE starts from "mrt")
+                                   # "zero" (GP only; WMMSE solvers reject it)
     init_seed: int = 0
 
     def __post_init__(self):
@@ -67,55 +68,64 @@ class SolverResult:
     stagnated: bool = False
 
 
-def _solve_h(a, b):
-    """Hermitian solve with a relative diagonal jitter fallback."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        n = a.shape[0]
-        jitter = 1e-12 * max(1.0, abs(np.trace(a).real) / n)
-        return np.linalg.solve(a + jitter * np.eye(n), b)
+def _wmmse_config(cfg, solver):
+    cfg = cfg or SolverConfig()
+    if cfg.init == "zero":
+        # u = 0, w = 1 and a zero rhs map all-zero beams to themselves
+        raise ValueError(f"{solver}: init 'zero' is a stationary point of WMMSE; "
+                         f"use 'mrt' or 'random'")
+    return cfg
 
 
-def _ball_solve(a, b, pmax, power_tol):
-    """argmin over v of v^H a v - 2 Re(b^H v) subject to a total power cap.
+def _secular_solve(lam, c, pmax, power_tol, solver):
+    """Power-capped minimizers of a batch of eigendecomposed quadratics.
 
-    `b` may be a single rhs (N,) or a stack of rhs columns-as-rows (K, N)
-    sharing one multiplier; the cap applies to the summed squared norm.
-    Solves (a + mu I) v = b with mu >= 0 bisected until the budget binds (or
-    mu = 0 if the unconstrained solution is feasible). Always returns a
-    feasible v of the same shape as b.
+    Row r minimizes sum_i lam[r, i] |y_i|^2 - 2 Re(conj(c[r, i]) y_i) subject
+    to sum |y|^2 <= pmax[r]: lam are the eigenvalues of a PSD quadratic and c
+    its rhs in the eigenbasis (trailing axes of c are rhs columns sharing the
+    row's budget). The minimizer is y = c / (lam + mu), with mu = 0 if that is
+    feasible, else the root of p(mu) = sum_i |c_i|^2 / (lam_i + mu)^2 = pmax.
+    Newton runs on phi(mu) = p^(-1/2) - t^(-1/2), t = pmax (1 - power_tol/2),
+    which is concave and increasing (More & Sorensen): from a lower bound it
+    climbs to the root, so a binding row ends with power in
+    [pmax (1 - power_tol), pmax]. Directions with c = 0 contribute nothing,
+    also where lam = 0 (a rank-deficient quadratic). Returns y, shaped like c.
     """
-    single = b.ndim == 1
-    rhs = b[None, :] if single else b
-    eye = np.eye(a.shape[0])
+    c2 = (np.abs(c) ** 2).reshape(lam.shape + (-1,)).sum(axis=-1)
+    # eigh rounding can leave PSD eigenvalues below 0; directions without rhs
+    # get lam = 1, so they add exactly 0 to p and to y
+    lam = np.where(c2 > 0, np.maximum(lam, 0.0), 1.0)
+    target = pmax * (1.0 - 0.5 * power_tol)
 
-    def attempt(mu):
-        v = _solve_h(a + mu * eye, rhs.T).T
-        return v, float((np.abs(v) ** 2).sum())
+    def power(mu):
+        d = lam + mu[:, None]
+        q = c2 / (d * d)
+        return q.sum(axis=1), (q / d).sum(axis=1)
 
-    v, p = attempt(0.0)
-    if np.isfinite(p) and p <= pmax * (1 + 1e-12):
-        return v[0] if single else v
-    mu_hi = max(abs(np.trace(a).real) / a.shape[0], 1e-12)
-    while True:
-        v, p = attempt(mu_hi)
-        if np.isfinite(p) and p <= pmax:
-            break
-        mu_hi *= 2.0
-        if mu_hi > _MU_CAP:
-            raise NumericalError("power multiplier bisection failed to bracket")
-    mu_lo, best = 0.0, v
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (mu_lo + mu_hi)
-        v, p = attempt(mid)
-        if np.isfinite(p) and p <= pmax:
-            mu_hi, best = mid, v
-            if pmax - p <= power_tol * pmax:
+    # p(0) divides by a live lam = 0 (it is then inf), and closed rows compute
+    # throwaway steps (0/0 for a zero rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.zeros(lam.shape[0])
+        p, _ = power(mu)
+        open_ = ~(p <= pmax)  # also p = inf from a live lam = 0
+        # phi <= 0 at lo, the largest of the per-direction and total bounds
+        total = np.sqrt(c2.sum(axis=1) / target)
+        lo = np.maximum(np.maximum(total - lam.max(axis=1),
+                                   (np.sqrt(c2 / target[:, None]) - lam).max(axis=1)), 0.0)
+        mu = np.where(open_, lo, 0.0)
+        for _ in range(_NEWTON_STEPS):
+            p, p3 = power(mu)
+            open_ &= ~((p <= pmax) & (p >= pmax * (1.0 - power_tol)))
+            if not open_.any():
                 break
-        else:
-            mu_lo = mid
-    return best[0] if single else best
+            # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]
+            step = np.minimum(np.maximum(mu + p * (np.sqrt(p / target) - 1.0) / p3, lo),
+                              total)
+            mu = np.where(open_, step, mu)
+    if open_.any() or not np.all(np.isfinite(mu) & (mu >= 0)):
+        raise NumericalError(f"{solver}: no finite nonnegative power multiplier "
+                             f"meets the budget")
+    return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2))
 
 
 def _mrt_init_ic(instance, rng=None):
@@ -130,7 +140,7 @@ def _mrt_init_ic(instance, rng=None):
 
 def wmmse_ic(instance, cfg=None):
     """Per-pair beamforming WMMSE; returns beams (K, N) and the rate trace."""
-    cfg = cfg or SolverConfig()
+    cfg = _wmmse_config(cfg, "wmmse_ic")
     work = _scaled_copy(instance)
     k_n = work.n_ue
     serving = work.serving
@@ -150,13 +160,14 @@ def wmmse_ic(instance, cfg=None):
         u = direct / totals
         w = 1.0 / (1.0 - (u.conj() * direct).real)
 
-        scale = w * np.abs(u) ** 2
-        for j in range(k_n):
-            # quadratic term collects the interference v_j causes at every UE
-            hj = h_eff[j]  # (K, N): channels from TX_j
-            a_mat = np.einsum("kn,k,km->nm", hj, scale, hj.conj())
-            rhs = w[j] * np.conj(u[j]) * h_eff[j, j]
-            v[j] = _ball_solve(a_mat, rhs, budgets[j], cfg.power_tol)
+        # pair j's quadratic collects the interference v_j causes at every UE;
+        # it depends only on (u, w), so the K problems are solved as one batch
+        a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
+        rhs = (w * np.conj(u))[:, None] * h_eff[np.arange(k_n), np.arange(k_n)]
+        lam, q = np.linalg.eigh(a_mat)
+        y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets,
+                           cfg.power_tol, "wmmse_ic")
+        v = np.einsum("jni,ji->jn", q, y)
 
         trace.append(objectives.sinr_ic(work, v).sum_rate)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
@@ -168,7 +179,7 @@ def wmmse_ic(instance, cfg=None):
 
 def wmmse_ibc_power(instance, cfg=None):
     """Scalar WMMSE over the equivalent gains; returns per-UE powers (K,)."""
-    cfg = cfg or SolverConfig()
+    cfg = _wmmse_config(cfg, "wmmse_ibc_power")
     if instance.gains is None:
         raise ValueError("instance has no equivalent gains")
     work = _scaled_copy(instance)
@@ -180,6 +191,9 @@ def wmmse_ibc_power(instance, cfg=None):
 
     counts = np.bincount(cells, minlength=cell_budget.size)
     x = np.sqrt(cell_budget[cells] / counts[cells])  # equal split at full power
+    # cells are the rows of the power step; UE j sits at (cells[j], slot[j])
+    slot = np.tril(cells[:, None] == cells[None, :], -1).sum(axis=1)
+    padded = (cell_budget.size, counts.max())
     if cfg.init == "random":
         rng = np.random.default_rng(cfg.init_seed)
         x *= rng.random(k_n)
@@ -193,30 +207,11 @@ def wmmse_ibc_power(instance, cfg=None):
         u = diag * x / totals
         w = 1.0 / (1.0 - u * diag * x)
         den = g2 @ (w * u ** 2)      # den_j = sum_k w_k u_k^2 g_{jk}^2
-        num = w * u * diag
-        for b in range(cell_budget.size):
-            members = np.flatnonzero(cells == b)
-            unconstrained = num[members] / den[members]
-            if (unconstrained ** 2).sum() <= cell_budget[b] * (1 + 1e-12):
-                x[members] = unconstrained
-                continue
-            mu_lo, mu_hi = 0.0, max(den[members].max(), 1e-12)
-            while ((num[members] / (den[members] + mu_hi)) ** 2).sum() > cell_budget[b]:
-                mu_hi *= 2.0
-                if mu_hi > _MU_CAP:
-                    raise NumericalError("cell power bisection failed to bracket")
-            best = num[members] / (den[members] + mu_hi)
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (mu_lo + mu_hi)
-                cand = num[members] / (den[members] + mid)
-                p = (cand ** 2).sum()
-                if p <= cell_budget[b]:
-                    mu_hi, best = mid, cand
-                    if cell_budget[b] - p <= cfg.power_tol * cell_budget[b]:
-                        break
-                else:
-                    mu_lo = mid
-            x[members] = best
+        lam, c = np.zeros(padded), np.zeros(padded)   # padding slots carry c = 0
+        lam[cells, slot] = den
+        c[cells, slot] = w * u * diag
+        x = _secular_solve(lam, c, cell_budget, cfg.power_tol,
+                           "wmmse_ibc_power")[cells, slot]
         trace.append(objectives.sinr_ibc(work, x ** 2).sum_rate)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
@@ -243,16 +238,17 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
     Minimizes sum_j v_j^H A v_j - 2 Re(b_j^H v_j) with A = sum_k scale_k
     h_k h_k^H and b_j = beta_j h_j, subject to per-BS block power caps. The
     constraints are separable over per-BS blocks, so cycling exact per-BS
-    minimizations (each a single bisected multiplier over that BS's stacked
-    beams) descends the cost monotonically and converges to the step's global
-    optimum. Starts from the previous beams; every sweep is feasible.
-    Returns stacked beams (K, MN).
+    minimizations (each one multiplier over that BS's stacked beams, in the
+    eigenbasis of its diagonal block) descends the cost monotonically and
+    converges to the step's global optimum. Starts from the previous beams;
+    every sweep is feasible. Returns stacked beams (K, MN).
     """
     k_n = h.shape[0]
     hb = h.reshape(k_n, m, n)
     # per-block-pair quadratic terms: A[m, m', :, :] = sum_k scale_k h_{k,m} h_{k,m'}^H
     a_blocks = np.einsum("kma,k,klb->mlab", hb, scale, hb.conj())
     b = beta[:, None, None] * hb
+    lam, q = np.linalg.eigh(a_blocks[np.arange(m), np.arange(m)])
     v = v_prev.reshape(k_n, m, n).copy()
     # a handful of sweeps suffices: the outer loop re-enters with fresh (u, w)
     # anyway, and any sweep count keeps the surrogate descent (and the rate
@@ -263,7 +259,9 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
             coupled = np.einsum("lab,klb->ka", a_blocks[bs], v)
             own = v[:, bs, :] @ a_blocks[bs, bs].T
             d = b[:, bs, :] - (coupled - own)
-            new_block = _ball_solve(a_blocks[bs, bs], d, budgets[bs], power_tol)
+            y = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
+                               budgets[bs:bs + 1], power_tol, "wmmse_coop")
+            new_block = (q[bs] @ y[0]).T
             delta = max(delta, float(np.max(np.abs(new_block - v[:, bs, :]))))
             v[:, bs, :] = new_block
         if delta <= 1e-11 * (1.0 + float(np.max(np.abs(v)))):
@@ -273,7 +271,7 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
 
 def wmmse_coop(instance, cfg=None):
     """Cooperative WMMSE on stacked per-UE beams; returns beams (M, K, N)."""
-    cfg = cfg or SolverConfig()
+    cfg = _wmmse_config(cfg, "wmmse_coop")
     work = _scaled_copy(instance)
     h, m, k_n, n = _coop_stacked(work)
     noise = work.noise

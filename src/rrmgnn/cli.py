@@ -130,14 +130,16 @@ def main(argv=None):
             seed = cfg.seed if args.seed is None else args.seed
             rates = []
             trace_rows = []
+            unconverged = 0
             for i in range(args.samples):
                 inst, _ = chansim.build_instance(cfg.scenario, cfg.geometry,
                                                  chansim.sample_seed(seed, i))
                 res = harness.run_baseline(cfg.scenario, inst, args.baseline)
                 rates.append(res.report.sum_rate_value())
+                unconverged += not res.converged
                 trace_rows.extend([i, t, r] for t, r in enumerate(res.trace))
             print(f"{args.baseline} mean sum rate {np.mean(rates):.6f} bits/s/Hz "
-                  f"over {args.samples} samples")
+                  f"over {args.samples} samples ({unconverged} stopped unconverged)")
             if args.out:
                 harness.write_csv(args.out, ["sample", "iteration", "sum_rate"],
                                   trace_rows)

@@ -170,7 +170,10 @@ def _train_meta(cfg):
 
 
 def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
-    """Deterministic test set; returns (MetricsRow, per-sample row dicts)."""
+    """Deterministic test set; returns (MetricsRow, per-sample row dicts).
+
+    Raises NumericalError naming the sample seed on a non-finite output.
+    """
     samples = []
     t_start = time.perf_counter()
     for i in range(n_samples):
@@ -182,6 +185,9 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
             head = engnn.extract_variables(raw, inst, net)
             variables = objectives.normalize(head, inst)
         infer_s = time.perf_counter() - t0
+        if not np.all(np.isfinite(variables.data)):
+            raise NumericalError(f"non-finite {scenario} output for sample seed "
+                                 f"{chansim.sample_seed(seed, i)}")
         report = objectives.evaluate(inst, variables)
         samples.append({
             "sample": i,
@@ -248,7 +254,7 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
     """Evaluate (and for n_train_samples, retrain) across axis values.
 
     Returns a list of row dicts; baseline columns rerun the requested solver
-    on the same seeded instances.
+    on the same seeded instances and count the runs that did not converge.
     """
     rows = []
     for value in values:
@@ -272,12 +278,15 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
                  "residual_max": row.residual_max}
         if baseline != "none":
             rates = []
+            unconverged = 0
             for i in range(n_samples):
                 inst, _ = chansim.build_instance(scenario, geo_v,
                                                  chansim.sample_seed(seed, i))
-                rates.append(run_baseline(scenario, inst, baseline,
-                                          solver_cfg).report.sum_rate_value())
+                res = run_baseline(scenario, inst, baseline, solver_cfg)
+                rates.append(res.report.sum_rate_value())
+                unconverged += not res.converged
             entry[f"{baseline}_mean_sum_rate"] = float(np.mean(rates))
+            entry[f"{baseline}_unconverged"] = unconverged
         rows.append(entry)
         if log:
             log(f"{axis}={value}: engnn {entry['engnn_mean_sum_rate']:.4f}"

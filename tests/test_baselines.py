@@ -3,13 +3,141 @@ import pytest
 
 from rrmgnn import baselines, chansim, objectives as obj
 from rrmgnn.baselines import SolverConfig, gp_coop, wmmse_coop, wmmse_ibc_power, wmmse_ic
-from rrmgnn.chansim import GeometryConfig, ScenarioInstance, permute_instance
+from rrmgnn.chansim import GeometryConfig, NumericalError, ScenarioInstance, permute_instance
 from rrmgnn.hetgraph import NodePermutation
 
 
 def assert_trace_monotone(trace, tol=1e-8):
     diffs = np.diff(trace)
     assert diffs.min() >= -tol, f"trace decreased by {-diffs.min():.3e}"
+
+
+# ---------------------------------------------------------------------------
+# power-capped transmit step
+
+
+def _ball_solve(a, b, pmax, power_tol):
+    """Reference: argmin of v^H a v - 2 Re(b^H v) under sum |v|^2 <= pmax by
+    bisection on mu in (a + mu I) v = b, one dense solve per step. `b` is one
+    rhs (N,) or a stack of rhs rows (K, N) sharing the budget."""
+
+    def solve(mu):
+        m = a + mu * np.eye(a.shape[0])
+        try:
+            return np.linalg.solve(m, rhs.T).T
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * max(1.0, abs(np.trace(a).real) / a.shape[0])
+            return np.linalg.solve(m + jitter * np.eye(a.shape[0]), rhs.T).T
+
+    def attempt(mu):
+        v = solve(mu)
+        return v, float((np.abs(v) ** 2).sum())
+
+    single = b.ndim == 1
+    rhs = b[None, :] if single else b
+    v, p = attempt(0.0)
+    if np.isfinite(p) and p <= pmax * (1 + 1e-12):
+        return v[0] if single else v
+    mu_hi = max(abs(np.trace(a).real) / a.shape[0], 1e-12)
+    while True:
+        v, p = attempt(mu_hi)
+        if np.isfinite(p) and p <= pmax:
+            break
+        mu_hi *= 2.0
+        assert mu_hi < 1e30, "bisection failed to bracket"
+    mu_lo, best = 0.0, v
+    for _ in range(100):
+        mid = 0.5 * (mu_lo + mu_hi)
+        v, p = attempt(mid)
+        if np.isfinite(p) and p <= pmax:
+            mu_hi, best = mid, v
+            if pmax - p <= power_tol * pmax:
+                break
+        else:
+            mu_lo = mid
+    return best[0] if single else best
+
+
+def _eig_solve(quads, power_tol=1e-10):
+    """One batched _secular_solve call over (a, b, pmax) triples sharing a shape."""
+    a = np.stack([q[0] for q in quads])
+    b = np.stack([np.atleast_2d(q[1]) for q in quads])        # (R, K, N)
+    pmax = np.array([q[2] for q in quads])
+    lam, vecs = np.linalg.eigh(a)
+    c = np.einsum("rni,rkn->rik", vecs.conj(), b)              # (R, N, K)
+    y = baselines._secular_solve(lam, c, pmax, power_tol, "test")
+    v = np.einsum("rni,rik->rkn", vecs, y)
+    return [vi.reshape(np.shape(q[1])) for vi, q in zip(v, quads)]
+
+
+def _random_quad(rng, n, rank, cols, budget_scale, zero_rhs=False):
+    g = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+    a = g.conj().T @ g   # PSD with the given rank
+    if zero_rhs:
+        b = np.zeros((cols, n), dtype=complex)
+    else:   # rhs in the range of a, as in a WMMSE step
+        b = (rng.standard_normal((cols, rank)) + 1j * rng.standard_normal((cols, rank))) @ g
+    b = b[0] if cols == 1 else b
+    unconstrained = float((np.abs(np.linalg.pinv(a) @ np.atleast_2d(b).T) ** 2).sum())
+    return a, b, budget_scale * max(unconstrained, 1e-3)
+
+
+def test_secular_solve_matches_bisection_oracle():
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for n in (1, 2, 3, 4):
+        quads = []
+        for rank in range(1, n + 1):          # rank < n is a rank-deficient a
+            for cols in (1, 3):               # 3 rhs rows share one budget
+                quads.append(_random_quad(rng, n, rank, cols, 0.3))   # binding
+        # full rank with a loose budget: mu = 0
+        quads.append(_random_quad(rng, n, n, 1, 2.0))
+        quads.append(_random_quad(rng, n, n, 3, 2.0))
+        # zero rhs on a rank-deficient a: v = 0, not 0/0
+        quads.append(_random_quad(rng, n, max(n - 1, 1), 1, 1.0, zero_rhs=True))
+        by_shape = {}
+        for q in quads:
+            by_shape.setdefault(np.shape(q[1]), []).append(q)
+        for group in by_shape.values():
+            batch = _eig_solve(group)         # a batch of mixed rows
+            for q, v in zip(group, batch):
+                ref = _ball_solve(*q, 1e-10)
+                scale = max(np.linalg.norm(ref), 1e-300)
+                worst = max(worst, np.linalg.norm(v - ref) / scale)
+                assert np.all(np.isfinite(v))
+                np.testing.assert_array_equal(_eig_solve([q])[0], v)   # a single row
+    assert worst <= 1e-9, f"worst relative deviation from bisection {worst:.3e}"
+
+
+def test_secular_solve_feasible_and_binding():
+    rng = np.random.default_rng(23)
+    power_tol = 1e-10
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        rank = int(rng.integers(1, n + 1))
+        quads = [_random_quad(rng, n, rank, 2, s) for s in rng.uniform(0.01, 2.0, 6)]
+        for (a, b, pmax), v in zip(quads, _eig_solve(quads, power_tol)):
+            p = float((np.abs(v) ** 2).sum())
+            assert p <= pmax
+            unconstrained = float((np.abs(np.linalg.pinv(a) @ b.T) ** 2).sum())
+            if unconstrained > pmax * (1 + 1e-9):   # the budget binds
+                assert p >= pmax * (1 - power_tol)
+
+
+def test_secular_solve_rejects_non_finite_rows():
+    lam = np.array([[1.0, 2.0], [1.0, 2.0]])
+    c = np.array([[3.0, 1.0], [np.nan, 1.0]])
+    with pytest.raises(NumericalError, match="wmmse_ic"):
+        baselines._secular_solve(lam, c, np.ones(2), 1e-10, "wmmse_ic")
+
+
+@pytest.mark.parametrize("kind,solver", [("ic", wmmse_ic), ("ibc", wmmse_ibc_power),
+                                         ("coop", wmmse_coop)])
+def test_wmmse_rejects_zero_init(kind, solver):
+    inst, _ = chansim.build_instance(kind, GeometryConfig(n_tx=2, n_rx=2, n_antennas=2,
+                                                          seed=1), [1, 0])
+    with pytest.raises(ValueError, match=solver.__name__):
+        solver(inst, SolverConfig(init="zero"))
 
 
 # ---------------------------------------------------------------------------

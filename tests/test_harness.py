@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rrmgnn import chansim, cli, engnn, harness, objectives
+from rrmgnn import baselines, chansim, cli, engnn, harness, objectives
 from rrmgnn.chansim import GeometryConfig, NumericalError
 from rrmgnn.engnn import ConfigError
 from rrmgnn.harness import MetricsRow, TrainConfig, parse_config_text
@@ -64,6 +64,15 @@ def test_nan_loss_aborts_with_batch_seed(tmp_path, monkeypatch):
         harness.train(cfg)
 
 
+def test_evaluate_rejects_non_finite_output_with_sample_seed():
+    net = engnn.config_for_scenario("ic", 2, hidden=4)
+    params = engnn.init_params(net, seed=0)
+    dict(params.named_tensors())["post.w"].data[...] = np.nan   # the output head
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
+    with pytest.raises(NumericalError, match=r"sample seed \[11, 0\]"):
+        harness.evaluate(net, params, "ic", geo, 3, 11)
+
+
 def test_metrics_row_rejects_negative_residual():
     with pytest.raises(ValueError):
         MetricsRow("x", 0, 1.0, -1e-3, 0.0)
@@ -117,11 +126,16 @@ def test_sweep_baseline_column_matches_standalone(tmp_path):
     params, net, _ = harness.train(cfg)
     rows = harness.sweep(net, params, "ic", cfg.geometry, "noise_dbm", [-99.0], 4, 51,
                          baseline="wmmse")
-    rates = []
-    for i in range(4):
-        inst, _ = chansim.build_instance("ic", cfg.geometry, chansim.sample_seed(51, i))
-        rates.append(harness.run_baseline("ic", inst, "wmmse").report.sum_rate_value())
-    assert rows[0]["wmmse_mean_sum_rate"] == np.mean(rates)
+    results = [harness.run_baseline("ic", chansim.build_instance(
+        "ic", cfg.geometry, chansim.sample_seed(51, i))[0], "wmmse") for i in range(4)]
+    assert rows[0]["wmmse_mean_sum_rate"] == np.mean(
+        [r.report.sum_rate_value() for r in results])
+    assert rows[0]["wmmse_unconverged"] == sum(not r.converged for r in results)
+    # a 2-iteration cap leaves every run unconverged, and the column says so
+    capped = harness.sweep(net, params, "ic", cfg.geometry, "noise_dbm", [-99.0], 4, 51,
+                           baseline="wmmse",
+                           solver_cfg=baselines.SolverConfig(max_iters=2, tol=1e-15))
+    assert capped[0]["wmmse_unconverged"] == 4
 
 
 def test_sweep_axis_scenario_validation(tmp_path):
@@ -268,3 +282,16 @@ def test_cli_gen_and_baseline(tmp_path, capsys):
     lines = traces.read_text().splitlines()
     assert lines[0] == "sample,iteration,sum_rate"
     assert len(lines) > 3  # per-iteration solver traces for both samples
+
+
+def test_cli_baseline_reports_unconverged_samples(tmp_path, capsys, monkeypatch):
+    cfg_path = write_cfg(tmp_path)
+    solve = harness.run_baseline
+    capped = baselines.SolverConfig(max_iters=2, tol=1e-15)
+    monkeypatch.setattr(harness, "run_baseline",
+                        lambda scenario, inst, which: solve(scenario, inst, which, capped))
+    assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "3"]) == 0
+    assert "(3 stopped unconverged)" in capsys.readouterr().out
+    monkeypatch.setattr(harness, "run_baseline", solve)
+    assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "3"]) == 0
+    assert "(0 stopped unconverged)" in capsys.readouterr().out
