@@ -85,7 +85,9 @@ class ScenarioInstance:
     channels[m, k] is the length-N channel between TX entity m and UE k. For
     the broadcast setup the TX entities are the K = B*Q equivalent antennas;
     `gains` then holds |h^H w| per (TX entity, UE) and `zf_beams[b]` the
-    unit-norm per-cell beams (N, Q).
+    unit-norm per-cell beams (N, Q). A minibatch (`stack_instances`) puts a
+    leading axis on every array field and shares the layout: `serving`,
+    `tx_cell` and `rx_cell`.
     """
 
     kind: str
@@ -106,7 +108,7 @@ class ScenarioInstance:
         if np.any(self.budgets <= 0) or np.any(self.noise <= 0):
             raise ValueError("budgets and noise powers must be positive")
         if self.kind in (IC, IBC):
-            k = self.channels.shape[1]
+            k = self.n_ue
             srt = np.sort(np.asarray(self.serving))
             if not np.array_equal(srt, np.arange(k)):
                 raise ValueError("serving map must be a bijection onto the UE set")
@@ -115,11 +117,39 @@ class ScenarioInstance:
 
     @property
     def n_tx_entities(self):
-        return self.channels.shape[0]
+        return self.channels.shape[-3]
 
     @property
     def n_ue(self):
-        return self.channels.shape[1]
+        return self.channels.shape[-2]
+
+    @property
+    def batch_shape(self):
+        """() for one instance, (B,) for a stack of B."""
+        return self.channels.shape[:-3]
+
+
+_LAYOUT = ("serving", "tx_cell", "rx_cell")
+_STACKED = ("channels", "budgets", "noise", "gains", "zf_beams", "bs_pos", "ue_pos")
+
+
+def stack_instances(instances):
+    """One minibatch instance from equally shaped instances of one layout.
+
+    Every array field gains a leading axis B; `kind`, `serving`, `tx_cell`
+    and `rx_cell` are shared and must agree, otherwise ValueError.
+    """
+    first = instances[0]
+    for inst in instances[1:]:
+        same = inst.kind == first.kind and all(
+            np.array_equal(getattr(inst, f), getattr(first, f)) for f in _LAYOUT)
+        if not same or inst.channels.shape != first.channels.shape:
+            raise ValueError("stack_instances needs instances of one kind, shape and "
+                             "layout (serving, tx_cell, rx_cell)")
+    stacked = {f: None if getattr(first, f) is None
+               else np.stack([getattr(inst, f) for inst in instances]) for f in _STACKED}
+    return ScenarioInstance(first.kind, **stacked,
+                            **{f: getattr(first, f) for f in _LAYOUT})
 
 
 def sample_geometry(cfg, rng, n_bs, n_ue, anchor_bs):
@@ -199,10 +229,11 @@ def graph_of(inst):
     ic: the one-hot complex layout [h; 0] on direct links and [0; h] on
     interference links (width 4N); ibc: the equivalent gain in the
     [direct, intra-cell, inter-cell] slot (width 3); coop: the channel
-    (width 2N). Every graph is complete bipartite.
+    (width 2N). Every graph is complete bipartite. A stacked instance gives
+    the stack of its graphs.
     """
     m, k = inst.n_tx_entities, inst.n_ue
-    f_tx = inst.budgets[inst.tx_cell] if inst.kind == IBC else inst.budgets
+    f_tx = inst.budgets[..., inst.tx_cell] if inst.kind == IBC else inst.budgets
     direct = np.zeros((m, k), bool)
     if inst.kind != COOP:
         direct[inst.serving, np.arange(k)] = True
@@ -212,11 +243,11 @@ def graph_of(inst):
                                                np.where(on, 0, inst.channels)], axis=-1))
     elif inst.kind == IBC:
         slot = np.where(direct, 0, np.where(inst.tx_cell[:, None] == inst.rx_cell, 1, 2))
-        fibers = np.where(slot[:, :, None] == np.arange(3), inst.gains[:, :, None], 0.0)
+        fibers = np.where(slot[:, :, None] == np.arange(3), inst.gains[..., None], 0.0)
     else:
         fibers = split_complex(inst.channels)
-    return HetGraph(f_tx[:, None], np.sqrt(inst.noise)[:, None], fibers,
-                    np.ones((m, k), bool))
+    return HetGraph(f_tx[..., None], np.sqrt(inst.noise)[..., None], fibers,
+                    np.ones(inst.batch_shape + (m, k), bool))
 
 
 def _build_served(kind, cfg, seed):

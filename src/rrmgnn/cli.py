@@ -107,8 +107,8 @@ def main(argv=None):
             _, _, rows = harness.train(cfg, log=print)
             if args.metrics:
                 harness.write_csv(args.metrics, harness.METRICS_HEADER,
-                                  [[r.run_id, r.epoch, r.mean_sum_rate,
-                                    r.residual_max, r.wall_seconds] for r in rows])
+                                  [[getattr(r, c) for c in harness.METRICS_HEADER]
+                                   for r in rows])
             print(f"checkpoint written to {cfg.checkpoint_path}")
         elif args.command == "eval":
             net, params, scenario, geometry = _restore(args)

@@ -158,58 +158,55 @@ def init_params(cfg, seed=0):
 
 def preprocess(graph, cfg, params):
     """Shared affine + ReLU per family; absent-edge fibers stay zero-masked."""
-    d_tx, d_rx, d_e = graph.widths
-    if (d_tx, d_rx, d_e) != (cfg.in_tx, cfg.in_rx, cfg.in_e):
-        raise ConfigError(f"graph widths {(d_tx, d_rx, d_e)} do not match config "
+    if graph.widths != (cfg.in_tx, cfg.in_rx, cfg.in_e):
+        raise ConfigError(f"graph widths {graph.widths} do not match config "
                           f"{(cfg.in_tx, cfg.in_rx, cfg.in_e)}")
-    m, k = graph.m, graph.k
-    mask_f = nk.constant(graph.edge_mask[:, :, None].astype(np.float64))
+    mask_f = nk.constant(graph.edge_mask[..., None].astype(np.float64))
     f_tx = nk.relu(nk.linear(nk.constant(graph.f_tx * cfg.input_scale_tx), *params.pre_tx))
     f_rx = nk.relu(nk.linear(nk.constant(graph.f_rx * cfg.input_scale_rx), *params.pre_rx))
-    e_flat = nk.linear(nk.constant(graph.e.reshape(m * k, d_e) * cfg.input_scale_e),
-                       *params.pre_e)
-    e0 = nk.relu(nk.reshape(e_flat, (m, k, cfg.hidden_e))) * mask_f
+    e0 = nk.relu(nk.linear(nk.constant(graph.e * cfg.input_scale_e), *params.pre_e)) * mask_f
     return f_tx, f_rx, e0
 
 
-def _edge_mlp(x3, mlp, m, k):
-    out = nk.mlp_forward(nk.reshape(x3, (m * k, x3.shape[2])), mlp)
-    return nk.reshape(out, (m, k, out.shape[1]))
+def _on_edges(f, axis, n):
+    """Node rows (..., X, d) copied onto every edge: a new axis of length n at
+    `axis` of the (..., M, K, d) result (-2 for TX rows, -3 for RX rows)."""
+    f = nk.reshape(f, np.expand_dims(f.data, axis).shape)
+    shape = list(f.shape)
+    shape[axis] = n
+    return nk.broadcast_to(f, tuple(shape))
 
 
 def tx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
     """New TX representations from layer l-1 RX and edge representations."""
-    m, k = mask.shape
-    rx_b = nk.broadcast_to(nk.reshape(f_rx, (1, k, f_rx.shape[1])), (m, k, f_rx.shape[1]))
-    msgs = _edge_mlp(nk.concat([rx_b, e], axis=2), layer["mlp1"], m, k)
+    rx_b = _on_edges(f_rx, -3, mask.shape[-2])
+    msgs = nk.mlp_forward(nk.concat([rx_b, e], axis=-1), layer["mlp1"])
     agg = nk.masked_agg_axis(msgs, mask, axis=1, kind=aggregator)
-    return nk.mlp_forward(nk.concat([f_tx, agg], axis=1), layer["mlp2"])
+    return nk.mlp_forward(nk.concat([f_tx, agg], axis=-1), layer["mlp2"])
 
 
 def rx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
     """Mirror of tx_update with the node roles reversed."""
-    m, k = mask.shape
-    tx_b = nk.broadcast_to(nk.reshape(f_tx, (m, 1, f_tx.shape[1])), (m, k, f_tx.shape[1]))
-    msgs = _edge_mlp(nk.concat([tx_b, e], axis=2), layer["mlp3"], m, k)
+    tx_b = _on_edges(f_tx, -2, mask.shape[-1])
+    msgs = nk.mlp_forward(nk.concat([tx_b, e], axis=-1), layer["mlp3"])
     agg = nk.masked_agg_axis(msgs, mask, axis=0, kind=aggregator)
-    return nk.mlp_forward(nk.concat([f_rx, agg], axis=1), layer["mlp4"])
+    return nk.mlp_forward(nk.concat([f_rx, agg], axis=-1), layer["mlp4"])
 
 
 def edge_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
     """New edge fibers from both neighbor families, aggregated jointly."""
-    m, k = mask.shape
     w5_out = layer["mlp5"][-1][0].shape[0]
     w6_out = layer["mlp6"][-1][0].shape[0]
     if w5_out != w6_out:
         raise ConfigError("the two edge family transforms must share an output width "
                           f"({w5_out} != {w6_out})")
-    tx_b = nk.broadcast_to(nk.reshape(f_tx, (m, 1, f_tx.shape[1])), (m, k, f_tx.shape[1]))
-    rx_b = nk.broadcast_to(nk.reshape(f_rx, (1, k, f_rx.shape[1])), (m, k, f_rx.shape[1]))
-    t_row = _edge_mlp(nk.concat([e, tx_b], axis=2), layer["mlp5"], m, k)
-    t_col = _edge_mlp(nk.concat([e, rx_b], axis=2), layer["mlp6"], m, k)
+    tx_b = _on_edges(f_tx, -2, mask.shape[-1])
+    rx_b = _on_edges(f_rx, -3, mask.shape[-2])
+    t_row = nk.mlp_forward(nk.concat([e, tx_b], axis=-1), layer["mlp5"])
+    t_col = nk.mlp_forward(nk.concat([e, rx_b], axis=-1), layer["mlp6"])
     agg = nk.pair_excl_agg(t_row, t_col, mask, kind=aggregator)
-    mask_f = nk.constant(mask[:, :, None].astype(np.float64))
-    return _edge_mlp(nk.concat([e, agg], axis=2), layer["mlp7"], m, k) * mask_f
+    mask_f = nk.constant(mask[..., None].astype(np.float64))
+    return nk.mlp_forward(nk.concat([e, agg], axis=-1), layer["mlp7"]) * mask_f
 
 
 @dataclass
@@ -222,8 +219,11 @@ class RawOutputs:
 
 
 def forward(graph, cfg, params):
-    """Full pass: preprocess, L synchronous updating layers, affine head."""
-    m, k = graph.m, graph.k
+    """Full pass: preprocess, L synchronous updating layers, affine head.
+
+    A graph with a leading batch axis runs as one pass; every output then
+    carries that axis too.
+    """
     mask = graph.edge_mask
     f_tx, f_rx, e = preprocess(graph, cfg, params)
     for layer in params.layers:
@@ -233,10 +233,8 @@ def forward(graph, cfg, params):
         f_tx, f_rx, e = new_tx, new_rx, new_e
     w, b = params.post
     if cfg.output_head == "edge":
-        raw = nk.reshape(nk.linear(nk.reshape(e, (m * k, cfg.hidden_e)), w, b),
-                         (m, k, cfg.head_out))
-        raw = raw * nk.constant(mask[:, :, None].astype(np.float64))
-        return RawOutputs(xi=raw)
+        mask_f = nk.constant(mask[..., None].astype(np.float64))
+        return RawOutputs(xi=nk.linear(e, w, b) * mask_f)
     if cfg.output_head == "tx_node":
         return RawOutputs(s_tx=nk.linear(f_tx, w, b))
     return RawOutputs(s_rx=nk.linear(f_rx, w, b))
@@ -252,9 +250,9 @@ def extract_variables(raw, instance, cfg):
     k = instance.n_ue
     if instance.kind in (IC, IBC):
         if cfg.output_head == "edge":
-            return raw.xi[instance.serving, np.arange(k)]
+            return raw.xi[..., instance.serving, np.arange(k), :]
         if cfg.output_head == "tx_node":
-            return raw.s_tx[instance.serving]
+            return raw.s_tx[..., instance.serving, :]
         return raw.s_rx
     if instance.kind == COOP:
         if cfg.output_head != "edge":

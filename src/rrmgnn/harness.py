@@ -1,9 +1,10 @@
 """Unsupervised training loop, evaluation, generalization sweeps, config
 files, and metrics export.
 
-Training draws fresh random instances every minibatch, pushes them through
-forward -> head extraction -> feasibility projection -> sum rate, and ascends
-the batch mean with RMSProp. Everything is deterministic given (config, seed).
+Training draws fresh random instances every minibatch, stacks them into one
+instance, pushes the stack through one forward -> head extraction ->
+feasibility projection -> sum rate, and ascends the batch mean with RMSProp
+after one backward. Everything is deterministic given (config, seed).
 """
 
 import csv
@@ -16,7 +17,8 @@ from . import baselines, chansim, engnn, numkernel as nk, objectives
 from .chansim import GeometryConfig, NumericalError
 from .engnn import ConfigError, ENGNNConfig
 
-METRICS_HEADER = ["run_id", "epoch", "mean_sum_rate", "residual_max", "wall_seconds"]
+METRICS_HEADER = ["run_id", "epoch", "mean_sum_rate", "residual_max", "wall_seconds",
+                  "samples_per_s"]
 SAMPLES_HEADER = ["sample", "sum_rate", "residual", "infer_seconds"]
 
 SWEEP_AXES = ("n_pairs", "n_ues", "n_bss", "noise_dbm", "field_size", "budget_dbm",
@@ -65,6 +67,8 @@ class MetricsRow:
     mean_sum_rate: float
     residual_max: float
     wall_seconds: float
+    samples_per_s: float      # train: the epoch's samples over its own wall time;
+                              # evaluate: instances over wall time
 
     def __post_init__(self):
         if self.residual_max < 0:
@@ -73,14 +77,6 @@ class MetricsRow:
 
 def batch_seed(base_seed, epoch, minibatch, index):
     return [int(base_seed), int(epoch), int(minibatch), int(index)]
-
-
-def _loss_for_instance(inst, graph, cfg_net, params):
-    raw = engnn.forward(graph, cfg_net, params)
-    head = engnn.extract_variables(raw, inst, cfg_net)
-    variables = objectives.normalize(head, inst)
-    report = objectives.evaluate(inst, variables)
-    return report.sum_rate, variables
 
 
 def _calibrate_scales(scenario, geometry, seed, n_probe=8):
@@ -121,45 +117,42 @@ def train(cfg, log=None):
     run_id = f"{cfg.scenario}-seed{cfg.seed}"
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
+        t_epoch = time.perf_counter()
         epoch_rates = []
         epoch_residual = 0.0
         for mb in range(cfg.minibatches):
-            losses = []
-            for i in range(cfg.batch_size):
-                seed = batch_seed(cfg.seed, epoch, mb, i)
-                inst, graph = chansim.build_instance(cfg.scenario, cfg.geometry, seed)
-                loss, variables = _loss_for_instance(inst, graph, net, params)
-                losses.append(loss)
-                epoch_residual = max(epoch_residual,
-                                     objectives.constraint_residual(inst, variables))
-            batch_mean = tsum_list(losses) * (1.0 / len(losses))
-            if not np.isfinite(batch_mean.data):
+            seeds = [batch_seed(cfg.seed, epoch, mb, i) for i in range(cfg.batch_size)]
+            inst = chansim.stack_instances(
+                [chansim.build_instance(cfg.scenario, cfg.geometry, s)[0] for s in seeds])
+            raw = engnn.forward(chansim.graph_of(inst), net, params)
+            variables = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
+            rates = objectives.evaluate(inst, variables).sum_rate      # (B,)
+            bad = ~np.isfinite(rates.data)
+            if bad.any():
                 raise NumericalError(
                     f"non-finite training loss in epoch {epoch} minibatch {mb}; "
-                    f"reproduce with batch seeds {batch_seed(cfg.seed, epoch, mb, 0)}..")
+                    f"reproduce with sample seed {seeds[int(np.argmax(bad))]}")
+            epoch_residual = max(epoch_residual,
+                                 objectives.constraint_residual(inst, variables))
+            batch_mean = nk.tsum(rates) * (1.0 / cfg.batch_size)
             nk.backward(batch_mean)
             grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
                      for t in tensors]
             nk.rmsprop_step(tensors, grads, state)
             epoch_rates.append(float(batch_mean.data))
+        t_now = time.perf_counter()
         row = MetricsRow(run_id, epoch, float(np.mean(epoch_rates)), epoch_residual,
-                         time.perf_counter() - t_start)
+                         t_now - t_start,
+                         cfg.minibatches * cfg.batch_size / (t_now - t_epoch))
         rows.append(row)
         if log:
             log(f"epoch {epoch}: train mean sum rate {row.mean_sum_rate:.4f} "
-                f"(residual {row.residual_max:.2e})")
+                f"(residual {row.residual_max:.2e}, {row.samples_per_s:.0f} samples/s)")
         engnn.save_checkpoint(cfg.checkpoint_path, net, params,
                               extra_meta={"train": _train_meta(cfg), "epoch": epoch})
     engnn.save_checkpoint(cfg.checkpoint_path, net, params,
                           extra_meta={"train": _train_meta(cfg), "epoch": cfg.epochs})
     return params, net, rows
-
-
-def tsum_list(tensors):
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = total + t
-    return total
 
 
 def _train_meta(cfg):
@@ -197,9 +190,10 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
         })
     rates = [s["sum_rate"] for s in samples]
     residuals = [s["residual"] for s in samples]
+    wall = time.perf_counter() - t_start
     row = MetricsRow(f"eval-{scenario}-seed{seed}", 0, float(np.mean(rates)),
-                     float(np.max(residuals)) if residuals else 0.0,
-                     time.perf_counter() - t_start)
+                     float(np.max(residuals)) if residuals else 0.0, wall,
+                     n_samples / wall)
     if out_csv is not None:
         write_csv(out_csv, SAMPLES_HEADER, [[s[c] for c in SAMPLES_HEADER]
                                             for s in samples])

@@ -32,7 +32,8 @@ class HetGraph:
     """Heterogeneous bipartite graph: M TX-nodes, K RX-nodes, dense edge fibers.
 
     f_tx: (M, d_tx), f_rx: (K, d_rx), e: (M, K, d_e), edge_mask: (M, K) bool.
-    Fibers on absent edges must be all-zero.
+    A stack of equally shaped graphs carries one more leading axis B on all
+    four. Fibers on absent edges must be all-zero.
     """
 
     f_tx: np.ndarray
@@ -45,28 +46,32 @@ class HetGraph:
         object.__setattr__(self, "f_rx", np.ascontiguousarray(self.f_rx, dtype=np.float64))
         object.__setattr__(self, "e", np.ascontiguousarray(self.e, dtype=np.float64))
         object.__setattr__(self, "edge_mask", np.ascontiguousarray(self.edge_mask, dtype=bool))
-        m, k = self.f_tx.shape[0], self.f_rx.shape[0]
+        if self.f_tx.ndim not in (2, 3) or self.f_rx.ndim != self.f_tx.ndim \
+                or self.e.ndim != self.f_tx.ndim + 1:
+            raise ValueError("f_tx/f_rx must be 2-D and e must be 3-D, plus an "
+                             "optional leading batch axis on all of them")
+        m, k = self.m, self.k
         if m < 1 or k < 1:
             raise ValueError("graph needs at least one TX-node and one RX-node")
-        if self.f_tx.ndim != 2 or self.f_rx.ndim != 2 or self.e.ndim != 3:
-            raise ValueError("f_tx/f_rx must be 2-D and e must be 3-D")
-        if self.e.shape[:2] != (m, k) or self.edge_mask.shape != (m, k):
-            raise ValueError(f"edge arrays must be shaped ({m}, {k}, .)")
+        batch = self.f_tx.shape[:-2]
+        if self.f_rx.shape[:-2] != batch or self.e.shape[:-1] != batch + (m, k) \
+                or self.edge_mask.shape != batch + (m, k):
+            raise ValueError(f"edge arrays must be shaped {batch + (m, k)} (+ fiber width)")
         absent = ~self.edge_mask
         if absent.any() and np.any(self.e[absent] != 0.0):
             raise ValueError("edge fibers must be all-zero where the edge is absent")
 
     @property
     def m(self):
-        return self.f_tx.shape[0]
+        return self.f_tx.shape[-2]
 
     @property
     def k(self):
-        return self.f_rx.shape[0]
+        return self.f_rx.shape[-2]
 
     @property
     def widths(self):
-        return self.f_tx.shape[1], self.f_rx.shape[1], self.e.shape[2]
+        return self.f_tx.shape[-1], self.f_rx.shape[-1], self.e.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ def _relabel(a, *pis):
 
 
 def permute_graph(g, p):
-    """Relabel nodes: output node pi(m) carries input node m's features."""
+    """Relabel nodes of one graph: output node pi(m) carries input node m's features."""
     if p.pi_tx.size != g.m or p.pi_rx.size != g.k:
         raise ValueError(f"permutation sizes ({p.pi_tx.size}, {p.pi_rx.size}) do not "
                          f"match graph ({g.m}, {g.k})")

@@ -4,6 +4,12 @@ Everything is float64 and CPU/numpy. The op set is sized for small MLPs,
 masked max aggregations, and the rate objectives built on top of them; it is
 not a general-purpose framework (no GPU, no conv, only the broadcasting the
 ops below need).
+
+Graph tensors count their axes from the end: edge tensors are (..., M, K, d)
+with an (..., M, K) mask, node tensors (..., M, d) or (..., K, d). Any leading
+axes (a minibatch axis B) ride along, so one graph and a stack of equally
+shaped graphs run the same code. `axis=0/1` of the aggregations names the M
+or the K axis, wherever they sit.
 """
 
 import numpy as np
@@ -352,51 +358,44 @@ def dot(a, b):
 
 
 def matmul(a, b):
-    """Matrix product for 2-D x 2-D, 2-D x 1-D, or 1-D x 2-D operands."""
+    """Matrix product of two (..., n, k) and (..., k, p) stacks; leading axes
+    broadcast as in numpy."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2) or (ad.ndim == 1 and bd.ndim == 1):
-        raise ValueError(f"matmul supports 2Dx2D, 2Dx1D, 1Dx2D; got {ad.shape} @ {bd.shape}")
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ValueError(f"matmul expects (..., n, k) @ (..., k, p); got {ad.shape} @ {bd.shape}")
     out_data = ad @ bd
 
     def backward(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            if a.requires_grad:
-                _accumulate(a, g @ bd.T)
-            if b.requires_grad:
-                _accumulate(b, ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            if a.requires_grad:
-                _accumulate(a, np.outer(g, bd))
-            if b.requires_grad:
-                _accumulate(b, ad.T @ g)
-        else:  # 1-D @ 2-D
-            if a.requires_grad:
-                _accumulate(a, bd @ g)
-            if b.requires_grad:
-                _accumulate(b, np.outer(ad, g))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     return _make(out_data, (a, b), backward)
 
 
 def linear(x, w, b):
-    """Affine map x @ w.T + b for x of shape (n, d_in) or (d_in,)."""
+    """Affine map x @ w.T + b over the last axis of x, (..., d_in) -> (..., d_out).
+
+    The leading axes are flattened into the rows of one matrix product.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.shape[-1] != w.data.shape[1]:
+    d_out, d_in = w.data.shape
+    if x.data.shape[-1] != d_in:
         raise ValueError(f"linear: input width {x.data.shape[-1]} does not match "
                          f"weight shape {w.data.shape}")
-    out_data = x.data @ w.data.T + b.data
+    rows = x.data.reshape(-1, d_in)
+    out_data = (rows @ w.data.T + b.data).reshape(x.data.shape[:-1] + (d_out,))
 
     def backward(g):
+        g_rows = g.reshape(-1, d_out)
         if x.requires_grad:
-            _accumulate(x, g @ w.data)
+            _accumulate(x, (g_rows @ w.data).reshape(x.data.shape))
         if w.requires_grad:
-            if x.data.ndim == 1:
-                _accumulate(w, np.outer(g, x.data))
-            else:
-                _accumulate(w, g.T @ x.data)
+            _accumulate(w, g_rows.T @ rows)
         if b.requires_grad:
-            _accumulate(b, g if g.ndim == 1 else g.sum(axis=0))
+            _accumulate(b, g_rows.sum(axis=0))
 
     return _make(out_data, (x, w, b), backward)
 
@@ -445,49 +444,49 @@ def masked_max_aggregate(items, present):
     return _make(out_data, (items,), backward)
 
 
+def _graph_shapes(name, x, mask):
+    if x.data.ndim < 3 or mask.shape != x.data.shape[:-1]:
+        raise ValueError(f"{name} expects (..., M, K, d) with an (..., M, K) mask, got "
+                         f"{x.shape} and {mask.shape}")
+
+
 def masked_agg_axis(x, mask, axis, kind="max"):
-    """Aggregate a (M, K, d) tensor over `axis` (0 or 1) with a (M, K) mask.
+    """Aggregate an (..., M, K, d) tensor over its M (axis=0) or K (axis=1)
+    axis under an (..., M, K) mask.
 
     kind="max" is the element-wise maximum with lowest-index tie routing,
-    kind="mean" the arithmetic mean; empty slices aggregate to zeros.
+    kind="mean" the arithmetic mean; empty slices aggregate to zeros. A NaN
+    among the present items makes the aggregate NaN.
     """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 3 or mask.shape != x.data.shape[:2]:
-        raise ValueError(f"masked_agg_axis expects (M, K, d) with (M, K) mask, got "
-                         f"{x.shape} and {mask.shape}")
+    _graph_shapes("masked_agg_axis", x, mask)
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    mask3 = mask[:, :, None]
-    counts = mask.sum(axis=axis)  # length K (axis=0) or M (axis=1)
+    ax = axis - 3                       # M = -3, K = -2 on (..., M, K, d)
+    mask3 = mask[..., None]
+    counts = mask.sum(axis=axis - 2)    # (..., K) for axis=0, (..., M) for axis=1
 
     if kind == "max":
         masked = np.where(mask3, x.data, -np.inf)
-        arg = np.argmax(masked, axis=axis)  # (K, d) or (M, d)
-        out_data = np.take_along_axis(masked, np.expand_dims(arg, axis), axis).squeeze(axis)
+        arg = np.expand_dims(np.argmax(masked, axis=ax), ax)  # first = lowest index
+        out_data = np.take_along_axis(masked, arg, ax).squeeze(ax)
         out_data[counts == 0] = 0.0
 
         def backward(g):
             if x.requires_grad:
                 buf = np.zeros_like(x.data)
-                g_eff = np.where((counts > 0)[:, None], g, 0.0)
-                other = np.arange(out_data.shape[0])
-                dd = np.arange(out_data.shape[1])
-                if axis == 0:
-                    np.add.at(buf, (arg, other[:, None], dd[None, :]), g_eff)
-                else:
-                    np.add.at(buf, (other[:, None], arg, dd[None, :]), g_eff)
+                g_eff = np.where((counts > 0)[..., None], g, 0.0)
+                np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
                 _accumulate(x, buf)
 
     elif kind == "mean":
-        denom = np.maximum(counts, 1)[:, None]
-        out_data = (x.data * mask3).sum(axis=axis) / denom
+        denom = np.maximum(counts, 1)[..., None]
+        out_data = (x.data * mask3).sum(axis=ax) / denom
 
         def backward(g):
             if x.requires_grad:
-                g_scaled = g / denom
-                buf = np.expand_dims(g_scaled, axis) * mask3
-                _accumulate(x, buf)
+                _accumulate(x, np.expand_dims(g / denom, ax) * mask3)
 
     else:
         raise ValueError(f"unknown aggregation kind {kind!r}")
@@ -496,19 +495,16 @@ def masked_agg_axis(x, mask, axis, kind="max"):
 
 
 def _excl_top2(masked, axis):
-    """Per-slice max excluding each own index, via top-2 along `axis`."""
-    a1 = np.argmax(masked, axis=axis)
-    t1 = np.take_along_axis(masked, np.expand_dims(a1, axis), axis).squeeze(axis)
+    """Per-slice max excluding each own index, via top-2 along `axis` (-3 or -2)."""
+    a1 = np.expand_dims(np.argmax(masked, axis=axis), axis)
+    t1 = np.take_along_axis(masked, a1, axis)
     wo = np.copy(masked)
-    np.put_along_axis(wo, np.expand_dims(a1, axis), -np.inf, axis)
-    a2 = np.argmax(wo, axis=axis)
-    t2 = np.take_along_axis(wo, np.expand_dims(a2, axis), axis).squeeze(axis)
-    n = masked.shape[axis]
-    pos = np.arange(n).reshape((-1, 1, 1) if axis == 0 else (1, -1, 1))
-    is_a1 = pos == np.expand_dims(a1, axis)
-    vals = np.where(is_a1, np.expand_dims(t2, axis), np.expand_dims(t1, axis))
-    args = np.where(is_a1, np.expand_dims(a2, axis), np.expand_dims(a1, axis))
-    return vals, args
+    np.put_along_axis(wo, a1, -np.inf, axis)
+    a2 = np.expand_dims(np.argmax(wo, axis=axis), axis)
+    t2 = np.take_along_axis(wo, a2, axis)
+    pos = np.arange(masked.shape[axis]).reshape((-1,) + (1,) * (-1 - axis))
+    is_a1 = pos == a1
+    return np.where(is_a1, t2, t1), np.where(is_a1, a2, a1)
 
 
 def pair_excl_agg(t_row, t_col, mask, kind="max"):
@@ -518,62 +514,53 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
     t_row[m, k1] over present k1 != k (same-TX family, listed first) and
     t_col[m1, k] over present m1 != m (same-RX family). kind="max" takes the
     element-wise maximum with ties routed to the earliest candidate in that
-    order; kind="mean" averages. An empty union yields the zero vector.
-    Output fibers on absent edges are zero.
+    order, and a NaN candidate makes it NaN; kind="mean" averages. An empty
+    union yields the zero vector. Output fibers on absent edges are zero.
+    Tensors are (..., M, K, d) with an (..., M, K) mask.
     """
     t_row, t_col = as_tensor(t_row), as_tensor(t_col)
     mask = np.asarray(mask, dtype=bool)
-    if t_row.data.shape != t_col.data.shape or t_row.data.ndim != 3:
-        raise ValueError("pair_excl_agg expects two (M, K, d) tensors of equal shape")
-    if mask.shape != t_row.data.shape[:2]:
-        raise ValueError("mask shape does not match")
-    m_n, k_n, d = t_row.data.shape
-    mask3 = mask[:, :, None]
+    if t_row.data.shape != t_col.data.shape:
+        raise ValueError("pair_excl_agg expects two tensors of equal shape")
+    _graph_shapes("pair_excl_agg", t_row, mask)
+    mask3 = mask[..., None]
+    row_cnt = mask.sum(axis=-1, keepdims=True) - mask  # neighbors excluding self
+    col_cnt = mask.sum(axis=-2, keepdims=True) - mask
 
     if kind == "max":
-        row_masked = np.where(mask3, t_row.data, -np.inf)
-        col_masked = np.where(mask3, t_col.data, -np.inf)
-        row_vals, row_args = _excl_top2(row_masked, axis=1)
-        col_vals, col_args = _excl_top2(col_masked, axis=0)
-        use_row = row_vals >= col_vals  # tie -> same-TX family (listed first)
-        out_data = np.where(use_row, row_vals, col_vals)
-        empty = ~np.isfinite(out_data)
-        out_data[empty] = 0.0
-        out_data *= mask3
+        row_vals, row_args = _excl_top2(np.where(mask3, t_row.data, -np.inf), axis=-2)
+        col_vals, col_args = _excl_top2(np.where(mask3, t_col.data, -np.inf), axis=-3)
+        # tie -> same-TX family (listed first); a NaN in either family wins
+        use_row = (row_vals >= col_vals) | np.isnan(row_vals)
+        live = mask3 & (row_cnt + col_cnt > 0)[..., None]
+        out_data = np.where(live, np.where(use_row, row_vals, col_vals), 0.0)
 
         def backward(g):
-            g = g * mask3
-            mm = np.arange(m_n)[:, None, None]
-            kk = np.arange(k_n)[None, :, None]
-            dd = np.arange(d)[None, None, :]
+            idx = np.indices(g.shape, sparse=True)
             if t_row.requires_grad:
-                sel = use_row & ~empty & mask3
                 buf = np.zeros_like(t_row.data)
-                np.add.at(buf, (mm + 0 * row_args, row_args, dd + 0 * row_args),
-                          np.where(sel, g, 0.0))
+                np.add.at(buf, (*idx[:-2], row_args, idx[-1]),
+                          np.where(use_row & live, g, 0.0))
                 _accumulate(t_row, buf)
             if t_col.requires_grad:
-                sel = ~use_row & ~empty & mask3
                 buf = np.zeros_like(t_col.data)
-                np.add.at(buf, (col_args, kk + 0 * col_args, dd + 0 * col_args),
-                          np.where(sel, g, 0.0))
+                np.add.at(buf, (*idx[:-3], col_args, *idx[-2:]),
+                          np.where(~use_row & live, g, 0.0))
                 _accumulate(t_col, buf)
 
     elif kind == "mean":
-        row_cnt = mask.sum(axis=1, keepdims=True) - mask  # neighbors excluding self
-        col_cnt = mask.sum(axis=0, keepdims=True) - mask
-        total = np.maximum(row_cnt + col_cnt, 1)[:, :, None]
-        row_sum = (t_row.data * mask3).sum(axis=1, keepdims=True) - t_row.data * mask3
-        col_sum = (t_col.data * mask3).sum(axis=0, keepdims=True) - t_col.data * mask3
+        total = np.maximum(row_cnt + col_cnt, 1)[..., None]
+        row_sum = (t_row.data * mask3).sum(axis=-2, keepdims=True) - t_row.data * mask3
+        col_sum = (t_col.data * mask3).sum(axis=-3, keepdims=True) - t_col.data * mask3
         out_data = (row_sum + col_sum) / total * mask3
 
         def backward(g):
             g_eff = g * mask3 / total
             if t_row.requires_grad:
-                buf = (g_eff.sum(axis=1, keepdims=True) - g_eff) * mask3
+                buf = (g_eff.sum(axis=-2, keepdims=True) - g_eff) * mask3
                 _accumulate(t_row, buf)
             if t_col.requires_grad:
-                buf = (g_eff.sum(axis=0, keepdims=True) - g_eff) * mask3
+                buf = (g_eff.sum(axis=-3, keepdims=True) - g_eff) * mask3
                 _accumulate(t_col, buf)
 
     else:

@@ -17,7 +17,11 @@ FEAS_TOL = 1e-9
 
 
 class RateReport:
-    """Per-UE SINR (linear), per-UE rate (bits/s/Hz), and their sum."""
+    """Per-UE SINR (linear), per-UE rate (bits/s/Hz), and their sum.
+
+    For a stacked instance every field carries its batch axis: `sum_rate`
+    then holds one sum per instance, shape (B,).
+    """
 
     def __init__(self, sinr, rates, sum_rate):
         self.sinr = sinr
@@ -41,10 +45,25 @@ def _as_split_tensor(v, complex_input):
 
 def _report(sinr_t, tensor_in):
     rates = nk.log1p(sinr_t) * (1.0 / LN2)
-    total = nk.tsum(rates)
+    total = nk.tsum(rates, axis=-1)
     if tensor_in:
         return RateReport(sinr_t, rates, total)
-    return RateReport(sinr_t.data.copy(), rates.data.copy(), float(total.data))
+    sum_rate = float(total.data) if total.data.ndim == 0 else total.data.copy()
+    return RateReport(sinr_t.data.copy(), rates.data.copy(), sum_rate)
+
+
+def _check_shape(what, v, shape):
+    if v.data.shape != shape:
+        raise ValueError(f"expected {what} of split shape {shape}, got {v.data.shape}")
+
+
+def _signal_over_rest(power, noise):
+    """SINR from a (..., K', K) received-power table: [j, k] = power of
+    stream j at UE k, the diagonal being each UE's own stream."""
+    idx = np.arange(power.shape[-1])
+    signal = power[..., idx, idx]
+    interference = nk.tsum(power, axis=-2) - signal
+    return signal / (interference + nk.constant(noise))
 
 
 def _complex_quadratic(h_re, h_im, v, n):
@@ -61,39 +80,38 @@ def sinr_ic(instance, v):
     SINR_k = |h_{m1(k),k}^H v_k|^2 / (sum_{k'!=k} |h_{m1(k'),k}^H v_{k'}|^2 + noise_k).
     """
     v_t, tensor_in = _as_split_tensor(v, complex_input=True)
-    k, n = instance.n_ue, instance.channels.shape[2]
-    if v_t.data.shape != (k, 2 * n):
-        raise ValueError(f"expected beams of split shape ({k}, {2 * n}), got {v_t.data.shape}")
-    h_eff = instance.channels[instance.serving]  # (K, K, N): [j, k] = h_{m1(j), k}
-    budgets = instance.budgets[instance.serving]
-    norms = (v_t.data ** 2).sum(axis=1)
+    lead, k, n = instance.batch_shape, instance.n_ue, instance.channels.shape[-1]
+    _check_shape("beams", v_t, lead + (k, 2 * n))
+    h_eff = instance.channels[..., instance.serving, :, :]  # [j, k] = h_{m1(j), k}
+    budgets = instance.budgets[..., instance.serving]
+    norms = (v_t.data ** 2).sum(axis=-1)
     if np.any(norms > budgets + FEAS_TOL):
         raise ValueError("beams violate the per-pair power budget")
 
-    v3 = nk.reshape(v_t, (k, 1, 2 * n))
+    v3 = nk.reshape(v_t, lead + (k, 1, 2 * n))
     power = _complex_quadratic(nk.constant(h_eff.real), nk.constant(h_eff.imag), v3, n)
-    idx = np.arange(k)
-    signal = power[idx, idx]
-    interference = nk.tsum(power, axis=0) - signal
-    sinr = signal / (interference + nk.constant(instance.noise))
-    return _report(sinr, tensor_in)
+    return _report(_signal_over_rest(power, instance.noise), tensor_in)
+
+
+def _cell_indicator(instance):
+    """(cells, K) 0/1 matrix: row b marks the UEs of cell b."""
+    cells = instance.budgets.shape[-1]
+    return (np.arange(cells)[:, None] == instance.rx_cell).astype(np.float64)
 
 
 def sinr_ibc(instance, p):
     """Rates for per-UE power allocation over the equivalent scalar gains."""
     p_t, tensor_in = _as_split_tensor(p, complex_input=False)
-    k = instance.n_ue
-    p_t = nk.reshape(p_t, (k,))
+    lead, k = instance.batch_shape, instance.n_ue
+    p_t = nk.reshape(p_t, lead + (k,))
     if np.any(p_t.data < -FEAS_TOL):
         raise ValueError("powers must be nonnegative")
-    cell_sums = np.bincount(instance.rx_cell, weights=p_t.data,
-                            minlength=instance.budgets.size)
-    if np.any(cell_sums > instance.budgets + FEAS_TOL):
+    if np.any(p_t.data @ _cell_indicator(instance).T > instance.budgets + FEAS_TOL):
         raise ValueError("cell power budgets violated")
-    g2 = nk.constant(instance.gains[instance.serving] ** 2)  # (K, K): [j, k]
-    received = nk.matmul(p_t, g2)                            # totals per UE
+    g2 = nk.constant(instance.gains[..., instance.serving, :] ** 2)  # [j, k]: TX_j -> UE k
+    received = nk.reshape(nk.matmul(nk.reshape(p_t, lead + (1, k)), g2), lead + (k,))
     idx = np.arange(k)
-    signal = g2[idx, idx] * p_t
+    signal = g2[..., idx, idx] * p_t
     sinr = signal / (received - signal + nk.constant(instance.noise))
     return _report(sinr, tensor_in)
 
@@ -105,26 +123,21 @@ def sinr_coop(instance, v):
     SINR_k = |sum_m h_{m,k}^H v_{m,k}|^2 / (sum_{k'!=k} |sum_m h_{m,k}^H v_{m,k'}|^2 + noise_k).
     """
     v_t, tensor_in = _as_split_tensor(v, complex_input=True)
-    m, k, n = instance.channels.shape
-    if v_t.data.shape != (m, k, 2 * n):
-        raise ValueError(f"expected beams of split shape ({m}, {k}, {2 * n}), "
-                         f"got {v_t.data.shape}")
-    per_bs = (v_t.data ** 2).sum(axis=(1, 2))
+    lead = instance.batch_shape
+    m, k, n = instance.channels.shape[-3:]
+    _check_shape("beams", v_t, lead + (m, k, 2 * n))
+    per_bs = (v_t.data ** 2).sum(axis=(-2, -1))
     if np.any(per_bs > instance.budgets + FEAS_TOL):
         raise ValueError("beams violate a per-BS power budget")
 
-    h_re = nk.constant(instance.channels.real[:, None, :, :])  # (M, 1, K, N)
-    h_im = nk.constant(instance.channels.imag[:, None, :, :])
-    v_re = nk.reshape(v_t, (m, k, 1, 2 * n))[..., :n]           # (M, K', 1, N)
-    v_im = nk.reshape(v_t, (m, k, 1, 2 * n))[..., n:]
-    re = nk.tsum(h_re * v_re + h_im * v_im, axis=(0, 3))        # (K', K)
-    im = nk.tsum(h_re * v_im - h_im * v_re, axis=(0, 3))
+    h = instance.channels[..., :, None, :, :]                      # (M, 1, K, N)
+    h_re, h_im = nk.constant(h.real), nk.constant(h.imag)
+    v4 = nk.reshape(v_t, lead + (m, k, 1, 2 * n))                  # (M, K', 1, 2N)
+    v_re, v_im = v4[..., :n], v4[..., n:]
+    re = nk.tsum(h_re * v_re + h_im * v_im, axis=(-4, -1))        # (K', K)
+    im = nk.tsum(h_re * v_im - h_im * v_re, axis=(-4, -1))
     power = nk.square(re) + nk.square(im)
-    idx = np.arange(k)
-    signal = power[idx, idx]
-    interference = nk.tsum(power, axis=0) - signal
-    sinr = signal / (interference + nk.constant(instance.noise))
-    return _report(sinr, tensor_in)
+    return _report(_signal_over_rest(power, instance.noise), tensor_in)
 
 
 def evaluate(instance, variables):
@@ -145,40 +158,38 @@ def evaluate(instance, variables):
 def normalize_ic(raw, instance):
     """Scale each beam into its power ball: v_k <- v_k * min(1, sqrt(P_k)/||v_k||)."""
     raw = nk.as_tensor(raw)
-    k = instance.n_ue
-    budgets = instance.budgets[instance.serving]
-    if raw.data.ndim != 2 or raw.data.shape[0] != k:
-        raise ValueError(f"expected (K, 2N) raw beams, got {raw.data.shape}")
-    norms2 = nk.tsum(nk.square(raw), axis=1)
-    scale = nk.sqrt(nk.constant(budgets) / nk.maximum(norms2, nk.constant(budgets)))
-    return raw * nk.reshape(scale, (k, 1))
+    lead, k = instance.batch_shape, instance.n_ue
+    if raw.data.shape[:-1] != lead + (k,):
+        raise ValueError(f"expected {lead + (k,)} raw beams of width 2N, got {raw.data.shape}")
+    budgets = nk.constant(instance.budgets[..., instance.serving])
+    norms2 = nk.tsum(nk.square(raw), axis=-1)
+    scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
+    return raw * nk.reshape(scale, lead + (k, 1))
 
 
 def normalize_ibc(raw, instance):
     """Squash raw scores into (0, P_b) per UE, then rescale each cell to budget."""
-    raw = nk.as_tensor(raw)
-    k = instance.n_ue
-    raw = nk.reshape(raw, (k,))
-    cell_budget = instance.budgets[instance.rx_cell]
-    p = nk.sigmoid(raw) * nk.constant(cell_budget)
-    ind = np.zeros((instance.budgets.size, k))
-    ind[instance.rx_cell, np.arange(k)] = 1.0
-    cell_sums = nk.matmul(nk.constant(ind), p)
-    cell_scale = nk.constant(instance.budgets) / nk.maximum(cell_sums,
-                                                            nk.constant(instance.budgets))
-    return p * nk.matmul(cell_scale, nk.constant(ind))
+    lead, k = instance.batch_shape, instance.n_ue
+    raw = nk.reshape(nk.as_tensor(raw), lead + (k,))
+    budgets = nk.constant(instance.budgets)
+    p = nk.sigmoid(raw) * nk.constant(instance.budgets[..., instance.rx_cell])
+    ind = nk.constant(_cell_indicator(instance))
+    cell_sums = nk.reshape(nk.matmul(ind, nk.reshape(p, lead + (k, 1))), instance.budgets.shape)
+    cell_scale = budgets / nk.maximum(cell_sums, budgets)
+    return p * cell_scale[..., instance.rx_cell]
 
 
 def normalize_coop(raw, instance):
     """Per-BS ball scaling: row m shrinks when sum_k ||v_{m,k}||^2 exceeds P_m."""
     raw = nk.as_tensor(raw)
-    m = instance.channels.shape[0]
-    if raw.data.ndim != 3 or raw.data.shape[0] != m:
-        raise ValueError(f"expected (M, K, 2N) raw beams, got {raw.data.shape}")
-    norms2 = nk.tsum(nk.square(raw), axis=(1, 2))
-    scale = nk.sqrt(nk.constant(instance.budgets)
-                    / nk.maximum(norms2, nk.constant(instance.budgets)))
-    return raw * nk.reshape(scale, (m, 1, 1))
+    lead, m = instance.batch_shape, instance.n_tx_entities
+    if raw.data.shape[:-2] != lead + (m,):
+        raise ValueError(f"expected {lead + (m,)} raw beam rows of shape (K, 2N), "
+                         f"got {raw.data.shape}")
+    budgets = nk.constant(instance.budgets)
+    norms2 = nk.tsum(nk.square(raw), axis=(-2, -1))
+    scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
+    return raw * nk.reshape(scale, lead + (m, 1, 1))
 
 
 def normalize(raw, instance):
@@ -200,23 +211,24 @@ def _data(v):
 
 
 def constraint_residual(instance, variables):
-    """Worst-case nonnegative violation of the scenario's power constraints.
+    """Worst-case nonnegative violation of the scenario's power constraints
+    (over the whole stack for a stacked instance).
 
     Variables may be split-real or complex; the squared norms agree either way.
     """
     v = _data(variables)
     if instance.kind == IC:
         norms = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
-        used = norms.sum(axis=1)
-        return float(np.maximum(used - instance.budgets[instance.serving], 0.0).max())
+        used = norms.sum(axis=-1)
+        return float(np.maximum(used - instance.budgets[..., instance.serving], 0.0).max())
     if instance.kind == IBC:
-        p = np.asarray(v, dtype=np.float64).reshape(-1)
+        p = np.asarray(v, dtype=np.float64).reshape(instance.batch_shape + (-1,))
         neg = np.maximum(-p, 0.0).max() if p.size else 0.0
-        sums = np.bincount(instance.rx_cell, weights=p, minlength=instance.budgets.size)
+        sums = p @ _cell_indicator(instance).T
         over = np.maximum(sums - instance.budgets, 0.0).max()
         return float(max(neg, over))
     if instance.kind == COOP:
         norms = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
-        used = norms.sum(axis=tuple(range(1, norms.ndim)))
+        used = norms.sum(axis=(-2, -1))
         return float(np.maximum(used - instance.budgets, 0.0).max())
     raise ValueError(f"unknown scenario kind {instance.kind!r}")

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +66,31 @@ def test_nan_loss_aborts_with_batch_seed(tmp_path, monkeypatch):
         harness.train(cfg)
 
 
+def test_nan_loss_names_the_failing_sample(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    real_forward = engnn.forward
+
+    def poisoned(graph, net, params):
+        out = real_forward(graph, net, params)
+        out.xi.data[2] = np.nan          # the third sample of the minibatch
+        return out
+
+    monkeypatch.setattr(engnn, "forward", poisoned)
+    seed = harness.batch_seed(cfg.seed, 0, 0, 2)
+    with pytest.raises(NumericalError, match=r"epoch 0 minibatch 0.*" + re.escape(str(seed))):
+        harness.train(cfg)
+
+
+def test_evaluate_rejects_nan_in_first_layer_with_sample_seed():
+    # a NaN at the input side must reach the output through the max aggregations
+    net = engnn.config_for_scenario("ic", 2, hidden=4, layers=1)
+    params = engnn.init_params(net, seed=0)
+    dict(params.named_tensors())["pre_tx.w"].data[...] = np.nan
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
+    with pytest.raises(NumericalError, match=r"sample seed \[11, 0\]"):
+        harness.evaluate(net, params, "ic", geo, 3, 11)
+
+
 def test_evaluate_rejects_non_finite_output_with_sample_seed():
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
@@ -75,7 +102,7 @@ def test_evaluate_rejects_non_finite_output_with_sample_seed():
 
 def test_metrics_row_rejects_negative_residual():
     with pytest.raises(ValueError):
-        MetricsRow("x", 0, 1.0, -1e-3, 0.0)
+        MetricsRow("x", 0, 1.0, -1e-3, 0.0, 0.0)
 
 
 def test_evaluate_deterministic_and_feasible(tmp_path):
@@ -238,6 +265,18 @@ def test_cli_train_writes_checkpoint(tmp_path, capsys):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "cli_ckpt.bin").exists()
     assert "checkpoint written" in capsys.readouterr().out
+
+
+def test_cli_train_metrics_csv_has_every_column(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, epochs=2)
+    metrics = tmp_path / "metrics.csv"
+    assert cli.main(["train", "--config", str(cfg_path), "--metrics", str(metrics)]) == 0
+    with open(metrics, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == harness.METRICS_HEADER
+    assert len(rows) == 3 and all(len(r) == len(harness.METRICS_HEADER) for r in rows)
+    rate = harness.METRICS_HEADER.index("samples_per_s")
+    assert all(float(r[rate]) > 0 for r in rows[1:])
 
 
 def test_cli_unknown_flag_usage_error(tmp_path, capsys):

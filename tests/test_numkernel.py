@@ -460,6 +460,19 @@ def test_pair_excl_agg_gradient_matches_reference_with_ties():
         np.testing.assert_array_equal(got6, r6.grad)
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_max_aggregations_propagate_nan(batch):
+    # one family all NaN, the other all ones, on a full 2x2 mask: every
+    # present edge has a NaN candidate, so every output is NaN
+    mask = np.ones(batch + (2, 2), bool)
+    nan, ones = np.full(batch + (2, 2, 1), np.nan), np.ones(batch + (2, 2, 1))
+    for t_row, t_col in ((nan, ones), (ones, nan)):
+        out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col), mask, "max").data
+        assert np.isnan(out).all()
+    for axis in (0, 1):
+        assert np.isnan(nk.masked_agg_axis(nk.constant(nan), mask, axis, "max").data).all()
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
