@@ -7,7 +7,8 @@ powers are handled internally in watts; dBm appears only at the config
 boundary. Generation is pure given (config, seed).
 """
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class ScenarioInstance:
     channels[m, k] is the length-N channel between TX entity m and UE k. For
     the broadcast setup the TX entities are the K = B*Q equivalent antennas;
     `gains` then holds |h^H w| per (TX entity, UE) and `zf_beams[b]` the
-    unit-norm per-cell beams (N, Q). A minibatch (`stack_instances`) puts a
+    unit-norm per-cell beams (N, Q). A minibatch (`sample_instances`) puts a
     leading axis on every array field and shares the layout: `serving`,
     `tx_cell` and `rx_cell`.
     """
@@ -129,72 +130,68 @@ class ScenarioInstance:
         return self.channels.shape[:-3]
 
 
-_LAYOUT = ("serving", "tx_cell", "rx_cell")
-_STACKED = ("channels", "budgets", "noise", "gains", "zf_beams", "bs_pos", "ue_pos")
+def _draw_geometry(cfg, rng, n_bs, anchor_bs):
+    """One generator's geometry draws: the BS positions (n_bs, 2), then each
+    UE's radius and angle around its anchor BS, as lists of floats.
 
-
-def stack_instances(instances):
-    """One minibatch instance from equally shaped instances of one layout.
-
-    Every array field gains a leading axis B; `kind`, `serving`, `tx_cell`
-    and `rx_cell` are shared and must agree, otherwise ValueError.
+    BSs are uniform in the square, re-drawn until they keep their spacing; each
+    UE radius is uniform over its anchor's annulus area, and the angle is
+    re-drawn (radius kept) until the UE lands inside the field. The rejection
+    tests run on Python floats; the spacing math.sqrt(dx*dx + dy*dy) is the
+    two-term sum np.linalg.norm takes. `_ue_positions` places the kept UEs.
     """
-    first = instances[0]
-    for inst in instances[1:]:
-        same = inst.kind == first.kind and all(
-            np.array_equal(getattr(inst, f), getattr(first, f)) for f in _LAYOUT)
-        if not same or inst.channels.shape != first.channels.shape:
-            raise ValueError("stack_instances needs instances of one kind, shape and "
-                             "layout (serving, tx_cell, rx_cell)")
-    stacked = {f: None if getattr(first, f) is None
-               else np.stack([getattr(inst, f) for inst in instances]) for f in _STACKED}
-    return ScenarioInstance(first.kind, **stacked,
-                            **{f: getattr(first, f) for f in _LAYOUT})
-
-
-def sample_geometry(cfg, rng, n_bs, n_ue, anchor_bs):
-    """Drop n_bs BSs with pairwise spacing and one UE per anchor annulus.
-
-    anchor_bs[j] names the BS whose serving annulus UE j is placed in. BSs are
-    uniform in the square; each UE is uniform in the annulus around its anchor,
-    re-drawing the angle (distance kept) until it lands inside the field.
-    """
-    size = cfg.field_size
-    bs = np.empty((n_bs, 2))
-    attempts = 0
-    placed = 0
-    stalled = 0
-    while placed < n_bs:
-        cand = rng.uniform(0, size, size=2)
+    size, spacing = cfg.field_size, cfg.min_bs_spacing
+    bs = []
+    attempts = stalled = 0
+    while len(bs) < n_bs:
+        cx, cy = rng.uniform(0, size, size=2).tolist()
         attempts += 1
         if attempts > MAX_REJECTION_ATTEMPTS:
             raise GenerationError(
-                f"could not place {n_bs} BSs with spacing >= {cfg.min_bs_spacing} m "
+                f"could not place {n_bs} BSs with spacing >= {spacing} m "
                 f"in a {size} m field after {MAX_REJECTION_ATTEMPTS} attempts")
-        if placed and np.min(np.linalg.norm(bs[:placed] - cand, axis=1)) < cfg.min_bs_spacing:
+        if any(math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) < spacing
+               for x, y in bs):
             stalled += 1
             if stalled >= 200:  # partial layout wedged the sampler; restart the set
-                placed = 0
+                bs.clear()
                 stalled = 0
             continue
-        bs[placed] = cand
-        placed += 1
+        bs.append((cx, cy))
         stalled = 0
 
     lo, hi = cfg.serve_dist
-    ue = np.empty((n_ue, 2))
+    radius, angle = [], []
     for j, b in enumerate(anchor_bs):
-        r = np.sqrt(rng.uniform(lo * lo, hi * hi))  # uniform over the annulus area
-        for attempt in range(MAX_REJECTION_ATTEMPTS):
-            theta = rng.uniform(0, 2 * np.pi)
-            pos = bs[b] + r * np.array([np.cos(theta), np.sin(theta)])
-            if 0 <= pos[0] <= size and 0 <= pos[1] <= size:
-                ue[j] = pos
+        r = math.sqrt(rng.uniform(lo * lo, hi * hi))
+        bx, by = bs[b]
+        for _ in range(MAX_REJECTION_ATTEMPTS):
+            theta = rng.uniform(0, 2 * math.pi)
+            x, y = bx + r * math.cos(theta), by + r * math.sin(theta)
+            if 0 <= x <= size and 0 <= y <= size:
                 break
         else:
             raise GenerationError(
                 f"could not keep UE {j} at distance {r:.1f} m from its BS inside the field")
-    return bs, ue
+        radius.append(r)
+        angle.append(theta)
+    return bs, radius, angle
+
+
+def _ue_positions(bs, anchor_bs, radius, angle):
+    """UE positions (..., n_ue, 2) from BS positions (..., n_bs, 2) and polar draws."""
+    angle = np.asarray(angle)
+    return bs[..., anchor_bs, :] + np.asarray(radius)[..., None] * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=-1)
+
+
+def sample_geometry(cfg, rng, n_bs, n_ue, anchor_bs):
+    """Drop n_bs BSs with pairwise spacing and n_ue = len(anchor_bs) UEs, UE j
+    in the serving annulus of BS anchor_bs[j]; returns (bs, ue) positions.
+    The same draws, in the same order, as one element of `sample_instances`."""
+    bs, radius, angle = _draw_geometry(cfg, rng, n_bs, anchor_bs)
+    bs = np.array(bs)
+    return bs, _ue_positions(bs, anchor_bs, radius, angle)
 
 
 def channel(d, n_antennas, rng):
@@ -202,22 +199,17 @@ def channel(d, n_antennas, rng):
     loss; d in meters. Per distance (C order) it draws N real then N imaginary
     parts: the same stream as one call per distance."""
     d = np.asarray(d, dtype=np.float64)
+    return _faded(d, rng.standard_normal(d.shape + (2, n_antennas)))
+
+
+def _faded(d, g):
+    """Channels from distances d and standard normal draws g, shape d.shape + (2, N)."""
+    d = np.asarray(d, dtype=np.float64)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
     amp = np.sqrt(10.0 ** (-path_loss_db(d) / 10.0))
-    g = rng.standard_normal(d.shape + (2, n_antennas))
     z = (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
     return amp[..., None] * z
-
-
-def _channel_matrix(bs_pos, ue_pos, n, rng):
-    return channel(np.linalg.norm(bs_pos[:, None] - ue_pos[None], axis=-1), n, rng)
-
-
-def _rng_from(cfg, seed):
-    if seed is None:
-        seed = cfg.seed
-    return np.random.default_rng(seed)
 
 
 def graph_of(inst):
@@ -250,76 +242,84 @@ def graph_of(inst):
                     np.ones(inst.batch_shape + (m, k), bool))
 
 
-def _build_served(kind, cfg, seed):
-    """M BSs and K UEs; UE j lies in the serving annulus of BS j mod M."""
-    m, k = cfg.n_tx, cfg.n_rx
-    rng = _rng_from(cfg, seed)
-    serving = np.arange(k) % m
-    bs, ue = sample_geometry(cfg, rng, m, k, anchor_bs=serving)
-    inst = ScenarioInstance(kind, _channel_matrix(bs, ue, cfg.n_antennas, rng),
-                            np.full(m, dbm_to_watts(cfg.budget_dbm)),
-                            np.full(k, dbm_to_watts(cfg.noise_dbm)), serving,
-                            bs_pos=bs, ue_pos=ue)
+def zero_forcing(h_cell):
+    """Unit-norm zero-forcing beams for a cell's (N, Q) channel matrix, or for
+    a stack (..., N, Q) of them."""
+    h_cell = np.asarray(h_cell, dtype=np.complex128)
+    n, q = h_cell.shape[-2:]
+    if n < q:
+        raise ValueError(f"zero-forcing needs at least as many antennas as UEs ({n} < {q})")
+    if np.any(np.linalg.cond(h_cell) > 1e12):
+        raise NumericalError("cell channel matrix is numerically rank deficient")
+    w = h_cell @ np.linalg.inv(h_cell.swapaxes(-1, -2).conj() @ h_cell)
+    return w / np.linalg.norm(w, axis=-2, keepdims=True)
+
+
+def sample_instances(kind, cfg, seeds):
+    """A stack of len(seeds) instances; element i is drawn from
+    default_rng(seeds[i]) alone, so it does not depend on the other seeds.
+
+    ic: K BS-UE pairs, BS k serves UE k. coop: M BSs serve all K UEs together;
+    `serving` (BS j mod M for UE j) only anchors UE j's placement. ibc: B cells
+    x Q UEs with per-cell zero-forcing: each of the K = B*Q equivalent TX
+    entities carries one UE's beam, and gains[m, k] = |h_{cell(m), k}^H w_m|.
+    Per seed the loop only draws (BS and UE placement, then one fading block);
+    everything after the draws runs once for the whole stack.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    m, q, n = cfg.n_tx, cfg.n_rx, cfg.n_antennas
+    if kind == IC and m != q:
+        raise ValueError(f"pairs scenario needs n_tx == n_rx, got {m} != {q}")
+    if kind == IBC and n < q:
+        raise ValueError(f"zero-forcing infeasible: {n} antennas for {q} UEs per cell")
+    k = m * q if kind == IBC else q
+    anchor = np.repeat(np.arange(m), q) if kind == IBC else np.arange(k) % m
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append((*_draw_geometry(cfg, rng, m, anchor),
+                      rng.standard_normal((m, k, 2, n))))
+    bs, radius, angle, fading = (np.array(x) for x in zip(*draws))
+    ue = _ue_positions(bs, anchor, radius, angle)
+    h = _faded(np.linalg.norm(bs[:, :, None] - ue[:, None], axis=-1), fading)
+    budgets = np.full((len(draws), m), dbm_to_watts(cfg.budget_dbm))
+    noise = np.full((len(draws), k), dbm_to_watts(cfg.noise_dbm))
+    if kind != IBC:
+        return ScenarioInstance(kind, h, budgets, noise, anchor, bs_pos=bs, ue_pos=ue)
+
+    # S = len(seeds) samples of B = m cells
+    cells = np.arange(m)
+    own = h.reshape(-1, m, m, q, n)[:, cells, cells]      # (S, B, Q, N): each cell's UEs
+    zf = zero_forcing(own.swapaxes(-1, -2))               # (S, B, N, Q)
+    channels = h[:, anchor]          # (S, K, K, N): from the BS of entity m to UE k
+    beams = zf.swapaxes(-1, -2)[:, anchor, np.arange(k) % q]   # (S, K, N): entity m's beam
+    gains = np.abs(np.einsum("...mkn,...mn->...mk", channels.conj(), beams))
+    return ScenarioInstance(IBC, channels, budgets, noise, serving=np.arange(k),
+                            tx_cell=anchor, rx_cell=anchor.copy(), gains=gains,
+                            zf_beams=zf, bs_pos=bs, ue_pos=ue)
+
+
+def build_instance(kind, cfg, seed=None):
+    """One instance (seed None: cfg.seed) and its graph: element 0 of a
+    `sample_instances` stack of one. Returns (instance, graph_of(instance))."""
+    batch = sample_instances(kind, cfg, [cfg.seed if seed is None else seed])
+    shared = ("kind", "serving", "tx_cell", "rx_cell")
+    inst = replace(batch, **{f.name: getattr(batch, f.name)[0] for f in fields(batch)
+                             if f.name not in shared and getattr(batch, f.name) is not None})
     return inst, graph_of(inst)
 
 
 def build_ic_instance(cfg, seed=None):
-    """K BS-UE pairs; BS k serves UE k. Returns (instance, graph_of(instance))."""
-    if cfg.n_tx != cfg.n_rx:
-        raise ValueError(f"pairs scenario needs n_tx == n_rx, got {cfg.n_tx} != {cfg.n_rx}")
-    return _build_served(IC, cfg, seed)
-
-
-def zero_forcing(h_cell):
-    """Unit-norm zero-forcing beams for one cell's (N, Q) channel matrix."""
-    h_cell = np.asarray(h_cell, dtype=np.complex128)
-    n, q = h_cell.shape
-    if n < q:
-        raise ValueError(f"zero-forcing needs at least as many antennas as UEs ({n} < {q})")
-    if np.linalg.cond(h_cell) > 1e12:
-        raise NumericalError("cell channel matrix is numerically rank deficient")
-    w = h_cell @ np.linalg.inv(h_cell.conj().T @ h_cell)
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
+    return build_instance(IC, cfg, seed)
 
 
 def build_ibc_instance(cfg, seed=None):
-    """B cells x Q UEs with per-cell zero-forcing; returns (instance, graph).
-
-    Each of the K = B*Q equivalent TX entities carries one UE's beam, and
-    gains[m, k] = |h_{cell(m), k}^H w_m| is its equivalent channel gain.
-    """
-    b_cells, q, n = cfg.n_tx, cfg.n_rx, cfg.n_antennas
-    if n < q:
-        raise ValueError(f"zero-forcing infeasible: {n} antennas for {q} UEs per cell")
-    rng = _rng_from(cfg, seed)
-    k = b_cells * q
-    rx_cell = np.repeat(np.arange(b_cells), q)
-    bs, ue = sample_geometry(cfg, rng, b_cells, k, anchor_bs=rx_cell)
-    h_phys = _channel_matrix(bs, ue, n, rng)  # (B, K, N)
-
-    zf = np.stack([zero_forcing(h_phys[b, rx_cell == b].T) for b in range(b_cells)])
-
-    tx_cell = rx_cell.copy()          # TX entity m = (cell, beam slot) like UE k
-    channels = h_phys[tx_cell]        # (K, K, N): channel from BS of entity m to UE k
-    beams = zf[tx_cell, :, np.arange(k) % q]  # (K, N): beam of entity m
-    gains = np.abs(np.einsum("mkn,mn->mk", channels.conj(), beams))
-
-    budgets = np.full(b_cells, dbm_to_watts(cfg.budget_dbm))
-    noise = np.full(k, dbm_to_watts(cfg.noise_dbm))
-    inst = ScenarioInstance(IBC, channels, budgets, noise, serving=np.arange(k),
-                            tx_cell=tx_cell, rx_cell=rx_cell, gains=gains, zf_beams=zf,
-                            bs_pos=bs, ue_pos=ue)
-    return inst, graph_of(inst)
+    return build_instance(IBC, cfg, seed)
 
 
 def build_coop_instance(cfg, seed=None):
-    """M BSs cooperatively serving K UEs; returns (instance, graph).
-
-    Every BS serves every UE; `serving` (BS j mod M for UE j) only anchors
-    UE placement, since the generator needs *some* BS per UE to apply the
-    serving-distance rule.
-    """
-    return _build_served(COOP, cfg, seed)
+    return build_instance(COOP, cfg, seed)
 
 
 def permute_instance(inst, p):
@@ -335,15 +335,6 @@ def permute_instance(inst, p):
         gains=_relabel(inst.gains, *both), zf_beams=inst.zf_beams,
         bs_pos=_relabel(inst.bs_pos, tx) if per_bs else inst.bs_pos,
         ue_pos=_relabel(inst.ue_pos, rx))
-
-
-_BUILDERS = {IC: build_ic_instance, IBC: build_ibc_instance, COOP: build_coop_instance}
-
-
-def build_instance(kind, cfg, seed=None):
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown scenario kind {kind!r}")
-    return _BUILDERS[kind](cfg, seed)
 
 
 def sample_seed(base_seed, index):

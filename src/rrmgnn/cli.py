@@ -11,6 +11,8 @@ from . import chansim, engnn, harness
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--debug", action="store_true",
+                   help="re-raise errors with the full traceback")
 
 
 def build_parser():
@@ -128,8 +130,7 @@ def main(argv=None):
         elif args.command == "baseline":
             cfg = _train_cfg(args)
             seed = cfg.seed if args.seed is None else args.seed
-            rates = []
-            trace_rows = []
+            rates, iterations, trace_rows = [], [], []
             unconverged = 0
             for i in range(args.samples):
                 inst, _ = chansim.build_instance(cfg.scenario, cfg.geometry,
@@ -137,14 +138,18 @@ def main(argv=None):
                 res = harness.run_baseline(cfg.scenario, inst, args.baseline)
                 rates.append(res.report.sum_rate_value())
                 unconverged += not res.converged
+                iterations.append(res.iterations)
                 trace_rows.extend([i, t, r] for t, r in enumerate(res.trace))
             print(f"{args.baseline} mean sum rate {np.mean(rates):.6f} bits/s/Hz "
-                  f"over {args.samples} samples ({unconverged} stopped unconverged)")
+                  f"over {args.samples} samples ({unconverged} stopped unconverged, "
+                  f"mean {np.mean(iterations):.1f} iterations)")
             if args.out:
                 harness.write_csv(args.out, ["sample", "iteration", "sum_rate"],
                                   trace_rows)
         return 0
     except Exception as exc:  # argparse handles usage errors separately
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

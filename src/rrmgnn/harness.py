@@ -1,10 +1,11 @@
 """Unsupervised training loop, evaluation, generalization sweeps, config
 files, and metrics export.
 
-Training draws fresh random instances every minibatch, stacks them into one
-instance, pushes the stack through one forward -> head extraction ->
-feasibility projection -> sum rate, and ascends the batch mean with RMSProp
-after one backward. Everything is deterministic given (config, seed).
+Training draws every minibatch as one fresh stack of random instances
+(`chansim.sample_instances`), pushes the stack through one forward -> head
+extraction -> feasibility projection -> sum rate, and ascends the batch mean
+with RMSProp after one backward. Everything is deterministic given (config,
+seed).
 """
 
 import csv
@@ -87,15 +88,14 @@ def _calibrate_scales(scenario, geometry, seed, n_probe=8):
     deviations around 1e-7) from starving the first layer; they are frozen
     into the config and ride along in checkpoints.
     """
-    acc = np.zeros(3)
-    cnt = np.zeros(3)
-    for i in range(n_probe):
-        _, g = chansim.build_instance(scenario, geometry, chansim.sample_seed(seed, i))
-        for j, arr in enumerate((g.f_tx, g.f_rx, g.e)):
-            acc[j] += float((arr ** 2).sum())
-            cnt[j] += arr.size
-    rms = np.sqrt(acc / np.maximum(cnt, 1))
-    return tuple(1.0 / r if r > 0 else 1.0 for r in rms)
+    g = chansim.graph_of(chansim.sample_instances(
+        scenario, geometry, [chansim.sample_seed(seed, i) for i in range(n_probe)]))
+    scales = []
+    for arr in (g.f_tx, g.f_rx, g.e):
+        # summed per probe, in probe order, as one probe at a time would
+        rms = np.sqrt(sum(float((a ** 2).sum()) for a in arr) / arr.size)
+        scales.append(1.0 / rms if rms > 0 else 1.0)
+    return tuple(scales)
 
 
 def train(cfg, log=None):
@@ -122,8 +122,7 @@ def train(cfg, log=None):
         epoch_residual = 0.0
         for mb in range(cfg.minibatches):
             seeds = [batch_seed(cfg.seed, epoch, mb, i) for i in range(cfg.batch_size)]
-            inst = chansim.stack_instances(
-                [chansim.build_instance(cfg.scenario, cfg.geometry, s)[0] for s in seeds])
+            inst = chansim.sample_instances(cfg.scenario, cfg.geometry, seeds)
             raw = engnn.forward(chansim.graph_of(inst), net, params)
             variables = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
             rates = objectives.evaluate(inst, variables).sum_rate      # (B,)
@@ -248,7 +247,8 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
     """Evaluate (and for n_train_samples, retrain) across axis values.
 
     Returns a list of row dicts; baseline columns rerun the requested solver
-    on the same seeded instances and count the runs that did not converge.
+    on the same seeded instances, count the runs that did not converge and
+    average their iteration counts.
     """
     rows = []
     for value in values:
@@ -271,16 +271,18 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
         entry = {"axis": axis, "value": value, "engnn_mean_sum_rate": row.mean_sum_rate,
                  "residual_max": row.residual_max}
         if baseline != "none":
-            rates = []
+            rates, iterations = [], []
             unconverged = 0
             for i in range(n_samples):
                 inst, _ = chansim.build_instance(scenario, geo_v,
                                                  chansim.sample_seed(seed, i))
                 res = run_baseline(scenario, inst, baseline, solver_cfg)
                 rates.append(res.report.sum_rate_value())
+                iterations.append(res.iterations)
                 unconverged += not res.converged
             entry[f"{baseline}_mean_sum_rate"] = float(np.mean(rates))
             entry[f"{baseline}_unconverged"] = unconverged
+            entry[f"{baseline}_iterations"] = float(np.mean(iterations))
         rows.append(entry)
         if log:
             log(f"{axis}={value}: engnn {entry['engnn_mean_sum_rate']:.4f}"

@@ -8,7 +8,7 @@ import pytest
 from gradcheck_util import check_op
 
 from rrmgnn import chansim, engnn, numkernel as nk, objectives
-from rrmgnn.chansim import GeometryConfig, permute_instance
+from rrmgnn.chansim import GeometryConfig
 from rrmgnn.hetgraph import HetGraph, NodePermutation, permute_graph
 
 B = 5
@@ -49,9 +49,10 @@ def _rel(got, want):
 def test_stacked_pass_matches_mean_of_single_passes(kind, geo, head, agg):
     net = _net(kind, geo, head, agg)
     params = engnn.init_params(net, seed=7)
-    insts = [chansim.build_instance(kind, geo, [7, i])[0] for i in range(B)]
-    singles = [_pass(inst, net, params) for inst in insts]
-    v, rates, grads = _pass(chansim.stack_instances(insts), net, params)
+    singles = [_pass(chansim.build_instance(kind, geo, [7, i])[0], net, params)
+               for i in range(B)]
+    v, rates, grads = _pass(chansim.sample_instances(kind, geo, [[7, i] for i in range(B)]),
+                            net, params)
 
     assert rates.shape == (B,)
     for b, (v_b, rate_b, _) in enumerate(singles):
@@ -86,25 +87,10 @@ def test_stacked_forward_is_equivariant_per_element(kind, geo, head, agg):
 
 def test_graph_of_stack_is_stack_of_graphs():
     for kind, geo, _, _ in CASES:
-        pairs = [chansim.build_instance(kind, geo, [13, i]) for i in range(B)]
-        g = chansim.graph_of(chansim.stack_instances([inst for inst, _ in pairs]))
+        graphs = [chansim.build_instance(kind, geo, [13, i])[1] for i in range(B)]
+        g = chansim.graph_of(chansim.sample_instances(kind, geo, [[13, i] for i in range(B)]))
         for f in ("f_tx", "f_rx", "e", "edge_mask"):
-            assert np.array_equal(getattr(g, f), np.stack([getattr(h, f) for _, h in pairs]))
-
-
-def test_stack_instances_rejects_differing_layouts():
-    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
-    a, _ = chansim.build_ic_instance(geo, [17, 0])
-    b, _ = chansim.build_ic_instance(geo, [17, 1])
-    moved = permute_instance(b, NodePermutation(np.array([1, 2, 0]), np.arange(3)))
-    with pytest.raises(ValueError, match="layout"):
-        chansim.stack_instances([a, moved])               # serving differs
-    coop, _ = chansim.build_coop_instance(geo, [17, 2])
-    with pytest.raises(ValueError, match="layout"):
-        chansim.stack_instances([a, coop])                # kind differs
-    bigger, _ = chansim.build_ic_instance(GeometryConfig(n_tx=4, n_rx=4), [17, 3])
-    with pytest.raises(ValueError, match="shape"):
-        chansim.stack_instances([a, bigger])              # no padding
+            assert np.array_equal(getattr(g, f), np.stack([getattr(h, f) for h in graphs]))
 
 
 @pytest.mark.parametrize("kind", ["max", "mean"])

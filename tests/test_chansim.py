@@ -5,7 +5,8 @@ from rrmgnn import chansim
 from rrmgnn.chansim import (GenerationError, GeometryConfig, build_coop_instance,
                             build_ibc_instance, build_ic_instance, build_instance, channel,
                             dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
-                            permute_instance, sample_geometry, watts_to_dbm, zero_forcing)
+                            permute_instance, sample_geometry, sample_instances, watts_to_dbm,
+                            zero_forcing)
 from rrmgnn.hetgraph import NodePermutation, merge_complex, permute_graph
 
 GEOMETRIES = {"ic": GeometryConfig(n_tx=4, n_rx=4, n_antennas=2),
@@ -247,3 +248,148 @@ def test_dataset_roundtrip(tmp_path):
     assert meta["scenario"] == "ic" and len(graphs) == 3
     _, expect = build_ic_instance(cfg, chansim.sample_seed(cfg.seed, 1))
     np.testing.assert_array_equal(graphs[1].e, expect.e)
+
+
+# ---------------------------------------------------------------------------
+# sample_instances against the per-sample builder it replaced
+
+
+def _oracle_geometry(cfg, rng, n_bs, anchor_bs):
+    size = cfg.field_size
+    bs = np.empty((n_bs, 2))
+    attempts = placed = stalled = 0
+    while placed < n_bs:
+        cand = rng.uniform(0, size, size=2)
+        attempts += 1
+        if attempts > chansim.MAX_REJECTION_ATTEMPTS:
+            raise GenerationError(
+                f"could not place {n_bs} BSs with spacing >= {cfg.min_bs_spacing} m "
+                f"in a {size} m field after {chansim.MAX_REJECTION_ATTEMPTS} attempts")
+        if placed and np.min(np.linalg.norm(bs[:placed] - cand, axis=1)) < cfg.min_bs_spacing:
+            stalled += 1
+            if stalled >= 200:
+                placed = stalled = 0
+            continue
+        bs[placed] = cand
+        placed += 1
+        stalled = 0
+    lo, hi = cfg.serve_dist
+    ue = np.empty((len(anchor_bs), 2))
+    for j, b in enumerate(anchor_bs):
+        r = np.sqrt(rng.uniform(lo * lo, hi * hi))
+        for _ in range(chansim.MAX_REJECTION_ATTEMPTS):
+            theta = rng.uniform(0, 2 * np.pi)
+            pos = bs[b] + r * np.array([np.cos(theta), np.sin(theta)])
+            if 0 <= pos[0] <= size and 0 <= pos[1] <= size:
+                ue[j] = pos
+                break
+        else:
+            raise GenerationError(
+                f"could not keep UE {j} at distance {r:.1f} m from its BS inside the field")
+    return bs, ue
+
+
+def _oracle_channels(bs, ue, n, rng):
+    d = np.linalg.norm(bs[:, None] - ue[None], axis=-1)
+    amp = np.sqrt(10.0 ** (-path_loss_db(d) / 10.0))
+    g = rng.standard_normal(d.shape + (2, n))
+    z = (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
+    return amp[..., None] * z
+
+
+def _oracle_zero_forcing(h_cell):
+    if np.linalg.cond(h_cell) > 1e12:
+        raise chansim.NumericalError("cell channel matrix is numerically rank deficient")
+    w = h_cell @ np.linalg.inv(h_cell.conj().T @ h_cell)
+    return w / np.linalg.norm(w, axis=0, keepdims=True)
+
+
+def _oracle_instance(kind, cfg, seed):
+    """The per-sample builder sample_instances replaced, as a dict of fields."""
+    rng = np.random.default_rng(seed)
+    m, q, n = cfg.n_tx, cfg.n_rx, cfg.n_antennas
+    budgets = np.full(m, dbm_to_watts(cfg.budget_dbm))
+    if kind != "ibc":
+        serving = np.arange(q) % m
+        bs, ue = _oracle_geometry(cfg, rng, m, serving)
+        return dict(channels=_oracle_channels(bs, ue, n, rng), budgets=budgets,
+                    noise=np.full(q, dbm_to_watts(cfg.noise_dbm)), serving=serving,
+                    bs_pos=bs, ue_pos=ue)
+    k = m * q
+    rx_cell = np.repeat(np.arange(m), q)
+    bs, ue = _oracle_geometry(cfg, rng, m, rx_cell)
+    h_phys = _oracle_channels(bs, ue, n, rng)
+    zf = np.stack([_oracle_zero_forcing(h_phys[b, rx_cell == b].T) for b in range(m)])
+    channels = h_phys[rx_cell]
+    beams = zf[rx_cell, :, np.arange(k) % q]
+    return dict(channels=channels, budgets=budgets,
+                noise=np.full(k, dbm_to_watts(cfg.noise_dbm)), serving=np.arange(k),
+                tx_cell=rx_cell, rx_cell=rx_cell,
+                gains=np.abs(np.einsum("mkn,mn->mk", channels.conj(), beams)),
+                zf_beams=zf, bs_pos=bs, ue_pos=ue)
+
+
+def _geo(m, k, n, scaled=False):
+    return GeometryConfig(n_tx=m, n_rx=k, n_antennas=n,
+                          field_size=2000.0 * np.sqrt(m / 4.0) if scaled else 2000.0)
+
+
+# the training shape, the nine eval-mixed shapes (field scaled with the BS
+# count), the three solver shapes, the one-UE corner cases, and a field so
+# crowded that BS placement restarts
+ORACLE_SHAPES = ([("ic", _geo(4, 4, 2))]
+                 + [(kind, _geo(m, k, n, scaled=True)) for kind, m, k, n in (
+                     ("ic", 4, 4, 2), ("ic", 8, 8, 2), ("ic", 32, 32, 2),
+                     ("ibc", 2, 2, 4), ("ibc", 4, 2, 4), ("ibc", 16, 2, 4),
+                     ("coop", 4, 4, 2), ("coop", 4, 8, 2), ("coop", 8, 32, 2))]
+                 + [("ic", _geo(8, 8, 2)), ("ibc", _geo(3, 2, 4)), ("coop", _geo(5, 2, 2)),
+                    ("ic", _geo(1, 1, 2)), ("ibc", _geo(3, 1, 2)), ("ic", _geo(14, 14, 2))])
+
+
+@pytest.mark.parametrize("kind,geo", ORACLE_SHAPES)
+def test_sample_instances_matches_per_seed_oracle(kind, geo):
+    seeds = [[31, geo.n_tx, geo.n_rx, i] for i in range(4)]
+    batch = sample_instances(kind, geo, seeds)
+    assert batch.kind == kind and batch.batch_shape == (4,)
+    for i, seed in enumerate(seeds):
+        want = _oracle_instance(kind, geo, seed)
+        single, _ = build_instance(kind, geo, seed)
+        for name in ("channels", "budgets", "noise", "gains", "zf_beams", "bs_pos", "ue_pos",
+                     "serving", "tx_cell", "rx_cell"):
+            if name not in want:
+                assert getattr(batch, name) is None and getattr(single, name) is None
+                continue
+            stacked = getattr(batch, name)
+            got = stacked if name in ("serving", "tx_cell", "rx_cell") else stacked[i]
+            for arr in (got, getattr(single, name)):
+                assert arr.dtype == want[name].dtype and arr.shape == want[name].shape
+                assert arr.tobytes() == want[name].tobytes(), name
+
+
+def test_sample_instances_generation_errors_match_oracle():
+    crowded = GeometryConfig(n_tx=4, n_rx=4, field_size=600.0, min_bs_spacing=500.0)
+    # seed 0 cannot keep its UE inside the field; seed 1 can
+    tight = GeometryConfig(n_tx=1, n_rx=1, field_size=100.0, serve_dist=(99.0, 100.0))
+    for geo, seeds in ((crowded, [0]), (tight, [1, 0])):
+        with pytest.raises(GenerationError) as want:
+            _oracle_instance("ic", geo, seeds[-1])
+        with pytest.raises(GenerationError) as got:
+            sample_instances("ic", geo, seeds)
+        assert str(got.value) == str(want.value)
+
+
+def test_sample_instances_rejects_rank_deficient_cell(monkeypatch):
+    faded = chansim._faded
+
+    def one_flat_sample(d, g):
+        h = faded(d, g)
+        h[1:2] = 1.0 + 0j          # every UE of sample 1 (if any) sees the same channel
+        return h
+
+    monkeypatch.setattr(chansim, "_faded", one_flat_sample)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)
+    with pytest.raises(chansim.NumericalError, match="rank deficient"):
+        sample_instances("ibc", geo, [[37, i] for i in range(3)])
+    with pytest.raises(chansim.NumericalError, match="rank deficient"):
+        _oracle_zero_forcing(np.ones((4, 2), complex))
+    sample_instances("ibc", geo, [[37, 0]])    # sample 0 alone is fine

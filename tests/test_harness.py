@@ -40,6 +40,17 @@ def test_fixed_seed_training_is_bit_identical(tmp_path):
     assert (tmp_path / "ckpt.bin").read_bytes() == first
 
 
+def test_training_matches_pinned_sum_rates(tmp_path):
+    # recorded with the per-sample generator that sample_instances replaced;
+    # the batched sampler must reproduce every instance, so training is unchanged
+    cfg = tiny_cfg(tmp_path, geometry=GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=29),
+                   seed=29, epochs=2, minibatches=3)
+    _, net, rows = harness.train(cfg)
+    assert (net.input_scale_tx, net.input_scale_rx, net.input_scale_e) == (
+        0.5011872336272724, 2818382.931264455, 1287951.2491492066)
+    assert [r.mean_sum_rate for r in rows] == [10.916704536685993, 12.198710332365385]
+
+
 def test_short_training_improves_over_initialization(tmp_path):
     cfg = tiny_cfg(tmp_path, epochs=10, minibatches=10, batch_size=8)
     params, net, rows = harness.train(cfg)
@@ -158,11 +169,13 @@ def test_sweep_baseline_column_matches_standalone(tmp_path):
     assert rows[0]["wmmse_mean_sum_rate"] == np.mean(
         [r.report.sum_rate_value() for r in results])
     assert rows[0]["wmmse_unconverged"] == sum(not r.converged for r in results)
+    assert rows[0]["wmmse_iterations"] == np.mean([r.iterations for r in results])
     # a 2-iteration cap leaves every run unconverged, and the column says so
     capped = harness.sweep(net, params, "ic", cfg.geometry, "noise_dbm", [-99.0], 4, 51,
                            baseline="wmmse",
                            solver_cfg=baselines.SolverConfig(max_iters=2, tol=1e-15))
     assert capped[0]["wmmse_unconverged"] == 4
+    assert capped[0]["wmmse_iterations"] == 2.0
 
 
 def test_sweep_axis_scenario_validation(tmp_path):
@@ -288,7 +301,15 @@ def test_cli_unknown_flag_usage_error(tmp_path, capsys):
 
 def test_cli_missing_config_reports_error(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "nope.txt")]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_debug_reraises_with_traceback(tmp_path, capsys):
+    with pytest.raises(FileNotFoundError, match="nope.txt"):
+        cli.main(["train", "--config", str(tmp_path / "nope.txt"), "--debug"])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_cli_eval_deterministic_output_hash(tmp_path, capsys):
@@ -330,7 +351,11 @@ def test_cli_baseline_reports_unconverged_samples(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(harness, "run_baseline",
                         lambda scenario, inst, which: solve(scenario, inst, which, capped))
     assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "3"]) == 0
-    assert "(3 stopped unconverged)" in capsys.readouterr().out
+    assert "(3 stopped unconverged, mean 2.0 iterations)" in capsys.readouterr().out
     monkeypatch.setattr(harness, "run_baseline", solve)
     assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "3"]) == 0
-    assert "(0 stopped unconverged)" in capsys.readouterr().out
+    iterations = np.mean([solve("ic", chansim.build_instance(
+        "ic", harness.load_config(cfg_path).geometry, chansim.sample_seed(5, i))[0],
+        "wmmse").iterations for i in range(3)])
+    assert f"(0 stopped unconverged, mean {iterations:.1f} iterations)" in \
+        capsys.readouterr().out
