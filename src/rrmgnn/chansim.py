@@ -33,10 +33,6 @@ def dbm_to_watts(dbm):
     return 10.0 ** ((np.asarray(dbm, dtype=np.float64) - 30.0) / 10.0)
 
 
-def watts_to_dbm(w):
-    return 10.0 * np.log10(np.asarray(w, dtype=np.float64)) + 30.0
-
-
 def path_loss_db(d):
     """Distance-dependent loss in dB for d in meters."""
     return 30.5 + 36.7 * np.log10(d)
@@ -273,6 +269,8 @@ def sample_instances(kind, cfg, seeds):
         raise ValueError(f"pairs scenario needs n_tx == n_rx, got {m} != {q}")
     if kind == IBC and n < q:
         raise ValueError(f"zero-forcing infeasible: {n} antennas for {q} UEs per cell")
+    if len(seeds) == 0:
+        raise ValueError("sample_instances needs at least one seed")
     k = m * q if kind == IBC else q
     anchor = np.repeat(np.arange(m), q) if kind == IBC else np.arange(k) % m
     draws = []
@@ -356,24 +354,39 @@ def instance_feature_widths(kind, n_antennas):
 # ---------------------------------------------------------------------------
 # dataset files
 
+DATASET_VERSION = 2      # 1 stored graphs, which cannot be scored
+
 
 def write_dataset(path, kind, cfg, n_samples, seed=None):
-    """Generate n_samples (instance, graph) pairs and store the graphs."""
+    """Draw the instances of sample_seed(seed, i), i < n_samples (seed None:
+    cfg.seed), as one `sample_instances` stack and store each of its array
+    fields under the field's name."""
     base = cfg.seed if seed is None else seed
-    arrays = {}
-    for i in range(n_samples):
-        _, graph = build_instance(kind, cfg, sample_seed(base, i))
-        arrays.update(container.graph_to_arrays(graph, prefix=f"s{i}."))
-    meta = {"kind": "dataset", "scenario": kind, "n_samples": n_samples,
-            "seed": base, "geometry": cfg.to_dict()}
+    stack = sample_instances(kind, cfg, [sample_seed(base, i) for i in range(n_samples)])
+    arrays = {f.name: getattr(stack, f.name) for f in fields(stack)
+              if f.name != "kind" and getattr(stack, f.name) is not None}
+    meta = {"kind": "dataset", "dataset_version": DATASET_VERSION, "scenario": kind,
+            "n_samples": n_samples, "seed": base, "geometry": cfg.to_dict()}
     container.write_bundle(path, meta, arrays)
 
 
 def read_dataset(path):
-    """Returns (meta, list of HetGraph)."""
+    """Read a `write_dataset` file: (meta, the validated stacked instance), whose
+    graphs are `graph_of(stack)`. An old graph dataset, arrays that are not
+    instance fields, or a stack size other than n_samples raise ValueError."""
     meta, arrays = container.read_bundle(path)
     if meta.get("kind") != "dataset":
-        raise ValueError("file is not a dataset container")
-    graphs = [container.graph_from_arrays(arrays, prefix=f"s{i}.")
-              for i in range(meta["n_samples"])]
-    return meta, graphs
+        raise ValueError(f"{path}: not a dataset container")
+    version = meta.get("dataset_version", 1)
+    if version != DATASET_VERSION:
+        raise ValueError(f"{path}: unsupported dataset version {version} (version 1 "
+                         f"files hold graphs, not instances); regenerate it with "
+                         f"`rrmgnn gen`")
+    try:
+        stack = ScenarioInstance(meta["scenario"], **arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not an instance dataset: {exc}") from exc
+    if stack.batch_shape != (meta["n_samples"],):
+        raise ValueError(f"{path}: holds a stack of shape {stack.batch_shape}, but its "
+                         f"metadata says n_samples = {meta['n_samples']}")
+    return meta, stack

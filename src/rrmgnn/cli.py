@@ -3,8 +3,7 @@ generalization sweeps, and standalone baseline runs."""
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import chansim, engnn, harness
 
@@ -62,20 +61,8 @@ def build_parser():
 def _train_cfg(args):
     cfg = harness.load_config(args.config)
     if args.seed is not None:
-        geo = chansim.GeometryConfig.from_dict({**cfg.geometry.to_dict(),
-                                                "seed": args.seed})
-        cfg = harness.TrainConfig(**{**_cfg_dict(cfg), "seed": args.seed,
-                                     "geometry": geo})
+        cfg = replace(cfg, seed=args.seed, geometry=replace(cfg.geometry, seed=args.seed))
     return cfg
-
-
-def _cfg_dict(cfg):
-    from dataclasses import asdict
-
-    d = asdict(cfg)
-    d["geometry"] = cfg.geometry
-    d["net"] = cfg.net
-    return d
 
 
 def _restore(args):
@@ -97,15 +84,13 @@ def main(argv=None):
     try:
         if args.command == "gen":
             cfg = _train_cfg(args)
-            seed = cfg.seed if args.seed is None else args.seed
             chansim.write_dataset(args.out, cfg.scenario, cfg.geometry,
-                                  args.samples, seed)
+                                  args.samples, cfg.seed)
             print(f"wrote {args.samples} samples to {args.out}")
         elif args.command == "train":
             cfg = _train_cfg(args)
             if args.out is not None:
-                cfg = harness.TrainConfig(**{**_cfg_dict(cfg),
-                                             "checkpoint_path": args.out})
+                cfg = replace(cfg, checkpoint_path=args.out)
             _, _, rows = harness.train(cfg, log=print)
             if args.metrics:
                 harness.write_csv(args.metrics, harness.METRICS_HEADER,
@@ -129,23 +114,16 @@ def main(argv=None):
                           train_cfg=train_cfg, out_csv=args.out, log=print)
         elif args.command == "baseline":
             cfg = _train_cfg(args)
-            seed = cfg.seed if args.seed is None else args.seed
-            rates, iterations, trace_rows = [], [], []
-            unconverged = 0
-            for i in range(args.samples):
-                inst, _ = chansim.build_instance(cfg.scenario, cfg.geometry,
-                                                 chansim.sample_seed(seed, i))
-                res = harness.run_baseline(cfg.scenario, inst, args.baseline)
-                rates.append(res.report.sum_rate_value())
-                unconverged += not res.converged
-                iterations.append(res.iterations)
-                trace_rows.extend([i, t, r] for t, r in enumerate(res.trace))
-            print(f"{args.baseline} mean sum rate {np.mean(rates):.6f} bits/s/Hz "
-                  f"over {args.samples} samples ({unconverged} stopped unconverged, "
-                  f"mean {np.mean(iterations):.1f} iterations)")
+            columns, results = harness.solve_set(cfg.scenario, cfg.geometry, args.samples,
+                                                 cfg.seed, args.baseline)
+            rate, unconverged, iterations = columns.values()
+            print(f"{args.baseline} mean sum rate {rate:.6f} bits/s/Hz over {args.samples} "
+                  f"samples ({unconverged} stopped unconverged, mean {iterations:.1f} "
+                  f"iterations)")
             if args.out:
                 harness.write_csv(args.out, ["sample", "iteration", "sum_rate"],
-                                  trace_rows)
+                                  [[i, t, r] for i, res in enumerate(results)
+                                   for t, r in enumerate(res.trace)])
         return 0
     except Exception as exc:  # argparse handles usage errors separately
         if args.debug:

@@ -117,19 +117,3 @@ def read_bundle(path):
             raise ValueError(f"{path}: corrupt container: {exc}") from exc
     return meta, arrays
 
-
-def graph_to_arrays(g, prefix=""):
-    """Flatten a HetGraph into container arrays."""
-    return {
-        f"{prefix}f_tx": g.f_tx,
-        f"{prefix}f_rx": g.f_rx,
-        f"{prefix}e": g.e,
-        f"{prefix}edge_mask": g.edge_mask,
-    }
-
-
-def graph_from_arrays(arrays, prefix=""):
-    from .hetgraph import HetGraph
-
-    return HetGraph(arrays[f"{prefix}f_tx"], arrays[f"{prefix}f_rx"],
-                    arrays[f"{prefix}e"], arrays[f"{prefix}edge_mask"].astype(bool))

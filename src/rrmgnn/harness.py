@@ -4,13 +4,15 @@ files, and metrics export.
 Training draws every minibatch as one fresh stack of random instances
 (`chansim.sample_instances`), pushes the stack through one forward -> head
 extraction -> feasibility projection -> sum rate, and ascends the batch mean
-with RMSProp after one backward. Everything is deterministic given (config,
-seed).
+with RMSProp after one backward. Evaluation, sweeps and baseline runs share
+one seeded set (`_seeded_set`: instance i from sample_seed(seed, i)), and
+`solve_set` is the one baseline loop over it. Everything is deterministic
+given (config, seed).
 """
 
 import csv
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -161,6 +163,16 @@ def _train_meta(cfg):
     return meta
 
 
+def _seeded_set(scenario, geometry, n_samples, seed):
+    """The seeded set: (sample seed, instance, graph) for sample i, built from
+    sample_seed(seed, i) alone, one at a time. Raises ConfigError on an empty set."""
+    if n_samples < 1:
+        raise ConfigError(f"a seeded set needs at least one sample, got {n_samples}")
+    for i in range(n_samples):
+        sample_seed = chansim.sample_seed(seed, i)
+        yield (sample_seed, *chansim.build_instance(scenario, geometry, sample_seed))
+
+
 def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
     """Deterministic test set; returns (MetricsRow, per-sample row dicts).
 
@@ -168,9 +180,8 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
     """
     samples = []
     t_start = time.perf_counter()
-    for i in range(n_samples):
-        inst, graph = chansim.build_instance(scenario, geometry,
-                                             chansim.sample_seed(seed, i))
+    for i, (sample_seed, inst, graph) in enumerate(
+            _seeded_set(scenario, geometry, n_samples, seed)):
         t0 = time.perf_counter()
         with nk.no_grad():
             raw = engnn.forward(graph, net, params)
@@ -179,7 +190,7 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
         infer_s = time.perf_counter() - t0
         if not np.all(np.isfinite(variables.data)):
             raise NumericalError(f"non-finite {scenario} output for sample seed "
-                                 f"{chansim.sample_seed(seed, i)}")
+                                 f"{sample_seed}")
         report = objectives.evaluate(inst, variables)
         samples.append({
             "sample": i,
@@ -187,11 +198,10 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
             "residual": objectives.constraint_residual(inst, variables),
             "infer_seconds": infer_s,
         })
-    rates = [s["sum_rate"] for s in samples]
-    residuals = [s["residual"] for s in samples]
     wall = time.perf_counter() - t_start
-    row = MetricsRow(f"eval-{scenario}-seed{seed}", 0, float(np.mean(rates)),
-                     float(np.max(residuals)) if residuals else 0.0, wall,
+    row = MetricsRow(f"eval-{scenario}-seed{seed}", 0,
+                     float(np.mean([s["sum_rate"] for s in samples])),
+                     float(np.max([s["residual"] for s in samples])), wall,
                      n_samples / wall)
     if out_csv is not None:
         write_csv(out_csv, SAMPLES_HEADER, [[s[c] for c in SAMPLES_HEADER]
@@ -199,19 +209,40 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
     return row, samples
 
 
+def _check_baseline(scenario, which):
+    if which not in ("wmmse", "gp"):
+        raise ConfigError(f"unknown baseline {which!r}")
+    if which == "gp" and scenario != "coop":
+        raise ConfigError("gradient projection baseline applies to the "
+                          "cooperative scenario only")
+
+
 def run_baseline(scenario, instance, which, solver_cfg=None):
-    if which == "wmmse":
-        if scenario == "ic":
-            return baselines.wmmse_ic(instance, solver_cfg)
-        if scenario == "ibc":
-            return baselines.wmmse_ibc_power(instance, solver_cfg)
-        return baselines.wmmse_coop(instance, solver_cfg)
+    _check_baseline(scenario, which)
     if which == "gp":
-        if scenario != "coop":
-            raise ConfigError("gradient projection baseline applies to the "
-                              "cooperative scenario only")
         return baselines.gp_coop(instance, solver_cfg)
-    raise ConfigError(f"unknown baseline {which!r}")
+    if scenario == "ic":
+        return baselines.wmmse_ic(instance, solver_cfg)
+    if scenario == "ibc":
+        return baselines.wmmse_ibc_power(instance, solver_cfg)
+    return baselines.wmmse_coop(instance, solver_cfg)
+
+
+def solve_set(scenario, geometry, n_samples, seed, which, solver_cfg=None):
+    """Baseline `which` on each instance of the seeded set; returns (columns,
+    per-sample results), columns in the order `{which}_mean_sum_rate`,
+    `{which}_unconverged` (runs that stopped unconverged), `{which}_iterations`
+    (mean). A bad baseline raises ConfigError before any instance is built."""
+    _check_baseline(scenario, which)
+    results = [run_baseline(scenario, inst, which, solver_cfg)
+               for _, inst, _ in _seeded_set(scenario, geometry, n_samples, seed)]
+    columns = {
+        f"{which}_mean_sum_rate": float(np.mean([r.report.sum_rate_value()
+                                                 for r in results])),
+        f"{which}_unconverged": sum(not r.converged for r in results),
+        f"{which}_iterations": float(np.mean([r.iterations for r in results])),
+    }
+    return columns, results
 
 
 def _apply_axis(geometry, scenario, axis, value):
@@ -246,23 +277,22 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
           baseline="none", solver_cfg=None, train_cfg=None, out_csv=None, log=None):
     """Evaluate (and for n_train_samples, retrain) across axis values.
 
-    Returns a list of row dicts; baseline columns rerun the requested solver
-    on the same seeded instances, count the runs that did not converge and
-    average their iteration counts.
+    Returns a list of row dicts; the baseline columns are `solve_set`'s on the
+    same seeded set. Bad arguments raise ConfigError before any training or
+    evaluation.
     """
+    if baseline != "none":
+        _check_baseline(scenario, baseline)
+    if axis == "n_train_samples" and train_cfg is None:
+        raise ConfigError("n_train_samples sweep needs a training config")
+    if n_samples < 1:
+        raise ConfigError(f"a seeded set needs at least one sample, got {n_samples}")
     rows = []
     for value in values:
         if axis == "n_train_samples":
-            if train_cfg is None:
-                raise ConfigError("n_train_samples sweep needs a training config")
-            budget = int(value)
             per_epoch = train_cfg.minibatches * train_cfg.batch_size
-            epochs = max(1, int(np.ceil(budget / per_epoch)))
-            cfg_v = TrainConfig(**{**asdict(train_cfg),
-                                   "geometry": train_cfg.geometry,
-                                   "net": train_cfg.net,
-                                   "epochs": epochs})
-            params_v, net_v, _ = train(cfg_v)
+            epochs = max(1, int(np.ceil(int(value) / per_epoch)))
+            params_v, net_v, _ = train(replace(train_cfg, epochs=epochs))
             geo_v = train_cfg.geometry
         else:
             params_v, net_v = params, net
@@ -271,18 +301,8 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
         entry = {"axis": axis, "value": value, "engnn_mean_sum_rate": row.mean_sum_rate,
                  "residual_max": row.residual_max}
         if baseline != "none":
-            rates, iterations = [], []
-            unconverged = 0
-            for i in range(n_samples):
-                inst, _ = chansim.build_instance(scenario, geo_v,
-                                                 chansim.sample_seed(seed, i))
-                res = run_baseline(scenario, inst, baseline, solver_cfg)
-                rates.append(res.report.sum_rate_value())
-                iterations.append(res.iterations)
-                unconverged += not res.converged
-            entry[f"{baseline}_mean_sum_rate"] = float(np.mean(rates))
-            entry[f"{baseline}_unconverged"] = unconverged
-            entry[f"{baseline}_iterations"] = float(np.mean(iterations))
+            entry.update(solve_set(scenario, geo_v, n_samples, seed, baseline,
+                                   solver_cfg)[0])
         rows.append(entry)
         if log:
             log(f"{axis}={value}: engnn {entry['engnn_mean_sum_rate']:.4f}"

@@ -16,8 +16,7 @@ ALLOWED = {
     "masked_max_aggregate": "the reference oracle for masked_agg_axis and pair_excl_agg",
     "dot": "a primitive in acceptance 3's gradient sweep",
     "exp": "a primitive in acceptance 3's gradient sweep",
-    "read_dataset": "the reader of the format `rrmgnn gen` writes",
-    "watts_to_dbm": "the inverse of dbm_to_watts",
+    "read_dataset": "the reader of the instance datasets `rrmgnn gen` writes",
     "sample_geometry": "one generator's placement draws, as sample_instances makes them "
                        "per seed; its tests check spacing, annuli and GenerationError",
     "channel": "one generator's fading draw, the stream sample_instances keeps per seed",

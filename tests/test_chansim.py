@@ -1,12 +1,14 @@
+import re
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from rrmgnn import chansim
+from rrmgnn import chansim, container, harness
 from rrmgnn.chansim import (GenerationError, GeometryConfig, build_coop_instance,
                             build_ibc_instance, build_ic_instance, build_instance, channel,
                             dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
-                            permute_instance, sample_geometry, sample_instances, watts_to_dbm,
-                            zero_forcing)
+                            permute_instance, sample_geometry, sample_instances, zero_forcing)
 from rrmgnn.hetgraph import NodePermutation, merge_complex, permute_graph
 
 GEOMETRIES = {"ic": GeometryConfig(n_tx=4, n_rx=4, n_antennas=2),
@@ -15,10 +17,12 @@ GEOMETRIES = {"ic": GeometryConfig(n_tx=4, n_rx=4, n_antennas=2),
 
 
 def test_dbm_conversions():
+    assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-15)      # 0 dBm = 1 mW
+    assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)      # 30 dBm = 1 W
     assert abs(dbm_to_watts(33.0) - 1.9952623149688795) < 1e-12
     assert abs(dbm_to_watts(-99.0) - 10 ** (-12.9)) < 1e-25
-    for dbm in (-99.0, 0.0, 21.0, 33.0):
-        assert abs(watts_to_dbm(dbm_to_watts(dbm)) - dbm) < 1e-12 * max(1, abs(dbm))
+    np.testing.assert_allclose(dbm_to_watts(np.array([0.0, 10.0, 30.0, -30.0])),
+                               [1e-3, 1e-2, 1.0, 1e-6], rtol=1e-15)
 
 
 def test_path_loss_reference_points():
@@ -241,13 +245,62 @@ def test_coop_instance_structure():
 
 
 def test_dataset_roundtrip(tmp_path):
+    seeds = [chansim.sample_seed(11, i) for i in range(3)]
+    for kind, cfg in GEOMETRIES.items():
+        cfg = replace(cfg, seed=11)
+        path = tmp_path / f"{kind}.bin"
+        chansim.write_dataset(path, kind, cfg, 3)
+        meta, stack = chansim.read_dataset(path)
+        assert (meta["scenario"], meta["n_samples"], meta["dataset_version"]) == (kind, 3, 2)
+        expect = sample_instances(kind, cfg, seeds)
+        for f in fields(expect):
+            got, want = getattr(stack, f.name), getattr(expect, f.name)
+            if want is None or isinstance(want, str):
+                assert got == want, f.name
+            else:
+                assert got.dtype == want.dtype, f.name
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+        graphs = graph_of(stack)
+        for i, seed in enumerate(seeds):
+            inst, graph = build_instance(kind, cfg, seed)
+            for name in ("f_tx", "f_rx", "e", "edge_mask"):
+                np.testing.assert_array_equal(getattr(graphs, name)[i], getattr(graph, name))
+        first = replace(stack, **{f.name: getattr(stack, f.name)[0] for f in fields(stack)
+                                  if f.name not in ("kind", "serving", "tx_cell", "rx_cell")
+                                  and getattr(stack, f.name) is not None})
+        solved = harness.run_baseline(kind, first, "wmmse")
+        reference = harness.run_baseline(kind, build_instance(kind, cfg, seeds[0])[0], "wmmse")
+        assert solved.iterations == reference.iterations
+        np.testing.assert_array_equal(solved.trace, reference.trace)
+        np.testing.assert_array_equal(solved.variables, reference.variables)
+
+
+def test_read_dataset_rejects_old_and_corrupt_files(tmp_path):
     cfg = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=11)
-    path = tmp_path / "data.bin"
-    chansim.write_dataset(path, "ic", cfg, 3)
-    meta, graphs = chansim.read_dataset(path)
-    assert meta["scenario"] == "ic" and len(graphs) == 3
-    _, expect = build_ic_instance(cfg, chansim.sample_seed(cfg.seed, 1))
-    np.testing.assert_array_equal(graphs[1].e, expect.e)
+    old = tmp_path / "graphs.bin"
+    _, g = build_ic_instance(cfg)
+    container.write_bundle(old, {"kind": "dataset", "scenario": "ic", "n_samples": 1},
+                           {"s0.f_tx": g.f_tx, "s0.f_rx": g.f_rx, "s0.e": g.e,
+                            "s0.edge_mask": g.edge_mask})
+    with pytest.raises(ValueError, match=re.escape(str(old)) + ".*regenerate it with `rrmgnn gen`"):
+        chansim.read_dataset(old)
+
+    good = tmp_path / "good.bin"
+    chansim.write_dataset(good, "ic", cfg, 3)
+    meta, arrays = container.read_bundle(good)
+    unknown = tmp_path / "unknown.bin"
+    container.write_bundle(unknown, meta, {**arrays, "wibble": np.zeros(3)})
+    with pytest.raises(ValueError, match=re.escape(str(unknown)) + ".*wibble"):
+        chansim.read_dataset(unknown)
+    short = tmp_path / "short.bin"
+    container.write_bundle(short, {**meta, "n_samples": 4}, arrays)
+    with pytest.raises(ValueError, match=re.escape(str(short)) + ".*n_samples = 4"):
+        chansim.read_dataset(short)
+
+
+def test_sample_instances_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_instances("ic", GEOMETRIES["ic"], [])
 
 
 # ---------------------------------------------------------------------------

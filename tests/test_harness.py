@@ -170,6 +170,12 @@ def test_sweep_baseline_column_matches_standalone(tmp_path):
         [r.report.sum_rate_value() for r in results])
     assert rows[0]["wmmse_unconverged"] == sum(not r.converged for r in results)
     assert rows[0]["wmmse_iterations"] == np.mean([r.iterations for r in results])
+    # solve_set: the same columns, in the order `rrmgnn baseline` prints them,
+    # and the per-sample results whose traces it writes
+    columns, solved = harness.solve_set("ic", cfg.geometry, 4, 51, "wmmse")
+    assert list(columns.items()) == list(rows[0].items())[-3:]
+    for got, want in zip(solved, results, strict=True):
+        np.testing.assert_array_equal(got.trace, want.trace)
     # a 2-iteration cap leaves every run unconverged, and the column says so
     capped = harness.sweep(net, params, "ic", cfg.geometry, "noise_dbm", [-99.0], 4, 51,
                            baseline="wmmse",
@@ -195,6 +201,38 @@ def test_sweep_train_samples_axis_retrains(tmp_path):
     assert all(np.isfinite(r["engnn_mean_sum_rate"]) for r in rows)
     with pytest.raises(ConfigError):
         harness.sweep(net, params, "ic", cfg.geometry, "n_train_samples", [8], 3, 61)
+
+
+def test_empty_sets_are_rejected():
+    net = engnn.config_for_scenario("ic", 2, hidden=4)
+    params = engnn.init_params(net, seed=0)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    for n in (0, -2):
+        with pytest.raises(ConfigError, match="at least one sample"):
+            harness.evaluate(net, params, "ic", geo, n, 11)
+        with pytest.raises(ConfigError, match="at least one sample"):
+            harness.solve_set("ic", geo, n, 11, "wmmse")
+        with pytest.raises(ConfigError, match="at least one sample"):
+            harness.sweep(net, params, "ic", geo, "noise_dbm", [-99.0], n, 11)
+
+
+def test_bad_baseline_fails_before_any_work(monkeypatch):
+    net = engnn.config_for_scenario("ic", 2, hidden=4)
+    params = engnn.init_params(net, seed=0)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    calls = []
+    forward, build = engnn.forward, chansim.build_instance
+    monkeypatch.setattr(engnn, "forward", lambda *a: calls.append("forward") or forward(*a))
+    monkeypatch.setattr(chansim, "build_instance",
+                        lambda *a: calls.append("build") or build(*a))
+    with pytest.raises(ConfigError, match="cooperative scenario only"):
+        harness.sweep(net, params, "ic", geo, "noise_dbm", [-99.0], 3, 11, baseline="gp")
+    with pytest.raises(ConfigError, match="unknown baseline"):
+        harness.sweep(net, params, "ic", geo, "noise_dbm", [-99.0], 3, 11,
+                      baseline="wibble")
+    with pytest.raises(ConfigError, match="cooperative scenario only"):
+        harness.solve_set("ibc", geo, 3, 11, "gp")
+    assert calls == []
 
 
 @pytest.mark.parametrize("scenario,geo", [
@@ -333,8 +371,8 @@ def test_cli_gen_and_baseline(tmp_path, capsys):
     data = tmp_path / "data.bin"
     assert cli.main(["gen", "--config", str(cfg_path), "--samples", "3",
                      "--out", str(data)]) == 0
-    meta, graphs = chansim.read_dataset(data)
-    assert len(graphs) == 3
+    meta, stack = chansim.read_dataset(data)
+    assert stack.batch_shape == (3,)
     traces = tmp_path / "traces.csv"
     assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "2",
                      "--out", str(traces)]) == 0
@@ -349,7 +387,8 @@ def test_cli_baseline_reports_unconverged_samples(tmp_path, capsys, monkeypatch)
     solve = harness.run_baseline
     capped = baselines.SolverConfig(max_iters=2, tol=1e-15)
     monkeypatch.setattr(harness, "run_baseline",
-                        lambda scenario, inst, which: solve(scenario, inst, which, capped))
+                        lambda scenario, inst, which, solver_cfg=None:
+                        solve(scenario, inst, which, capped))
     assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "3"]) == 0
     assert "(3 stopped unconverged, mean 2.0 iterations)" in capsys.readouterr().out
     monkeypatch.setattr(harness, "run_baseline", solve)
@@ -359,3 +398,20 @@ def test_cli_baseline_reports_unconverged_samples(tmp_path, capsys, monkeypatch)
         "wmmse").iterations for i in range(3)])
     assert f"(0 stopped unconverged, mean {iterations:.1f} iterations)" in \
         capsys.readouterr().out
+
+
+def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, epochs=0)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = str(tmp_path / "cli_ckpt.bin")
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", ckpt, "--samples", "0"],
+                 ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", "2",
+                  "--samples", "0"],
+                 ["baseline", "--config", str(cfg_path), "--samples", "0"],
+                 ["gen", "--config", str(cfg_path), "--samples", "-2",
+                  "--out", str(tmp_path / "data.bin")]):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "data.bin").exists()

@@ -84,15 +84,13 @@ def test_container_roundtrip(tmp_path):
     g = random_graph(rng, 3, 2, p_edge=0.8)
     path = tmp_path / "bundle.bin"
     meta = {"kind": "test", "note": "roundtrip"}
-    container.write_bundle(path, meta, graph_to_arrays_dict(g))
+    container.write_bundle(path, meta, {"f_tx": g.f_tx, "f_rx": g.f_rx, "e": g.e,
+                                        "edge_mask": g.edge_mask})
     meta2, arrays = container.read_bundle(path)
     assert meta2 == meta
-    g2 = container.graph_from_arrays(arrays)
+    g2 = HetGraph(arrays["f_tx"], arrays["f_rx"], arrays["e"],
+                  arrays["edge_mask"].astype(bool))
     assert graphs_equal(g, g2)
-
-
-def graph_to_arrays_dict(g):
-    return container.graph_to_arrays(g)
 
 
 def test_container_rejects_bad_magic(tmp_path):
