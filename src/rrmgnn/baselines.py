@@ -6,7 +6,11 @@ transmit step minimizes convex quadratics under power budgets: each quadratic
 is eigendecomposed once, and its budget's multiplier mu >= 0 is the root of a
 scalar secular equation, found by safeguarded Newton for a batch of
 quadratics at a time. Every iterate is feasible and the sum-rate trace is
-non-decreasing up to the power tolerance.
+non-decreasing up to the power tolerance. The complex solvers (ic, coop)
+share the MMSE receiver and weight update (`_mmse`).
+
+Every solver is its set-up plus one step; `_ascend` is the one loop that runs
+the steps, keeps the trace, applies the stopping rule and builds the result.
 """
 
 import dataclasses
@@ -17,6 +21,7 @@ import numpy as np
 from . import numkernel as nk
 from . import objectives
 from .chansim import IBC, NumericalError
+from .hetgraph import merge_complex, split_complex
 
 _NEWTON_STEPS = 100
 _INITS = ("mrt", "random", "zero")
@@ -128,9 +133,43 @@ def _secular_solve(lam, c, pmax, power_tol, solver):
     return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2))
 
 
+def _ascend(instance, step, x, rate, variables, cfg):
+    """The one ascent loop every solver runs, from iterate x at sum rate `rate`.
+
+    step(x, rate) returns the next iterate and its sum rate, or None when it
+    finds no ascent (the run then stops stagnated). The run converges once the
+    rate moves by less than cfg.tol and otherwise stops after cfg.max_iters
+    steps. variables(x) maps an iterate to the solver's output; the report
+    scores that output on `instance`, unscaled.
+    """
+    trace = [rate]
+    converged = stagnated = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        nxt = step(x, trace[-1])
+        if nxt is None:
+            stagnated = True
+            break
+        x, rate = nxt
+        trace.append(rate)
+        if abs(trace[-1] - trace[-2]) < cfg.tol:
+            converged = True
+            break
+    out = variables(x)
+    return SolverResult(out, objectives.evaluate(instance, out), np.array(trace),
+                        converged, it, stagnated)
+
+
+def _mmse(a_jk, noise):
+    """MMSE receivers u and rate weights w from a[j, k], beam j's gain at UE k."""
+    totals = noise + (np.abs(a_jk) ** 2).sum(axis=0)
+    direct = np.diagonal(a_jk)
+    u = direct / totals
+    return u, 1.0 / (1.0 - (u.conj() * direct).real)
+
+
 def _mrt_init_ic(instance, rng=None):
-    k = instance.n_ue
-    h = np.stack([instance.channels[instance.serving[j], j] for j in range(k)])
+    h = instance.channels[instance.serving, np.arange(instance.n_ue)]
     if rng is not None:
         h = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     scale = np.sqrt(instance.budgets[instance.serving]
@@ -142,94 +181,59 @@ def wmmse_ic(instance, cfg=None):
     """Per-pair beamforming WMMSE; returns beams (K, N) and the rate trace."""
     cfg = _wmmse_config(cfg, "wmmse_ic")
     work = _scaled_copy(instance)
-    k_n = work.n_ue
-    serving = work.serving
-    budgets = work.budgets[serving]
-    noise = work.noise
-    h_eff = work.channels[serving]  # (K, K, N): [j, k] = channel TX_j -> UE k
+    budgets = work.budgets[work.serving]
+    h_eff = work.channels[work.serving]  # (K, K, N): [j, k] = channel TX_j -> UE k
+    h_own = np.diagonal(h_eff).T         # (K, N): pair j's direct channel
 
-    rng = np.random.default_rng(cfg.init_seed) if cfg.init == "random" else None
-    v = _mrt_init_ic(work, rng)
-    trace = [objectives.sinr_ic(work, v).sum_rate]
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        a_jk = np.einsum("jkn,jn->jk", h_eff.conj(), v)   # h_{m1(j),k}^H v_j
-        totals = noise + (np.abs(a_jk) ** 2).sum(axis=0)
-        direct = a_jk[np.arange(k_n), np.arange(k_n)]
-        u = direct / totals
-        w = 1.0 / (1.0 - (u.conj() * direct).real)
-
+    def step(v, _):
+        u, w = _mmse(np.einsum("jkn,jn->jk", h_eff.conj(), v), work.noise)
         # pair j's quadratic collects the interference v_j causes at every UE;
         # it depends only on (u, w), so the K problems are solved as one batch
         a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
-        rhs = (w * np.conj(u))[:, None] * h_eff[np.arange(k_n), np.arange(k_n)]
+        rhs = (w * np.conj(u))[:, None] * h_own
         lam, q = np.linalg.eigh(a_mat)
         y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets,
                            cfg.power_tol, "wmmse_ic")
         v = np.einsum("jni,ji->jn", q, y)
+        return v, objectives.sinr_ic(work, v).sum_rate
 
-        trace.append(objectives.sinr_ic(work, v).sum_rate)
-        if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
-    report = objectives.sinr_ic(instance, v)
-    return SolverResult(v, report, np.array(trace), converged, it)
+    rng = np.random.default_rng(cfg.init_seed) if cfg.init == "random" else None
+    v = _mrt_init_ic(work, rng)
+    return _ascend(instance, step, v, objectives.sinr_ic(work, v).sum_rate,
+                   lambda v: v, cfg)
 
 
 def wmmse_ibc_power(instance, cfg=None):
-    """Scalar WMMSE over the equivalent gains; returns per-UE powers (K,)."""
+    """Scalar WMMSE over the equivalent gains; returns per-UE powers (K,).
+
+    The iterate is the amplitude sqrt(p), updated in real arithmetic."""
     cfg = _wmmse_config(cfg, "wmmse_ibc_power")
     if instance.gains is None:
         raise ValueError("instance has no equivalent gains")
     work = _scaled_copy(instance)
-    k_n = work.n_ue
     g = work.gains[work.serving]  # (K, K): [j, k] = gain TX_j -> UE k
-    noise = work.noise
-    cells = work.rx_cell
-    cell_budget = work.budgets
-
+    g2, diag = g ** 2, np.diag(g)
+    cells, cell_budget = work.rx_cell, work.budgets
     counts = np.bincount(cells, minlength=cell_budget.size)
-    x = np.sqrt(cell_budget[cells] / counts[cells])  # equal split at full power
     # cells are the rows of the power step; UE j sits at (cells[j], slot[j])
     slot = np.tril(cells[:, None] == cells[None, :], -1).sum(axis=1)
     padded = (cell_budget.size, counts.max())
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.init_seed)
-        x *= rng.random(k_n)
-    trace = [objectives.sinr_ibc(work, x ** 2).sum_rate]
-    converged = False
-    it = 0
-    g2 = g ** 2
-    diag = np.diag(g)
-    for it in range(1, cfg.max_iters + 1):
-        totals = noise + g2.T @ (x ** 2)
-        u = diag * x / totals
+
+    def step(x, _):
+        u = diag * x / (work.noise + g2.T @ (x ** 2))
         w = 1.0 / (1.0 - u * diag * x)
-        den = g2 @ (w * u ** 2)      # den_j = sum_k w_k u_k^2 g_{jk}^2
         lam, c = np.zeros(padded), np.zeros(padded)   # padding slots carry c = 0
-        lam[cells, slot] = den
+        lam[cells, slot] = g2 @ (w * u ** 2)          # sum_k w_k u_k^2 g_{jk}^2
         c[cells, slot] = w * u * diag
         x = _secular_solve(lam, c, cell_budget, cfg.power_tol,
                            "wmmse_ibc_power")[cells, slot]
-        trace.append(objectives.sinr_ibc(work, x ** 2).sum_rate)
-        if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
-    p = x ** 2
-    return SolverResult(p, objectives.sinr_ibc(instance, p), np.array(trace), converged, it)
+        return x, objectives.sinr_ibc(work, x ** 2).sum_rate
 
-
-def _coop_stacked(instance):
-    m, k, n = instance.channels.shape
-    h = instance.channels.transpose(1, 0, 2).reshape(k, m * n)  # rows are stacked h_k
-    return h, m, k, n
-
-
-def _coop_block_powers(v_stack, m, n):
-    # v_stack: (K, M*N) rows; per-BS power sums over UEs and in-block antennas
-    blocks = v_stack.reshape(v_stack.shape[0], m, n)
-    return (np.abs(blocks) ** 2).sum(axis=(0, 2))
+    x = np.sqrt(cell_budget[cells] / counts[cells])  # equal split at full power
+    if cfg.init == "random":
+        x *= np.random.default_rng(cfg.init_seed).random(work.n_ue)
+    return _ascend(instance, step, x, objectives.sinr_ibc(work, x ** 2).sum_rate,
+                   lambda x: x ** 2, cfg)
 
 
 def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
@@ -273,39 +277,28 @@ def wmmse_coop(instance, cfg=None):
     """Cooperative WMMSE on stacked per-UE beams; returns beams (M, K, N)."""
     cfg = _wmmse_config(cfg, "wmmse_coop")
     work = _scaled_copy(instance)
-    h, m, k_n, n = _coop_stacked(work)
-    noise = work.noise
-    budgets = work.budgets
+    m, k_n, n = work.channels.shape
+    h = work.channels.transpose(1, 0, 2).reshape(k_n, m * n)  # rows are stacked h_k
 
-    v = h.copy()  # stacked matched filter
+    def beams(v_stack):
+        return v_stack.reshape(k_n, m, n).transpose(1, 0, 2)
+
+    def step(v, _):
+        u, w = _mmse(v @ h.conj().T, work.noise)   # [j, k] = h_k^H v_j
+        v = _coop_vstep(h, w * np.abs(u) ** 2, w * np.conj(u), v, work.budgets, m, n,
+                        cfg.power_tol)
+        return v, objectives.sinr_coop(work, beams(v)).sum_rate
+
+    v = h  # stacked matched filter
     if cfg.init == "random":
         rng = np.random.default_rng(cfg.init_seed)
         v = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-    bp = _coop_block_powers(v, m, n)
-    v = (v.reshape(k_n, m, n) * np.sqrt(budgets / bp)[None, :, None]).reshape(k_n, m * n)
-
-    def rate(v_stack):
-        beams = v_stack.reshape(k_n, m, n).transpose(1, 0, 2)
-        return objectives.sinr_coop(work, beams).sum_rate
-
-    trace = [rate(v)]
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        a_jk = v @ h.conj().T           # [j, k] = h_k^H v_j
-        totals = noise + (np.abs(a_jk) ** 2).sum(axis=0)
-        direct = a_jk[np.arange(k_n), np.arange(k_n)]
-        u = direct / totals
-        w = 1.0 / (1.0 - (u.conj() * direct).real)
-        scale = w * np.abs(u) ** 2
-        v = _coop_vstep(h, scale, w * np.conj(u), v, budgets, m, n, cfg.power_tol)
-        trace.append(rate(v))
-        if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
-    beams = v.reshape(k_n, m, n).transpose(1, 0, 2)
-    return SolverResult(beams, objectives.sinr_coop(instance, beams),
-                        np.array(trace), converged, it)
+    # scaled to full per-BS power: a block's power sums over UEs and antennas
+    blocks = v.reshape(k_n, m, n)
+    scale = np.sqrt(work.budgets / (np.abs(blocks) ** 2).sum(axis=(0, 2)))
+    v = (blocks * scale[None, :, None]).reshape(k_n, m * n)
+    return _ascend(instance, step, v, objectives.sinr_coop(work, beams(v)).sum_rate,
+                   beams, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +315,11 @@ def gp_coop(instance, cfg=None, v0=None):
     """Projected gradient ascent on the cooperative sum rate.
 
     Starts from the full-power matched filter by default (the all-zero point
-    is stationary); each step backtracks the step size until the projected
-    move ascends. Every iterate is feasible.
+    is stationary); each step doubles the step size, then halves it until the
+    projected move ascends, and stagnates below cfg.gp_min_step. Every iterate
+    is feasible.
     """
     cfg = cfg or SolverConfig()
-    from .hetgraph import merge_complex, split_complex
-
     m, k_n, n = instance.channels.shape
     if v0 is not None:
         v = split_complex(np.asarray(v0, dtype=np.complex128))
@@ -347,36 +339,20 @@ def gp_coop(instance, cfg=None, v0=None):
         with nk.no_grad():
             return objectives.sinr_coop(instance, nk.constant(x)).sum_rate_value()
 
-    def grad(x):
-        t = nk.Tensor(x, requires_grad=True)
-        rep = objectives.sinr_coop(instance, t)
-        nk.backward(rep.sum_rate)
-        return t.grad
+    size = cfg.gp_init_step
 
-    trace = [value(v)]
-    converged = False
-    stagnated = False
-    step = cfg.gp_init_step
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        g = grad(v)
-        step = min(step * 2.0, 1e12)
+    def step(x, rate):
+        nonlocal size
+        t = nk.Tensor(x, requires_grad=True)
+        nk.backward(objectives.sinr_coop(instance, t).sum_rate)
+        size = min(size * 2.0, 1e12)
         while True:
-            cand = _project_coop(v + step * g, instance)
+            cand = _project_coop(x + size * t.grad, instance)
             f_new = value(cand)
-            if f_new > trace[-1]:
-                break
-            step *= 0.5
-            if step < cfg.gp_min_step:
-                stagnated = True
-                break
-        if stagnated:
-            break
-        v = cand
-        trace.append(f_new)
-        if trace[-1] - trace[-2] < cfg.tol:
-            converged = True
-            break
-    beams = merge_complex(v)
-    return SolverResult(beams, objectives.sinr_coop(instance, beams),
-                        np.array(trace), converged, it, stagnated=stagnated)
+            if f_new > rate:
+                return cand, f_new
+            size *= 0.5
+            if size < cfg.gp_min_step:
+                return None
+
+    return _ascend(instance, step, v, value(v), merge_complex, cfg)

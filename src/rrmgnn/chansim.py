@@ -63,11 +63,6 @@ class GeometryConfig:
         if not (0 < lo <= hi <= self.field_size):
             raise ValueError("serve_dist range must satisfy 0 < min <= max <= field_size")
 
-    def to_dict(self):
-        d = asdict(self)
-        d["serve_dist"] = list(self.serve_dist)
-        return d
-
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
@@ -181,25 +176,10 @@ def _ue_positions(bs, anchor_bs, radius, angle):
         [np.cos(angle), np.sin(angle)], axis=-1)
 
 
-def sample_geometry(cfg, rng, n_bs, n_ue, anchor_bs):
-    """Drop n_bs BSs with pairwise spacing and n_ue = len(anchor_bs) UEs, UE j
-    in the serving annulus of BS anchor_bs[j]; returns (bs, ue) positions.
-    The same draws, in the same order, as one element of `sample_instances`."""
-    bs, radius, angle = _draw_geometry(cfg, rng, n_bs, anchor_bs)
-    bs = np.array(bs)
-    return bs, _ue_positions(bs, anchor_bs, radius, angle)
-
-
-def channel(d, n_antennas, rng):
-    """Rayleigh-faded channels, shape d.shape + (N,), with log-distance path
-    loss; d in meters. Per distance (C order) it draws N real then N imaginary
-    parts: the same stream as one call per distance."""
-    d = np.asarray(d, dtype=np.float64)
-    return _faded(d, rng.standard_normal(d.shape + (2, n_antennas)))
-
-
 def _faded(d, g):
-    """Channels from distances d and standard normal draws g, shape d.shape + (2, N)."""
+    """Rayleigh-faded channels, shape d.shape + (N,), with log-distance path loss
+    from distances d in meters and standard normal draws g, shape d.shape + (2, N):
+    per distance, N real then N imaginary parts."""
     d = np.asarray(d, dtype=np.float64)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
@@ -366,7 +346,7 @@ def write_dataset(path, kind, cfg, n_samples, seed=None):
     arrays = {f.name: getattr(stack, f.name) for f in fields(stack)
               if f.name != "kind" and getattr(stack, f.name) is not None}
     meta = {"kind": "dataset", "dataset_version": DATASET_VERSION, "scenario": kind,
-            "n_samples": n_samples, "seed": base, "geometry": cfg.to_dict()}
+            "n_samples": n_samples, "seed": base, "geometry": asdict(cfg)}
     container.write_bundle(path, meta, arrays)
 
 

@@ -3,8 +3,8 @@ with TX-, RX-, and edge-update mechanisms, and an affine postprocessing head.
 
 All updates in layer l read only layer l-1 representations. Aggregations are
 masked element-wise max by default (mean available); the edge update
-aggregates both transformed neighbor families jointly, which requires the two
-family transforms to share an output width. Parameter shapes are independent
+aggregates both transformed neighbor families jointly, so both family
+transforms map to the edge width hidden_e. Parameter shapes are independent
 of the graph size.
 """
 
@@ -89,7 +89,7 @@ def _layer_mlp_specs(cfg):
         "mlp2": _mlp_dims(dt + dt, dt),
         "mlp3": _mlp_dims(dt + de, dr),   # TX+edge message feeding the RX update
         "mlp4": _mlp_dims(dr + dr, dr),
-        "mlp5": _mlp_dims(de + dt, de),   # same-TX edge family (width must match mlp6)
+        "mlp5": _mlp_dims(de + dt, de),   # same-TX edge family
         "mlp6": _mlp_dims(de + dr, de),   # same-RX edge family
         "mlp7": _mlp_dims(de + de, de),
     }
@@ -195,11 +195,6 @@ def rx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
 
 def edge_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
     """New edge fibers from both neighbor families, aggregated jointly."""
-    w5_out = layer["mlp5"][-1][0].shape[0]
-    w6_out = layer["mlp6"][-1][0].shape[0]
-    if w5_out != w6_out:
-        raise ConfigError("the two edge family transforms must share an output width "
-                          f"({w5_out} != {w6_out})")
     tx_b = _on_edges(f_tx, -2, mask.shape[-1])
     rx_b = _on_edges(f_rx, -3, mask.shape[-2])
     t_row = nk.mlp_forward(nk.concat([e, tx_b], axis=-1), layer["mlp5"])

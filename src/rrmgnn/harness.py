@@ -18,7 +18,7 @@ import numpy as np
 
 from . import baselines, chansim, engnn, numkernel as nk, objectives
 from .chansim import GeometryConfig, NumericalError
-from .engnn import ConfigError, ENGNNConfig
+from .engnn import ConfigError
 
 METRICS_HEADER = ["run_id", "epoch", "mean_sum_rate", "residual_max", "wall_seconds",
                   "samples_per_s"]
@@ -34,7 +34,6 @@ class TrainConfig:
 
     scenario: str = "ic"
     geometry: GeometryConfig = field(default_factory=lambda: GeometryConfig())
-    net: ENGNNConfig | None = None
     epochs: int = 100
     minibatches: int = 20
     batch_size: int = 32
@@ -53,14 +52,6 @@ class TrainConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.epochs < 0 or self.minibatches < 1 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0; minibatches and batch size >= 1")
-
-    def resolved_net(self):
-        if self.net is not None:
-            return self.net
-        return engnn.config_for_scenario(self.scenario, self.geometry.n_antennas,
-                                         hidden=self.hidden, layers=self.layers,
-                                         output_head=self.output_head,
-                                         aggregator=self.aggregator)
 
 
 @dataclass
@@ -106,11 +97,12 @@ def train(cfg, log=None):
     A checkpoint lands at cfg.checkpoint_path after every epoch and at the
     end (epochs=0 stores the raw initialization).
     """
-    net = cfg.resolved_net()
-    if cfg.net is None:
-        s_tx, s_rx, s_e = _calibrate_scales(cfg.scenario, cfg.geometry, cfg.seed)
-        net = ENGNNConfig(**{**net.to_dict(), "input_scale_tx": s_tx,
-                             "input_scale_rx": s_rx, "input_scale_e": s_e})
+    s_tx, s_rx, s_e = _calibrate_scales(cfg.scenario, cfg.geometry, cfg.seed)
+    net = engnn.config_for_scenario(cfg.scenario, cfg.geometry.n_antennas,
+                                    hidden=cfg.hidden, layers=cfg.layers,
+                                    output_head=cfg.output_head, aggregator=cfg.aggregator,
+                                    input_scale_tx=s_tx, input_scale_rx=s_rx,
+                                    input_scale_e=s_e)
     params = engnn.init_params(net, seed=cfg.seed)
     tensors = params.tensors()
     state = nk.RMSPropState(learning_rate=cfg.learning_rate, decay=cfg.rho,
@@ -150,17 +142,10 @@ def train(cfg, log=None):
             log(f"epoch {epoch}: train mean sum rate {row.mean_sum_rate:.4f} "
                 f"(residual {row.residual_max:.2e}, {row.samples_per_s:.0f} samples/s)")
         engnn.save_checkpoint(cfg.checkpoint_path, net, params,
-                              extra_meta={"train": _train_meta(cfg), "epoch": epoch})
+                              extra_meta={"train": asdict(cfg), "epoch": epoch})
     engnn.save_checkpoint(cfg.checkpoint_path, net, params,
-                          extra_meta={"train": _train_meta(cfg), "epoch": cfg.epochs})
+                          extra_meta={"train": asdict(cfg), "epoch": cfg.epochs})
     return params, net, rows
-
-
-def _train_meta(cfg):
-    meta = asdict(cfg)
-    meta["geometry"] = cfg.geometry.to_dict()
-    meta["net"] = None if cfg.net is None else cfg.net.to_dict()
-    return meta
 
 
 def _seeded_set(scenario, geometry, n_samples, seed):
@@ -246,31 +231,20 @@ def solve_set(scenario, geometry, n_samples, seed, which, solver_cfg=None):
 
 
 def _apply_axis(geometry, scenario, axis, value):
-    """New GeometryConfig with one swept knob changed."""
-    d = geometry.to_dict()
+    """New GeometryConfig with one swept knob changed (n_train_samples retrains
+    instead; `sweep` handles it)."""
     if axis == "n_pairs":
         if scenario != "ic":
             raise ConfigError("n_pairs applies to the pairs scenario only")
-        d["n_tx"] = d["n_rx"] = int(value)
-    elif axis == "n_ues":
+        return replace(geometry, n_tx=int(value), n_rx=int(value))
+    if axis in ("n_ues", "n_bss"):
         if scenario == "ic":
             raise ConfigError("use n_pairs for the pairs scenario")
-        d["n_rx"] = int(value)
-    elif axis == "n_bss":
-        if scenario == "ic":
-            raise ConfigError("use n_pairs for the pairs scenario")
-        d["n_tx"] = int(value)
-    elif axis == "noise_dbm":
-        d["noise_dbm"] = float(value)
-    elif axis == "field_size":
-        d["field_size"] = float(value)
-    elif axis == "budget_dbm":
-        d["budget_dbm"] = float(value)
-    elif axis == "n_train_samples":
-        pass  # handled by the sweep driver (retraining), geometry unchanged
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    return GeometryConfig.from_dict(d)
+        knob = "n_rx" if axis == "n_ues" else "n_tx"
+        return replace(geometry, **{knob: int(value)})
+    if axis in ("noise_dbm", "field_size", "budget_dbm"):
+        return replace(geometry, **{axis: float(value)})
+    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
 def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
@@ -287,6 +261,8 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
         raise ConfigError("n_train_samples sweep needs a training config")
     if n_samples < 1:
         raise ConfigError(f"a seeded set needs at least one sample, got {n_samples}")
+    if len(values) == 0:
+        raise ConfigError("a sweep needs at least one axis value")
     rows = []
     for value in values:
         if axis == "n_train_samples":
@@ -309,7 +285,7 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
                 + (f", {baseline} {entry[f'{baseline}_mean_sum_rate']:.4f}"
                    if baseline != "none" else ""))
     if out_csv is not None:
-        header = list(rows[0].keys()) if rows else []
+        header = list(rows[0])
         write_csv(out_csv, header, [[r[c] for c in header] for r in rows])
     return rows
 

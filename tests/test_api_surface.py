@@ -17,9 +17,6 @@ ALLOWED = {
     "dot": "a primitive in acceptance 3's gradient sweep",
     "exp": "a primitive in acceptance 3's gradient sweep",
     "read_dataset": "the reader of the instance datasets `rrmgnn gen` writes",
-    "sample_geometry": "one generator's placement draws, as sample_instances makes them "
-                       "per seed; its tests check spacing, annuli and GenerationError",
-    "channel": "one generator's fading draw, the stream sample_instances keeps per seed",
     "build_ic_instance": "the per-kind builder the acceptance suite calls",
     "build_ibc_instance": "the per-kind builder the acceptance suite calls",
     "build_coop_instance": "the per-kind builder the acceptance suite calls",

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from rrmgnn import chansim, container, harness
-from rrmgnn.chansim import (GenerationError, GeometryConfig, build_coop_instance,
-                            build_ibc_instance, build_ic_instance, build_instance, channel,
+from rrmgnn.chansim import (GenerationError, GeometryConfig, _faded, build_coop_instance,
+                            build_ibc_instance, build_ic_instance, build_instance,
                             dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
-                            permute_instance, sample_geometry, sample_instances, zero_forcing)
+                            permute_instance, sample_instances, zero_forcing)
 from rrmgnn.hetgraph import NodePermutation, merge_complex, permute_graph
 
 GEOMETRIES = {"ic": GeometryConfig(n_tx=4, n_rx=4, n_antennas=2),
@@ -31,29 +31,31 @@ def test_path_loss_reference_points():
 
 
 def test_channel_amplitude_at_one_meter():
-    rng = np.random.default_rng(0)
-    h = channel(1.0, 4, rng)
+    g = np.random.default_rng(0).standard_normal((2, 4))
+    h = _faded(1.0, g)
     assert h.shape == (4,)
     # scale applied per entry: 10^(-30.5/20) ~ 0.029854
-    assert abs(10 ** (-30.5 / 20) - 0.029853826189179603) < 1e-15
+    amp = 10 ** (-30.5 / 20)
+    assert abs(amp - 0.029853826189179603) < 1e-15
+    np.testing.assert_allclose(h, amp * (g[0] + 1j * g[1]) / np.sqrt(2.0), rtol=1e-14)
 
 
 def test_channel_rejects_nonpositive_distance():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        channel(0.0, 2, rng)
+    g = np.zeros((2, 2, 2))
+    for d in ([1.0, 0.0], [-3.0, 1.0]):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            _faded(np.array(d), g)
 
 
 def test_channel_mean_power_monte_carlo():
-    rng = np.random.default_rng(1)
-    d, n, draws = 100.0, 4, 100_000
-    acc = 0.0
-    for _ in range(draws):
-        h = channel(d, n, rng)
-        acc += np.sum(np.abs(h) ** 2)
-    mean_per_antenna = acc / (draws * n)
-    expected = 10 ** (-path_loss_db(d) / 10)
-    assert abs(mean_per_antenna / expected - 1.0) < 0.02
+    # ~100k antenna draws of the sampler, each over the path loss of its own
+    # link's distance, from the positions the sampler reports
+    geo = GeometryConfig(n_tx=4, n_rx=32, n_antennas=8)
+    inst = sample_instances("coop", geo, [[1, i] for i in range(100)])
+    d = np.linalg.norm(inst.bs_pos[:, :, None] - inst.ue_pos[:, None], axis=-1)
+    ratio = np.abs(inst.channels) ** 2 / (10 ** (-path_loss_db(d) / 10))[..., None]
+    assert ratio.size == 102_400
+    assert abs(ratio.mean() - 1.0) < 0.02
 
 
 def test_channel_vectorized_matches_per_pair_loop():
@@ -67,7 +69,8 @@ def test_channel_vectorized_matches_per_pair_loop():
             amp = np.sqrt(10.0 ** (-path_loss_db(d[i, j]) / 10.0))
             z = (oracle_rng.standard_normal(3) + 1j * oracle_rng.standard_normal(3)) / np.sqrt(2.0)
             want[i, j] = amp * z
-    got = channel(d, 3, rng)
+    # the block the sampler draws per seed: (distances, 2, N)
+    got = _faded(d, rng.standard_normal(d.shape + (2, 3)))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
     assert rng.random() == oracle_rng.random()  # same stream consumed
 
@@ -92,35 +95,35 @@ def test_graph_of_widths_match_declared_widths():
 
 def test_geometry_single_bs_uniform():
     cfg = GeometryConfig(n_tx=1, n_rx=1)
-    pts = np.array([sample_geometry(cfg, np.random.default_rng(s), 1, 1, [0])[0][0]
-                    for s in range(200)])
+    pts = sample_instances("ic", cfg, list(range(200))).bs_pos[:, 0]
     assert pts.min() >= 0 and pts.max() <= cfg.field_size
     assert 500 < pts.mean() < 1500  # crude uniformity check on the mean
 
 
 def test_geometry_respects_spacing():
     cfg = GeometryConfig(n_tx=5, n_rx=5)
-    for s in range(10_000):
-        bs, _ = sample_geometry(cfg, np.random.default_rng(s), 5, 5, np.arange(5))
-        d = np.linalg.norm(bs[:, None] - bs[None, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        assert d.min() >= cfg.min_bs_spacing
+    bs = sample_instances("ic", cfg, list(range(10_000))).bs_pos
+    d = np.linalg.norm(bs[:, :, None] - bs[:, None], axis=-1)
+    d[:, np.arange(5), np.arange(5)] = np.inf
+    assert d.min() >= cfg.min_bs_spacing
 
 
 def test_geometry_serving_distance_annulus():
-    cfg = GeometryConfig(n_tx=3, n_rx=3)
-    for s in range(100):
-        bs, ue = sample_geometry(cfg, np.random.default_rng(s), 3, 3, np.arange(3))
-        d = np.linalg.norm(bs - ue, axis=1)
+    for kind, cfg in (("ic", GeometryConfig(n_tx=3, n_rx=3)),
+                      ("coop", GeometryConfig(n_tx=3, n_rx=5)),
+                      ("ibc", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2))):
+        inst = sample_instances(kind, cfg, list(range(100)))
+        anchor = inst.rx_cell if kind == "ibc" else inst.serving   # UE k's BS
+        d = np.linalg.norm(inst.bs_pos[:, anchor] - inst.ue_pos, axis=-1)
         assert np.all(d >= cfg.serve_dist[0] - 1e-9)
         assert np.all(d <= cfg.serve_dist[1] + 1e-9)
-        assert ue.min() >= 0 and ue.max() <= cfg.field_size
+        assert inst.ue_pos.min() >= 0 and inst.ue_pos.max() <= cfg.field_size
 
 
 def test_geometry_infeasible_spacing_raises():
     cfg = GeometryConfig(n_tx=4, n_rx=4, field_size=600.0, min_bs_spacing=500.0)
     with pytest.raises(GenerationError):
-        sample_geometry(cfg, np.random.default_rng(0), 4, 4, np.arange(4))
+        sample_instances("ic", cfg, [0])
 
 
 def test_ic_instance_structure():

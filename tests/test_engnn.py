@@ -179,18 +179,6 @@ def test_edge_update_two_families_hand_assembled():
     np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-12)
 
 
-def test_edge_update_width_mismatch_is_config_error():
-    cfg = small_config(hidden=4)
-    params = init_params(cfg, seed=9)
-    layer = params.layers[0]
-    w, b = layer["mlp6"][-1]
-    layer["mlp6"][-1] = (nk.Tensor(np.zeros((3, w.data.shape[1])), requires_grad=True),
-                         nk.Tensor(np.zeros(3), requires_grad=True))
-    with pytest.raises(engnn.ConfigError):
-        edge_update(layer, nk.constant(np.zeros((1, 4))), nk.constant(np.zeros((1, 4))),
-                    nk.constant(np.zeros((1, 1, 4))), np.ones((1, 1), bool))
-
-
 def test_edge_update_permutation_equivariant():
     rng = np.random.default_rng(10)
     cfg = small_config(hidden=4)
@@ -397,6 +385,21 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     for (n1, t1), (n2, t2) in zip(params.named_tensors(), params2.named_tensors()):
         assert n1 == n2
         assert t1.data.tobytes() == t2.data.tobytes()
+
+
+def test_checkpoint_edge_width_mismatch_refused(tmp_path):
+    # the two edge family transforms feed one joint aggregation, so a stored
+    # mlp6 whose output width differs from mlp5's must not load
+    cfg = config_for_scenario("ic", 2, hidden=4)
+    params = init_params(cfg, seed=9)
+    layer = params.layers[0]
+    w, b = layer["mlp6"][-1]
+    layer["mlp6"][-1] = (nk.Tensor(np.zeros((3, w.data.shape[1])), requires_grad=True),
+                         nk.Tensor(np.zeros(3), requires_grad=True))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, cfg, params)
+    with pytest.raises(ValueError, match="mlp6.*has shape"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch_refused(tmp_path):

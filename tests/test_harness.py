@@ -216,6 +216,21 @@ def test_empty_sets_are_rejected():
             harness.sweep(net, params, "ic", geo, "noise_dbm", [-99.0], n, 11)
 
 
+def test_empty_sweep_is_rejected_before_any_work(tmp_path, monkeypatch):
+    net = engnn.config_for_scenario("ic", 2, hidden=4)
+    params = engnn.init_params(net, seed=0)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    calls = []
+    monkeypatch.setattr(engnn, "forward", lambda *a: calls.append("forward"))
+    monkeypatch.setattr(harness, "train", lambda *a: calls.append("train"))
+    out = tmp_path / "sweep.csv"
+    for axis in ("noise_dbm", "n_train_samples"):
+        with pytest.raises(ConfigError, match="at least one axis value"):
+            harness.sweep(net, params, "ic", geo, axis, [], 3, 11, baseline="wmmse",
+                          train_cfg=tiny_cfg(tmp_path), out_csv=str(out))
+    assert calls == [] and not out.exists()
+
+
 def test_bad_baseline_fails_before_any_work(monkeypatch):
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
@@ -408,10 +423,12 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
     for argv in (["eval", "--checkpoint", ckpt, "--samples", "0"],
                  ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", "2",
                   "--samples", "0"],
+                 ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", ",",
+                  "--out", str(tmp_path / "sweep.csv")],
                  ["baseline", "--config", str(cfg_path), "--samples", "0"],
                  ["gen", "--config", str(cfg_path), "--samples", "-2",
                   "--out", str(tmp_path / "data.bin")]):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
-    assert not (tmp_path / "data.bin").exists()
+    assert not (tmp_path / "data.bin").exists() and not (tmp_path / "sweep.csv").exists()
