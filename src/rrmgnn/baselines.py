@@ -305,12 +305,6 @@ def wmmse_coop(instance, cfg=None):
 # projected gradient ascent (cooperative)
 
 
-def _project_coop(v_split, instance):
-    norms2 = (v_split ** 2).sum(axis=(1, 2))
-    scale = np.sqrt(instance.budgets / np.maximum(norms2, instance.budgets))
-    return v_split * scale[:, None, None]
-
-
 def gp_coop(instance, cfg=None, v0=None):
     """Projected gradient ascent on the cooperative sum rate.
 
@@ -333,7 +327,7 @@ def gp_coop(instance, cfg=None, v0=None):
         v = split_complex(instance.channels)
         used = (v ** 2).sum(axis=(1, 2))
         v *= np.sqrt(instance.budgets / used)[:, None, None]
-    v = _project_coop(v, instance)
+    v = objectives.normalize_coop(nk.constant(v), instance).data
 
     def value(x):
         with nk.no_grad():
@@ -347,7 +341,7 @@ def gp_coop(instance, cfg=None, v0=None):
         nk.backward(objectives.sinr_coop(instance, t).sum_rate)
         size = min(size * 2.0, 1e12)
         while True:
-            cand = _project_coop(x + size * t.grad, instance)
+            cand = objectives.normalize_coop(nk.constant(x + size * t.grad), instance).data
             f_new = value(cand)
             if f_new > rate:
                 return cand, f_new

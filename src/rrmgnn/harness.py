@@ -26,6 +26,7 @@ SAMPLES_HEADER = ["sample", "sum_rate", "residual", "infer_seconds"]
 
 SWEEP_AXES = ("n_pairs", "n_ues", "n_bss", "noise_dbm", "field_size", "budget_dbm",
               "n_train_samples")
+_COUNT_AXES = ("n_pairs", "n_ues", "n_bss", "n_train_samples")
 
 
 @dataclass
@@ -263,6 +264,8 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
         raise ConfigError(f"a seeded set needs at least one sample, got {n_samples}")
     if len(values) == 0:
         raise ConfigError("a sweep needs at least one axis value")
+    if axis in _COUNT_AXES and not all(float(v).is_integer() and v >= 1 for v in values):
+        raise ConfigError(f"{axis} is a count and takes whole numbers >= 1, got {list(values)}")
     rows = []
     for value in values:
         if axis == "n_train_samples":

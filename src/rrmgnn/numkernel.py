@@ -5,6 +5,13 @@ masked max aggregations, and the rate objectives built on top of them; it is
 not a general-purpose framework (no GPU, no conv, only the broadcasting the
 ops below need).
 
+An op is its value plus one VJP (vector-Jacobian product) per parent:
+`vjp(g, y, *parents)` maps the output gradient g, the output tensor y and the
+parent tensors to that parent's gradient, possibly still at the broadcast
+output shape. Ops never touch `.grad`: replaying the tape reduces each VJP
+back to its parent's shape and accumulates it, for the parents that require
+grad.
+
 Graph tensors count their axes from the end: edge tensors are (..., M, K, d)
 with an (..., M, K) mask, node tensors (..., M, d) or (..., K, d). Any leading
 axes (a minibatch axis B) ride along, so one graph and a stack of equally
@@ -36,17 +43,17 @@ class Tensor:
     """Dense float64 array participating in reverse-mode differentiation.
 
     `data` is row-major (C order). Tensors produced by ops hold references to
-    their parents and a backward closure; `backward(loss)` replays them.
+    their parents and one VJP per parent; `backward(loss)` replays them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
-        self._backward = _backward
+        self._vjps = _vjps
 
     @property
     def shape(self):
@@ -109,15 +116,17 @@ def constant(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _make(data, parents, backward):
+def _make(data, parents, vjps):
     """Build an op result; prunes the tape when grads are off or unneeded."""
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+        return Tensor(data, requires_grad=True, _parents=parents, _vjps=vjps)
     return Tensor(data)
 
 
 def _unbroadcast(grad, shape):
     """Reduce `grad` back to `shape` after a numpy-broadcast forward op."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -127,111 +136,85 @@ def _unbroadcast(grad, shape):
 
 
 # ---------------------------------------------------------------------------
+# VJPs of the ops without parameters of their own, one per parent
+
+
+def _pass(g, y, *parents):
+    return g
+
+
+def _flip(g, y, *parents):
+    return -g
+
+
+_ADD, _SUB, _NEG, _BROADCAST_TO = (_pass, _pass), (_pass, _flip), (_flip,), (_pass,)
+_MUL = (lambda g, y, a, b: g * b.data, lambda g, y, a, b: g * a.data)
+_DIV = (lambda g, y, a, b: g / b.data,
+        lambda g, y, a, b: -g * a.data / (b.data * b.data))
+_SQUARE = (lambda g, y, a: 2.0 * a.data * g,)
+_SQRT = (lambda g, y, a: 0.5 * g / y.data,)
+_EXP = (lambda g, y, a: g * y.data,)
+_LOG1P = (lambda g, y, a: g / (1.0 + a.data),)
+_SIGMOID = (lambda g, y, a: g * y.data * (1.0 - y.data),)
+_RELU = (lambda g, y, a: g * (a.data > 0),)
+_MAXIMUM = (lambda g, y, a, b: g * (a.data >= b.data),
+            lambda g, y, a, b: g * ~(a.data >= b.data))
+_RESHAPE = (lambda g, y, a: g.reshape(a.data.shape),)
+_MATMUL = (lambda g, y, a, b: g @ np.swapaxes(b.data, -1, -2),
+           lambda g, y, a, b: np.swapaxes(a.data, -1, -2) @ g)
+_LINEAR = (lambda g, y, x, w, b: (g.reshape(-1, len(w.data)) @ w.data).reshape(x.data.shape),
+           lambda g, y, x, w, b: (g.reshape(-1, len(w.data)).T
+                                  @ x.data.reshape(-1, w.data.shape[1])),
+           lambda g, y, x, w, b: g.reshape(-1, len(w.data)).sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), _ADD)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data - b.data, (a, b), _SUB)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data * b.data, (a, b), _MUL)
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(a.data / b.data, (a, b), _DIV)
 
 
 def neg(a):
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
-
-    return _make(-a.data, (a,), backward)
+    return _make(-a.data, (a,), _NEG)
 
 
 def square(a):
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, 2.0 * a.data * g)
-
-    return _make(a.data * a.data, (a,), backward)
+    return _make(a.data * a.data, (a,), _SQUARE)
 
 
 def sqrt(a):
     a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, 0.5 * g / out_data)
-
-    return _make(out_data, (a,), backward)
+    return _make(np.sqrt(a.data), (a,), _SQRT)
 
 
 def exp(a):
     a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
+    return _make(np.exp(a.data), (a,), _EXP)
 
 
 def log1p(a):
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g / (1.0 + a.data))
-
-    return _make(np.log1p(a.data), (a,), backward)
+    return _make(np.log1p(a.data), (a,), _LOG1P)
 
 
 def sigmoid(a):
@@ -239,38 +222,19 @@ def sigmoid(a):
     x = a.data
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (a,), _SIGMOID)
 
 
 def relu(a):
     """Rectified linear unit; the subgradient at 0 is taken as 0."""
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0))
-
-    return _make(np.maximum(a.data, 0.0), (a,), backward)
+    return _make(np.maximum(a.data, 0.0), (a,), _RELU)
 
 
 def maximum(a, b):
     """Elementwise max of two tensors; on ties the gradient routes to `a`."""
     a, b = as_tensor(a), as_tensor(b)
-    pick_a = a.data >= b.data
-    out_data = np.where(pick_a, a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _make(np.where(a.data >= b.data, a.data, b.data), (a, b), _MAXIMUM)
 
 
 # ---------------------------------------------------------------------------
@@ -279,100 +243,65 @@ def maximum(a, b):
 
 def reshape(a, shape):
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(a.data.reshape(shape), (a,), _RESHAPE)
 
 
 def take(a, idx):
     """Numpy-style indexing (basic or advanced); backward scatter-adds."""
     a = as_tensor(a)
-    out_data = a.data[idx]
 
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _accumulate(a, buf)
+    def vjp(g, y, a):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return buf
 
-    return _make(out_data, (a,), backward)
+    return _make(a.data[idx], (a,), (vjp,))
 
 
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    tensors = tuple(as_tensor(t) for t in tensors)
 
-    def backward(g):
-        pieces = np.split(g, offsets, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                _accumulate(t, piece)
+    def piece(i):
+        def vjp(g, y, *parents):
+            start = sum(p.data.shape[axis] for p in parents[:i])
+            cut = [slice(None)] * g.ndim
+            cut[axis] = slice(start, start + parents[i].data.shape[axis])
+            return g[tuple(cut)]
+        return vjp
 
-    return _make(out_data, tuple(tensors), backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 [piece(i) for i in range(len(tensors))])
 
 
 def broadcast_to(a, shape):
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-
-    return _make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
+    return _make(np.broadcast_to(a.data, shape).copy(), (a,), _BROADCAST_TO)
 
 
 def tsum(a, axis=None):
     """Sum over all elements (axis=None) or over an axis / tuple of axes."""
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis)
 
-    def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-            else:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                g_exp = np.expand_dims(g, axes)
-                _accumulate(a, np.broadcast_to(g_exp, a.data.shape).copy())
+    def vjp(g, y, a):
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape)
 
-    return _make(out_data, (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), (vjp,))
 
 
 def dot(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ValueError(f"dot expects equal-length 1-D tensors, got {a.shape} and {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), _MUL)
 
 
 def matmul(a, b):
     """Matrix product of two (..., n, k) and (..., k, p) stacks; leading axes
     broadcast as in numpy."""
     a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ValueError(f"matmul expects (..., n, k) @ (..., k, p); got {ad.shape} @ {bd.shape}")
-    out_data = ad @ bd
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
-
-    return _make(out_data, (a, b), backward)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul expects (..., n, k) @ (..., k, p); got {a.shape} @ {b.shape}")
+    return _make(a.data @ b.data, (a, b), _MATMUL)
 
 
 def linear(x, w, b):
@@ -387,17 +316,7 @@ def linear(x, w, b):
                          f"weight shape {w.data.shape}")
     rows = x.data.reshape(-1, d_in)
     out_data = (rows @ w.data.T + b.data).reshape(x.data.shape[:-1] + (d_out,))
-
-    def backward(g):
-        g_rows = g.reshape(-1, d_out)
-        if x.requires_grad:
-            _accumulate(x, (g_rows @ w.data).reshape(x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, g_rows.T @ rows)
-        if b.requires_grad:
-            _accumulate(b, g_rows.sum(axis=0))
-
-    return _make(out_data, (x, w, b), backward)
+    return _make(out_data, (x, w, b), _LINEAR)
 
 
 def mlp_forward(x, layers):
@@ -429,19 +348,21 @@ def masked_max_aggregate(items, present):
     if present.shape != (items.data.shape[0],):
         raise ValueError("present mask length does not match item count")
     d = items.data.shape[1]
-    if not present.any():
-        return _make(np.zeros(d), (items,), lambda g: None)
-    masked = np.where(present[:, None], items.data, -np.inf)
-    arg = np.argmax(masked, axis=0)  # first occurrence = lowest index
-    out_data = masked[arg, np.arange(d)]
+    arg = None
+    if present.any():
+        masked = np.where(present[:, None], items.data, -np.inf)
+        arg = np.argmax(masked, axis=0)  # first occurrence = lowest index
+        out_data = masked[arg, np.arange(d)]
+    else:
+        out_data = np.zeros(d)
 
-    def backward(g):
-        if items.requires_grad:
-            buf = np.zeros_like(items.data)
+    def vjp(g, y, a):
+        buf = np.zeros_like(a.data)
+        if arg is not None:
             np.add.at(buf, (arg, np.arange(d)), g)
-            _accumulate(items, buf)
+        return buf
 
-    return _make(out_data, (items,), backward)
+    return _make(out_data, (items,), (vjp,))
 
 
 def _graph_shapes(name, x, mask):
@@ -473,25 +394,23 @@ def masked_agg_axis(x, mask, axis, kind="max"):
         out_data = np.take_along_axis(masked, arg, ax).squeeze(ax)
         out_data[counts == 0] = 0.0
 
-        def backward(g):
-            if x.requires_grad:
-                buf = np.zeros_like(x.data)
-                g_eff = np.where((counts > 0)[..., None], g, 0.0)
-                np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
-                _accumulate(x, buf)
+        def vjp(g, y, a):
+            buf = np.zeros_like(a.data)
+            g_eff = np.where((counts > 0)[..., None], g, 0.0)
+            np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
+            return buf
 
     elif kind == "mean":
         denom = np.maximum(counts, 1)[..., None]
         out_data = (x.data * mask3).sum(axis=ax) / denom
 
-        def backward(g):
-            if x.requires_grad:
-                _accumulate(x, np.expand_dims(g / denom, ax) * mask3)
+        def vjp(g, y, a):
+            return np.expand_dims(g / denom, ax) * mask3
 
     else:
         raise ValueError(f"unknown aggregation kind {kind!r}")
 
-    return _make(out_data, (x,), backward)
+    return _make(out_data, (x,), (vjp,))
 
 
 def _excl_top2(masked, axis):
@@ -535,18 +454,16 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
         live = mask3 & (row_cnt + col_cnt > 0)[..., None]
         out_data = np.where(live, np.where(use_row, row_vals, col_vals), 0.0)
 
-        def backward(g):
-            idx = np.indices(g.shape, sparse=True)
-            if t_row.requires_grad:
-                buf = np.zeros_like(t_row.data)
-                np.add.at(buf, (*idx[:-2], row_args, idx[-1]),
-                          np.where(use_row & live, g, 0.0))
-                _accumulate(t_row, buf)
-            if t_col.requires_grad:
-                buf = np.zeros_like(t_col.data)
-                np.add.at(buf, (*idx[:-3], col_args, *idx[-2:]),
-                          np.where(~use_row & live, g, 0.0))
-                _accumulate(t_col, buf)
+        def family(axis):
+            # the winning family's argmax along `axis` takes the gradient
+            def vjp(g, y, *parents):
+                pick, args = (use_row, row_args) if axis == -2 else (~use_row, col_args)
+                idx = list(np.indices(g.shape, sparse=True))
+                idx[axis] = args
+                buf = np.zeros_like(g)
+                np.add.at(buf, tuple(idx), np.where(pick & live, g, 0.0))
+                return buf
+            return vjp
 
     elif kind == "mean":
         total = np.maximum(row_cnt + col_cnt, 1)[..., None]
@@ -554,19 +471,16 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
         col_sum = (t_col.data * mask3).sum(axis=-3, keepdims=True) - t_col.data * mask3
         out_data = (row_sum + col_sum) / total * mask3
 
-        def backward(g):
-            g_eff = g * mask3 / total
-            if t_row.requires_grad:
-                buf = (g_eff.sum(axis=-2, keepdims=True) - g_eff) * mask3
-                _accumulate(t_row, buf)
-            if t_col.requires_grad:
-                buf = (g_eff.sum(axis=-3, keepdims=True) - g_eff) * mask3
-                _accumulate(t_col, buf)
+        def family(axis):
+            def vjp(g, y, *parents):
+                g_eff = g * mask3 / total
+                return (g_eff.sum(axis=axis, keepdims=True) - g_eff) * mask3
+            return vjp
 
     else:
         raise ValueError(f"unknown aggregation kind {kind!r}")
 
-    return _make(out_data, (t_row, t_col), backward)
+    return _make(out_data, (t_row, t_col), (family(-2), family(-3)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +497,9 @@ def _accumulate(t, g):
 class GradTape:
     """Ordered record of the primitive ops reachable from a result tensor.
 
-    Replaying the record backward produces a gradient for every tensor with
-    requires_grad that contributed to the result.
+    Replaying the record backward routes every gradient: each op's VJP for a
+    parent that requires grad is reduced to that parent's shape and summed
+    into its `.grad`.
     """
 
     def __init__(self, nodes):
@@ -609,12 +524,16 @@ class GradTape:
         return cls(nodes)  # topological order, root last
 
     def backward(self, root):
+        if not root.requires_grad:
+            raise ValueError("loss does not require grad; nothing to differentiate")
         for n in self.nodes:
             n.grad = None
         root.grad = np.ones_like(root.data)
         for n in reversed(self.nodes):
-            if n._backward is not None and n.grad is not None:
-                n._backward(n.grad)
+            g, parents = n.grad, n._parents
+            for p, vjp in zip(parents, n._vjps):
+                if p.requires_grad:
+                    _accumulate(p, _unbroadcast(vjp(g, n, *parents), p.data.shape))
 
 
 def backward(loss):
@@ -623,8 +542,6 @@ def backward(loss):
         raise ValueError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise ValueError("loss does not require grad; nothing to differentiate")
     GradTape.trace(loss).backward(loss)
 
 

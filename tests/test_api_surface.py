@@ -13,7 +13,7 @@ PACKAGE = ROOT / "src" / "rrmgnn"
 ALLOWED = {
     "permute_graph": "the equivariance harness of acceptance 1, 2 and 10",
     "permute_instance": "the equivariance harness of acceptance 1, 2 and 10",
-    "masked_max_aggregate": "the reference oracle for masked_agg_axis and pair_excl_agg",
+    "masked_max_aggregate": "tests/gradcheck_util.py calls it by name in acceptance 3's sweep",
     "dot": "a primitive in acceptance 3's gradient sweep",
     "exp": "a primitive in acceptance 3's gradient sweep",
     "read_dataset": "the reader of the instance datasets `rrmgnn gen` writes",

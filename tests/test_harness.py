@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,19 @@ def test_training_matches_pinned_sum_rates(tmp_path):
     assert (net.input_scale_tx, net.input_scale_rx, net.input_scale_e) == (
         0.5011872336272724, 2818382.931264455, 1287951.2491492066)
     assert [r.mean_sum_rate for r in rows] == [10.916704536685993, 12.198710332365385]
+    # every scenario, output head and aggregator, and a second layer: each one
+    # runs its own ops' gradients through the tape, so a wrong VJP moves a rate
+    ibc = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=29)
+    coop = GeometryConfig(n_tx=2, n_rx=3, n_antennas=2, seed=29)
+    for kw, rates in (
+            (dict(scenario="ibc", geometry=ibc), [20.307866879881885, 20.030865364075567]),
+            (dict(scenario="coop", geometry=coop), [1.7120057950760712, 1.6828173067981878]),
+            (dict(output_head="tx_node"), [12.208673282913827, 12.672757503400772]),
+            (dict(output_head="rx_node"), [9.497511134042037, 9.936177139226286]),
+            (dict(aggregator="mean"), [10.866373747848177, 12.120460073063912]),
+            (dict(layers=2), [10.549502302668628, 10.324079218486117])):
+        _, _, rows = harness.train(replace(cfg, **kw))
+        assert [r.mean_sum_rate for r in rows] == rates, kw
 
 
 def test_short_training_improves_over_initialization(tmp_path):
@@ -224,9 +238,15 @@ def test_empty_sweep_is_rejected_before_any_work(tmp_path, monkeypatch):
     monkeypatch.setattr(engnn, "forward", lambda *a: calls.append("forward"))
     monkeypatch.setattr(harness, "train", lambda *a: calls.append("train"))
     out = tmp_path / "sweep.csv"
-    for axis in ("noise_dbm", "n_train_samples"):
-        with pytest.raises(ConfigError, match="at least one axis value"):
-            harness.sweep(net, params, "ic", geo, axis, [], 3, 11, baseline="wmmse",
+    # a fractional count would run int(value) under the fraction's label, and
+    # n_train_samples 0 would still train one epoch
+    for axis, values, match in (("noise_dbm", [], "at least one axis value"),
+                                ("n_train_samples", [], "at least one axis value"),
+                                ("n_pairs", [4, 3.7], "whole numbers"),
+                                ("n_train_samples", [4, 3.7], "whole numbers"),
+                                ("n_train_samples", [4, 0], "whole numbers >= 1")):
+        with pytest.raises(ConfigError, match=match):
+            harness.sweep(net, params, "ic", geo, axis, values, 3, 11, baseline="wmmse",
                           train_cfg=tiny_cfg(tmp_path), out_csv=str(out))
     assert calls == [] and not out.exists()
 
@@ -424,6 +444,8 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
                  ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", "2",
                   "--samples", "0"],
                  ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", ",",
+                  "--out", str(tmp_path / "sweep.csv")],
+                 ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", "3.7",
                   "--out", str(tmp_path / "sweep.csv")],
                  ["baseline", "--config", str(cfg_path), "--samples", "0"],
                  ["gen", "--config", str(cfg_path), "--samples", "-2",

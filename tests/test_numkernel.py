@@ -70,8 +70,11 @@ def test_masked_max_singleton():
 
 
 def test_masked_max_empty_set_is_zero():
-    out = nk.masked_max_aggregate(nk.constant([[1.0, 2.0], [3.0, 4.0]]), [False, False])
+    items = nk.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    out = nk.masked_max_aggregate(items, [False, False])
     np.testing.assert_array_equal(out.data, [0.0, 0.0])
+    nk.backward(nk.tsum(out))
+    np.testing.assert_array_equal(items.grad, np.zeros((2, 2)))
 
 
 def test_masked_max_permutation_invariant():
@@ -217,6 +220,15 @@ def test_gradcheck_relu_and_maximum_away_from_kinks():
             return nk.tsum(nk.maximum(t, nk.constant(other)) * nk.constant(c))
 
         check_op(build_max, x)
+
+
+def test_maximum_routes_ties_to_a_and_nan_to_b():
+    # training never ties (budgets against exact norms), so only this pins the rule
+    a = nk.Tensor([1.0, 2.0, 3.0, np.nan], requires_grad=True)
+    b = nk.Tensor([[1.0, 0.0, 5.0, 1.0]] * 2, requires_grad=True)
+    nk.backward(nk.tsum(nk.maximum(a, b)))
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(b.grad, [[0.0, 0.0, 1.0, 1.0]] * 2)
 
 
 def test_gradcheck_matmul_linear_dot():
