@@ -97,15 +97,32 @@ class ScenarioInstance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if np.ndim(self.channels) < 3:
+            raise ValueError(f"channels need shape (..., M, K, N), got {np.shape(self.channels)}")
+        lead, m, k = self.batch_shape, self.n_tx_entities, self.n_ue
+        cells = m
+        if self.kind == IBC:
+            if self.gains is None or self.tx_cell is None or self.rx_cell is None:
+                raise ValueError("ibc instances need gains, tx_cell and rx_cell")
+            cells = np.shape(self.budgets)[-1] if np.ndim(self.budgets) else 0
+        expected = {"budgets": lead + (cells,), "noise": lead + (k,), "serving": (k,),
+                    "gains": lead + (m, k), "tx_cell": (m,), "rx_cell": (k,)}
+        for name, shape in expected.items():
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected {shape}")
         if np.any(self.budgets <= 0) or np.any(self.noise <= 0):
             raise ValueError("budgets and noise powers must be positive")
         if self.kind in (IC, IBC):
-            k = self.n_ue
             srt = np.sort(np.asarray(self.serving))
             if not np.array_equal(srt, np.arange(k)):
                 raise ValueError("serving map must be a bijection onto the UE set")
-        if self.kind == IBC and self.gains is not None and np.any(self.gains < 0):
-            raise ValueError("equivalent channel gains must be nonnegative")
+        if self.kind == IBC:
+            if np.any(self.gains < 0):
+                raise ValueError("equivalent channel gains must be nonnegative")
+            ids = np.concatenate([self.tx_cell, self.rx_cell])
+            if ids.min() < 0 or ids.max() >= cells:
+                raise ValueError(f"cell indices must lie in [0, {cells}), one per cell budget")
 
     @property
     def n_tx_entities(self):

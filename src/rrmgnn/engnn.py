@@ -3,23 +3,23 @@ with TX-, RX-, and edge-update mechanisms, and an affine postprocessing head.
 
 All updates in layer l read only layer l-1 representations. Aggregations are
 masked element-wise max by default (mean available); the edge update
-aggregates both transformed neighbor families jointly, so both family
-transforms map to the edge width hidden_e. Parameter shapes are independent
-of the graph size.
+aggregates both transformed neighbor families jointly. Every representation
+has the one hidden width h, so each of the seven layer MLPs maps 2h -> h -> h
+-> h. Parameter shapes are independent of the graph size.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import container
 from . import numkernel as nk
-from .chansim import COOP, IBC, IC
+from .chansim import COOP, IBC, KINDS, instance_feature_widths
 
 HEADS = ("edge", "tx_node", "rx_node")
 AGGREGATORS = ("max", "mean")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # 1 stored the derived widths too
 
 
 class ConfigError(ValueError):
@@ -28,24 +28,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class ENGNNConfig:
-    """Widths and switches of the network; independent of M and K.
+    """The network a caller chooses: the scenario `kind`, its antenna count N,
+    the hidden width h, the depth, the head and the aggregator.
 
-    in_* are the stored real feature widths of the graph (complex features
-    count twice). out_width is the variable width of the active head, in
-    complex dimensions when complex_output is set. input_scale_* are fixed
+    The rest follows from these: the graph widths are
+    `chansim.instance_feature_widths(kind, N)`, and the head maps h to 2N
+    reals (a complex beam) or, for ibc powers, to 1. input_scale_* are fixed
     constants folded into the preprocessing affine maps so raw physical
     features arrive at trainable scale.
     """
 
-    in_tx: int
-    in_rx: int
-    in_e: int
-    hidden_tx: int = 8
-    hidden_rx: int = 8
-    hidden_e: int = 8
-    out_width: int = 1
+    kind: str
+    n_antennas: int
+    hidden: int = 8
     layers: int = 1
-    complex_output: bool = True
     output_head: str = "edge"
     aggregator: str = "max"
     input_scale_tx: float = 1.0
@@ -53,46 +49,17 @@ class ENGNNConfig:
     input_scale_e: float = 1.0
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError("need at least one updating layer")
-        for name in ("in_tx", "in_rx", "in_e", "hidden_tx", "hidden_rx", "hidden_e",
-                     "out_width"):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown scenario kind {self.kind!r}")
+        for name in ("n_antennas", "hidden", "layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.output_head not in HEADS:
             raise ConfigError(f"output_head must be one of {HEADS}")
         if self.aggregator not in AGGREGATORS:
             raise ConfigError(f"aggregator must be one of {AGGREGATORS}")
-
-    @property
-    def head_out(self):
-        """Real width of the postprocessing affine output."""
-        return 2 * self.out_width if self.complex_output else self.out_width
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
-def _mlp_dims(d_in, d_out):
-    """Three affine layers; hidden width equals the output width."""
-    return [(d_out, d_in), (d_out, d_out), (d_out, d_out)]
-
-
-def _layer_mlp_specs(cfg):
-    dt, dr, de = cfg.hidden_tx, cfg.hidden_rx, cfg.hidden_e
-    return {
-        "mlp1": _mlp_dims(dr + de, dt),   # RX+edge message feeding the TX update
-        "mlp2": _mlp_dims(dt + dt, dt),
-        "mlp3": _mlp_dims(dt + de, dr),   # TX+edge message feeding the RX update
-        "mlp4": _mlp_dims(dr + dr, dr),
-        "mlp5": _mlp_dims(de + dt, de),   # same-TX edge family
-        "mlp6": _mlp_dims(de + dr, de),   # same-RX edge family
-        "mlp7": _mlp_dims(de + de, de),
-    }
+        if self.kind == COOP and self.output_head != "edge":
+            raise ConfigError("cooperative variables live on edges; use the edge head")
 
 
 @dataclass
@@ -110,19 +77,11 @@ class ENGNNParams:
     post: tuple
 
     def named_tensors(self):
-        out = []
-        for name, (w, b) in (("pre_tx", self.pre_tx), ("pre_rx", self.pre_rx),
-                             ("pre_e", self.pre_e)):
-            out.append((f"{name}.w", w))
-            out.append((f"{name}.b", b))
-        for li, layer in enumerate(self.layers):
-            for mlp_name in sorted(layer):
-                for j, (w, b) in enumerate(layer[mlp_name]):
-                    out.append((f"layers.{li}.{mlp_name}.{j}.w", w))
-                    out.append((f"layers.{li}.{mlp_name}.{j}.b", b))
-        out.append(("post.w", self.post[0]))
-        out.append(("post.b", self.post[1]))
-        return out
+        pairs = [("pre_tx", self.pre_tx), ("pre_rx", self.pre_rx), ("pre_e", self.pre_e)]
+        pairs += [(f"layers.{li}.{name}.{j}", wb) for li, layer in enumerate(self.layers)
+                  for name in sorted(layer) for j, wb in enumerate(layer[name])]
+        pairs.append(("post", self.post))
+        return [(f"{name}.{part}", t) for name, wb in pairs for part, t in zip("wb", wb)]
 
     def tensors(self):
         return [t for _, t in self.named_tensors()]
@@ -136,19 +95,16 @@ def _init_affine(rng, d_out, d_in):
 
 
 def init_params(cfg, seed=0):
-    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] initialization per layer."""
+    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] initialization per layer:
+    the three input maps, then per layer mlp1..mlp7 (2h -> h -> h -> h), then
+    the head."""
     rng = np.random.default_rng(seed)
-    pre_tx = _init_affine(rng, cfg.hidden_tx, cfg.in_tx)
-    pre_rx = _init_affine(rng, cfg.hidden_rx, cfg.in_rx)
-    pre_e = _init_affine(rng, cfg.hidden_e, cfg.in_e)
-    layers = []
-    for _ in range(cfg.layers):
-        specs = _layer_mlp_specs(cfg)
-        layers.append({name: [_init_affine(rng, o, i) for o, i in dims]
-                       for name, dims in specs.items()})
-    head_in = {"edge": cfg.hidden_e, "tx_node": cfg.hidden_tx,
-               "rx_node": cfg.hidden_rx}[cfg.output_head]
-    post = _init_affine(rng, cfg.head_out, head_in)
+    h = cfg.hidden
+    pre_tx, pre_rx, pre_e = [_init_affine(rng, h, d)
+                             for d in instance_feature_widths(cfg.kind, cfg.n_antennas)]
+    layers = [{f"mlp{i}": [_init_affine(rng, h, d_in) for d_in in (2 * h, h, h)]
+               for i in range(1, 8)} for _ in range(cfg.layers)]
+    post = _init_affine(rng, 1 if cfg.kind == IBC else 2 * cfg.n_antennas, h)
     return ENGNNParams(pre_tx, pre_rx, pre_e, layers, post)
 
 
@@ -158,9 +114,9 @@ def init_params(cfg, seed=0):
 
 def preprocess(graph, cfg, params):
     """Shared affine + ReLU per family; absent-edge fibers stay zero-masked."""
-    if graph.widths != (cfg.in_tx, cfg.in_rx, cfg.in_e):
-        raise ConfigError(f"graph widths {graph.widths} do not match config "
-                          f"{(cfg.in_tx, cfg.in_rx, cfg.in_e)}")
+    widths = instance_feature_widths(cfg.kind, cfg.n_antennas)
+    if graph.widths != widths:
+        raise ConfigError(f"graph widths {graph.widths} do not match config {widths}")
     mask_f = nk.constant(graph.edge_mask[..., None].astype(np.float64))
     f_tx = nk.relu(nk.linear(nk.constant(graph.f_tx * cfg.input_scale_tx), *params.pre_tx))
     f_rx = nk.relu(nk.linear(nk.constant(graph.f_rx * cfg.input_scale_rx), *params.pre_rx))
@@ -178,7 +134,8 @@ def _on_edges(f, axis, n):
 
 
 def tx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
-    """New TX representations from layer l-1 RX and edge representations."""
+    """New TX representations from layer l-1 RX and edge representations:
+    mlp1 forms the RX+edge messages, mlp2 the update."""
     rx_b = _on_edges(f_rx, -3, mask.shape[-2])
     msgs = nk.mlp_forward(nk.concat([rx_b, e], axis=-1), layer["mlp1"])
     agg = nk.masked_agg_axis(msgs, mask, axis=1, kind=aggregator)
@@ -186,7 +143,7 @@ def tx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
 
 
 def rx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
-    """Mirror of tx_update with the node roles reversed."""
+    """Mirror of tx_update with the node roles reversed (mlp3, mlp4)."""
     tx_b = _on_edges(f_tx, -2, mask.shape[-1])
     msgs = nk.mlp_forward(nk.concat([tx_b, e], axis=-1), layer["mlp3"])
     agg = nk.masked_agg_axis(msgs, mask, axis=0, kind=aggregator)
@@ -194,7 +151,8 @@ def rx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
 
 
 def edge_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
-    """New edge fibers from both neighbor families, aggregated jointly."""
+    """New edge fibers from both neighbor families, aggregated jointly: mlp5
+    transforms the same-TX family, mlp6 the same-RX family, mlp7 updates."""
     tx_b = _on_edges(f_tx, -2, mask.shape[-1])
     rx_b = _on_edges(f_rx, -3, mask.shape[-2])
     t_row = nk.mlp_forward(nk.concat([e, tx_b], axis=-1), layer["mlp5"])
@@ -238,38 +196,25 @@ def forward(graph, cfg, params):
 def extract_variables(raw, instance, cfg):
     """Pull the scenario-shaped variable tensor out of the active head.
 
-    For pair scenarios the edge head reads the serving-link fibers; node heads
-    read the serving TX row (tx_node) or the UE row (rx_node). The cooperative
-    scenario requires the edge head since its variables live on all pairs.
+    Cooperative variables are the whole edge head. For pair scenarios the edge
+    head reads the serving-link fibers; node heads read the serving TX row
+    (tx_node) or the UE row (rx_node).
     """
-    k = instance.n_ue
-    if instance.kind in (IC, IBC):
-        if cfg.output_head == "edge":
-            return raw.xi[..., instance.serving, np.arange(k), :]
-        if cfg.output_head == "tx_node":
-            return raw.s_tx[..., instance.serving, :]
-        return raw.s_rx
-    if instance.kind == COOP:
-        if cfg.output_head != "edge":
-            raise ConfigError("cooperative variables live on edges; use the edge head")
-        return raw.xi
-    raise ValueError(f"unknown scenario kind {instance.kind!r}")
+    if instance.kind != cfg.kind:
+        raise ConfigError(f"a {cfg.kind} network cannot serve a {instance.kind} instance")
+    if cfg.output_head == "edge":
+        return raw.xi if cfg.kind == COOP else \
+            raw.xi[..., instance.serving, np.arange(instance.n_ue), :]
+    if cfg.output_head == "tx_node":
+        return raw.s_tx[..., instance.serving, :]
+    return raw.s_rx
 
 
 def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge",
                         aggregator="max", **scales):
-    """Scenario-appropriate widths: beams are complex length-N, powers real scalars."""
-    from .chansim import instance_feature_widths
-
-    d_tx, d_rx, d_e = instance_feature_widths(kind, n_antennas)
-    if kind == IBC:
-        out_width, complex_output = 1, False
-    else:
-        out_width, complex_output = n_antennas, True
-    return ENGNNConfig(in_tx=d_tx, in_rx=d_rx, in_e=d_e, hidden_tx=hidden,
-                       hidden_rx=hidden, hidden_e=hidden, out_width=out_width,
-                       layers=layers, complex_output=complex_output,
-                       output_head=output_head, aggregator=aggregator, **scales)
+    """The network for `kind` at N antennas: beams are complex length-N, powers
+    real scalars."""
+    return ENGNNConfig(kind, n_antennas, hidden, layers, output_head, aggregator, **scales)
 
 
 # ---------------------------------------------------------------------------
@@ -278,27 +223,40 @@ def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge"
 
 def save_checkpoint(path, cfg, params, extra_meta=None):
     meta = {"kind": "checkpoint", "checkpoint_version": CHECKPOINT_VERSION,
-            "config": cfg.to_dict()}
+            "config": asdict(cfg)}
     if extra_meta:
         meta.update(extra_meta)
     container.write_bundle(path, meta, {name: t.data for name, t in params.named_tensors()})
 
 
 def load_checkpoint(path):
-    """Returns (config, params, meta); shapes are validated against the config."""
+    """Returns (config, params, meta). Anything but a current checkpoint whose
+    config holds exactly the ENGNNConfig fields and whose tensors are exactly
+    the ones that config defines, in shape, raises ValueError naming the path."""
     meta, arrays = container.read_bundle(path)
     if meta.get("kind") != "checkpoint":
-        raise ValueError("file is not a checkpoint container")
-    if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version {meta.get('checkpoint_version')} not supported "
-                         f"(expected {CHECKPOINT_VERSION})")
-    cfg = ENGNNConfig.from_dict(meta["config"])
+        raise ValueError(f"{path}: not a checkpoint container")
+    version = meta.get("checkpoint_version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {version} not supported (expected "
+                         f"{CHECKPOINT_VERSION}); retrain to write a current one")
+    stored = meta.get("config")
+    names = {f.name for f in fields(ENGNNConfig)}
+    if not isinstance(stored, dict) or set(stored) != names:
+        raise ValueError(f"{path}: checkpoint config {stored!r} does not hold exactly the "
+                         f"fields {sorted(names)}")
+    try:
+        cfg = ENGNNConfig(**stored)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
     params = init_params(cfg, seed=0)
-    for name, t in params.named_tensors():
-        if name not in arrays:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
+    named = dict(params.named_tensors())
+    if set(arrays) != set(named):
+        raise ValueError(f"{path}: checkpoint lacks tensors {sorted(set(named) - set(arrays))} "
+                         f"and holds undefined ones {sorted(set(arrays) - set(named))}")
+    for name, t in named.items():
         if arrays[name].shape != t.data.shape:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, "
-                             f"config implies {t.data.shape}")
+            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
+                             f"{arrays[name].shape}, config implies {t.data.shape}")
         t.data[...] = arrays[name]
     return cfg, params, meta

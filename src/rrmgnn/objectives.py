@@ -57,6 +57,13 @@ def _check_shape(what, v, shape):
         raise ValueError(f"expected {what} of split shape {shape}, got {v.data.shape}")
 
 
+def _check_feasible(instance, v):
+    residual = constraint_residual(instance, v)
+    if residual > FEAS_TOL:
+        raise ValueError(f"{instance.kind} variables violate the power constraints "
+                         f"by {residual:.3g}")
+
+
 def _signal_over_rest(power, noise):
     """SINR from a (..., K', K) received-power table: [j, k] = power of
     stream j at UE k, the diagonal being each UE's own stream."""
@@ -82,12 +89,8 @@ def sinr_ic(instance, v):
     v_t, tensor_in = _as_split_tensor(v, complex_input=True)
     lead, k, n = instance.batch_shape, instance.n_ue, instance.channels.shape[-1]
     _check_shape("beams", v_t, lead + (k, 2 * n))
+    _check_feasible(instance, v_t)
     h_eff = instance.channels[..., instance.serving, :, :]  # [j, k] = h_{m1(j), k}
-    budgets = instance.budgets[..., instance.serving]
-    norms = (v_t.data ** 2).sum(axis=-1)
-    if np.any(norms > budgets + FEAS_TOL):
-        raise ValueError("beams violate the per-pair power budget")
-
     v3 = nk.reshape(v_t, lead + (k, 1, 2 * n))
     power = _complex_quadratic(nk.constant(h_eff.real), nk.constant(h_eff.imag), v3, n)
     return _report(_signal_over_rest(power, instance.noise), tensor_in)
@@ -104,10 +107,7 @@ def sinr_ibc(instance, p):
     p_t, tensor_in = _as_split_tensor(p, complex_input=False)
     lead, k = instance.batch_shape, instance.n_ue
     p_t = nk.reshape(p_t, lead + (k,))
-    if np.any(p_t.data < -FEAS_TOL):
-        raise ValueError("powers must be nonnegative")
-    if np.any(p_t.data @ _cell_indicator(instance).T > instance.budgets + FEAS_TOL):
-        raise ValueError("cell power budgets violated")
+    _check_feasible(instance, p_t)
     g2 = nk.constant(instance.gains[..., instance.serving, :] ** 2)  # [j, k]: TX_j -> UE k
     received = nk.reshape(nk.matmul(nk.reshape(p_t, lead + (1, k)), g2), lead + (k,))
     idx = np.arange(k)
@@ -126,10 +126,7 @@ def sinr_coop(instance, v):
     lead = instance.batch_shape
     m, k, n = instance.channels.shape[-3:]
     _check_shape("beams", v_t, lead + (m, k, 2 * n))
-    per_bs = (v_t.data ** 2).sum(axis=(-2, -1))
-    if np.any(per_bs > instance.budgets + FEAS_TOL):
-        raise ValueError("beams violate a per-BS power budget")
-
+    _check_feasible(instance, v_t)
     h = instance.channels[..., :, None, :, :]                      # (M, 1, K, N)
     h_re, h_im = nk.constant(h.real), nk.constant(h.imag)
     v4 = nk.reshape(v_t, lead + (m, k, 1, 2 * n))                  # (M, K', 1, 2N)

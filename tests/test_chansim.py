@@ -300,6 +300,21 @@ def test_read_dataset_rejects_old_and_corrupt_files(tmp_path):
     with pytest.raises(ValueError, match=re.escape(str(short)) + ".*n_samples = 4"):
         chansim.read_dataset(short)
 
+    ibc = tmp_path / "ibc.bin"
+    chansim.write_dataset(ibc, "ibc", cfg, 3)
+    ibc_meta, ibc_arrays = container.read_bundle(ibc)
+    no_gains = {k: v for k, v in ibc_arrays.items() if k != "gains"}
+    for name, file_meta, file_arrays, message in (
+            ("no_gains.bin", ibc_meta, no_gains, "need gains"),
+            ("short_noise.bin", ibc_meta, {**ibc_arrays, "noise": ibc_arrays["noise"][:, :-1]},
+             "noise has shape"),
+            ("short_budgets.bin", meta, {**arrays, "budgets": arrays["budgets"][:, :-1]},
+             "budgets has shape")):
+        bad = tmp_path / name
+        container.write_bundle(bad, file_meta, file_arrays)
+        with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
+            chansim.read_dataset(bad)
+
 
 def test_sample_instances_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):

@@ -1,15 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from rrmgnn import chansim, engnn, numkernel as nk, objectives as obj
+from rrmgnn import chansim, container, engnn, numkernel as nk, objectives as obj
 from rrmgnn.chansim import GeometryConfig
-from rrmgnn.engnn import (ENGNNConfig, config_for_scenario, edge_update, forward,
-                          init_params, load_checkpoint, preprocess, rx_update,
+from rrmgnn.engnn import (ConfigError, ENGNNConfig, config_for_scenario, edge_update,
+                          forward, init_params, load_checkpoint, preprocess, rx_update,
                           save_checkpoint, tx_update)
 from rrmgnn.hetgraph import HetGraph, NodePermutation, permute_graph
 
 
-def random_graph(rng, m, k, widths=(2, 3, 4), p_edge=1.0):
+def random_graph(rng, m, k, widths=(1, 1, 4), p_edge=1.0):
     mask = rng.random((m, k)) < p_edge
     if not mask.any():
         mask[0, 0] = True
@@ -18,10 +20,9 @@ def random_graph(rng, m, k, widths=(2, 3, 4), p_edge=1.0):
                     e, mask)
 
 
-def small_config(widths=(2, 3, 4), hidden=5, layers=1, **kw):
-    return ENGNNConfig(in_tx=widths[0], in_rx=widths[1], in_e=widths[2],
-                       hidden_tx=hidden, hidden_rx=hidden, hidden_e=hidden,
-                       out_width=2, layers=layers, **kw)
+def small_config(hidden=5, layers=1, **kw):
+    """A coop net at N=2: graph widths (1, 1, 4), beams of 2 complex entries."""
+    return ENGNNConfig("coop", 2, hidden=hidden, layers=layers, **kw)
 
 
 def mlp_apply(layers, x):
@@ -40,7 +41,7 @@ def test_preprocess_zero_features_zero_bias():
     params = init_params(cfg, seed=0)
     for pre in (params.pre_tx, params.pre_rx, params.pre_e):
         pre[1].data[...] = 0.0
-    g = HetGraph(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 3, 4)),
+    g = HetGraph(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 3, 4)),
                  np.ones((2, 3), bool))
     f_tx, f_rx, e0 = preprocess(g, cfg, params)
     assert np.all(f_tx.data == 0) and np.all(f_rx.data == 0) and np.all(e0.data == 0)
@@ -49,7 +50,7 @@ def test_preprocess_zero_features_zero_bias():
 def test_preprocess_width_mismatch():
     cfg = small_config()
     params = init_params(cfg, seed=0)
-    g = HetGraph(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3, 4)),
+    g = HetGraph(np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 3, 4)),
                  np.ones((2, 3), bool))
     with pytest.raises(ValueError):
         preprocess(g, cfg, params)
@@ -317,7 +318,7 @@ def test_layer_synchrony_sequential_update_differs():
     # evaluating rx/edge updates on layer-l node outputs (sequential order)
     # must change the result relative to the synchronous forward
     rng = np.random.default_rng(15)
-    g = random_graph(rng, 3, 3, widths=(2, 3, 4))
+    g = random_graph(rng, 3, 3)
     cfg = small_config(hidden=4)
     params = init_params(cfg, seed=15)
     f_tx, f_rx, e = preprocess(g, cfg, params)
@@ -402,13 +403,79 @@ def test_checkpoint_edge_width_mismatch_refused(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_version_mismatch_refused(tmp_path):
-    cfg = config_for_scenario("ic", 2, hidden=4)
-    params = init_params(cfg, seed=20)
+V1_CONFIG = {"in_tx": 1, "in_rx": 1, "in_e": 8, "hidden_tx": 4, "hidden_rx": 4,
+             "hidden_e": 4, "out_width": 2, "layers": 1, "complex_output": True,
+             "output_head": "edge", "aggregator": "max", "input_scale_tx": 1.0,
+             "input_scale_rx": 1.0, "input_scale_e": 1.0}
+
+
+def _future(meta, arrays):
+    meta["checkpoint_version"] = 99
+
+
+def _version_1(meta, arrays):
+    meta.update(checkpoint_version=1, config=V1_CONFIG)
+
+
+def _no_config(meta, arrays):
+    del meta["config"]
+
+
+def _unknown_field(meta, arrays):
+    meta["config"]["hidden_e"] = 4
+
+
+def _missing_field(meta, arrays):
+    del meta["config"]["hidden"]
+
+
+def _undefined_tensor(meta, arrays):
+    arrays["layers.1.mlp1.0.w"] = arrays["layers.0.mlp1.0.w"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(_future, "version 99", id="future-version"),
+    pytest.param(_version_1, "version 1 .*retrain", id="version-1"),
+    pytest.param(_no_config, "config None", id="no-config"),
+    pytest.param(_unknown_field, "hidden_e", id="unknown-field"),
+    pytest.param(_missing_field, "fields", id="missing-field"),
+    pytest.param(_undefined_tensor, "layers.1.mlp1.0.w", id="undefined-tensor"),
+    pytest.param(None, "not a checkpoint", id="dataset-file"),
+])
+def test_checkpoint_version_mismatch_refused(tmp_path, edit, message):
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, cfg, params, extra_meta={"checkpoint_version": 99})
-    with pytest.raises(ValueError):
+    if edit is None:  # a dataset file
+        chansim.write_dataset(path, "ic", GeometryConfig(n_tx=2, n_rx=2, seed=20), 1)
+    else:
+        cfg = config_for_scenario("ic", 2, hidden=4)
+        save_checkpoint(path, cfg, init_params(cfg, seed=20))
+        meta, arrays = container.read_bundle(path)
+        edit(meta, arrays)
+        container.write_bundle(path, meta, arrays)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*" + message):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# configs the scenarios cannot use
+
+
+def test_config_refuses_nets_no_scenario_uses():
+    with pytest.raises(ConfigError, match="edge head"):
+        ENGNNConfig("coop", 2, output_head="tx_node")
+    with pytest.raises(ConfigError, match="unknown scenario kind"):
+        ENGNNConfig("mimo", 2)
+
+
+def test_extract_variables_refuses_another_kind():
+    # an ic net at N=1 and a coop graph at N=2 both have edge width 4, so only
+    # the kind tells them apart
+    inst, g = chansim.build_coop_instance(GeometryConfig(n_tx=2, n_rx=2, n_antennas=2,
+                                                         seed=24))
+    cfg = config_for_scenario("ic", 1, hidden=4)
+    raw = forward(g, cfg, init_params(cfg, seed=24))
+    with pytest.raises(ConfigError, match="ic network cannot serve a coop instance"):
+        engnn.extract_variables(raw, inst, cfg)
 
 
 # ---------------------------------------------------------------------------

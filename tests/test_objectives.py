@@ -99,11 +99,36 @@ def test_ic_matches_oracle():
         assert abs(rep.sum_rate - oracle_ic(inst, v)) <= 1e-12 * max(1.0, abs(rep.sum_rate))
 
 
-def test_ic_infeasible_raises():
+def _ic_beam_over_budget():
     inst, _ = chansim.build_ic_instance(GeometryConfig(n_tx=1, n_rx=1, seed=3))
-    v = np.ones((1, 2), dtype=complex) * np.sqrt(inst.budgets[0])
-    with pytest.raises(ValueError):
-        obj.sinr_ic(inst, v)
+    return inst, np.ones((1, 2), dtype=complex) * np.sqrt(inst.budgets[0])
+
+
+def _ibc_negative_power():
+    inst, _ = chansim.build_ibc_instance(GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=3))
+    return inst, np.array([0.1, -1e-6, 0.1, 0.1]) * inst.budgets[0]
+
+
+def _ibc_cell_over_budget():
+    inst, _ = chansim.build_ibc_instance(GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=3))
+    return inst, np.array([0.1, 0.1, 0.6, 0.5]) * inst.budgets[0]
+
+
+def _coop_bs_over_budget():
+    inst, _ = chansim.build_coop_instance(GeometryConfig(n_tx=2, n_rx=2, seed=3))
+    v = feasible_coop_beams(inst, np.random.default_rng(3), fill=0.5)
+    v[1] *= np.sqrt(2.1)
+    return inst, v
+
+
+@pytest.mark.parametrize("case", [_ic_beam_over_budget, _ibc_negative_power,
+                                  _ibc_cell_over_budget, _coop_bs_over_budget],
+                         ids=["ic-beam-over-budget", "ibc-negative-power",
+                              "ibc-cell-over-budget", "coop-bs-over-budget"])
+def test_infeasible_variables_raise(case):
+    inst, v = case()
+    with pytest.raises(ValueError, match=f"^{inst.kind} variables violate"):
+        obj.evaluate(inst, v)
 
 
 def test_ibc_zero_powers():
