@@ -24,7 +24,9 @@ from .chansim import IBC, NumericalError
 from .hetgraph import merge_complex, split_complex
 
 _NEWTON_STEPS = 100
-_INITS = ("mrt", "random", "zero")
+_POWER_TOL = 1e-10        # relative power residual of a binding budget
+_GP_INIT_STEP = 1.0
+_GP_MIN_STEP = 1e-12
 
 
 def _scaled_copy(instance):
@@ -47,20 +49,15 @@ def _scaled_copy(instance):
 
 @dataclass
 class SolverConfig:
+    """The stopping rule. Every solver has one start, at full power: the
+    matched filter (ibc: each cell's budget split equally over its UEs)."""
+
     max_iters: int = 500
     tol: float = 1e-6              # absolute sum-rate change at convergence
-    power_tol: float = 1e-10       # relative power residual of a binding budget
-    gp_init_step: float = 1.0
-    gp_min_step: float = 1e-12
-    init: str = "mrt"              # "mrt" (full-power matched filter), "random", or
-                                   # "zero" (GP only; WMMSE solvers reject it)
-    init_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.power_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.init not in _INITS:
-            raise ValueError(f"init must be one of {_INITS}, got {self.init!r}")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -71,15 +68,6 @@ class SolverResult:
     converged: bool
     iterations: int
     stagnated: bool = False
-
-
-def _wmmse_config(cfg, solver):
-    cfg = cfg or SolverConfig()
-    if cfg.init == "zero":
-        # u = 0, w = 1 and a zero rhs map all-zero beams to themselves
-        raise ValueError(f"{solver}: init 'zero' is a stationary point of WMMSE; "
-                         f"use 'mrt' or 'random'")
-    return cfg
 
 
 def _secular_solve(lam, c, pmax, power_tol, solver):
@@ -142,6 +130,7 @@ def _ascend(instance, step, x, rate, variables, cfg):
     steps. variables(x) maps an iterate to the solver's output; the report
     scores that output on `instance`, unscaled.
     """
+    cfg = cfg or SolverConfig()
     trace = [rate]
     converged = stagnated = False
     it = 0
@@ -168,10 +157,8 @@ def _mmse(a_jk, noise):
     return u, 1.0 / (1.0 - (u.conj() * direct).real)
 
 
-def _mrt_init_ic(instance, rng=None):
+def _mrt_init_ic(instance):
     h = instance.channels[instance.serving, np.arange(instance.n_ue)]
-    if rng is not None:
-        h = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     scale = np.sqrt(instance.budgets[instance.serving]
                     / (np.abs(h) ** 2).sum(axis=1))
     return h * scale[:, None]
@@ -179,7 +166,6 @@ def _mrt_init_ic(instance, rng=None):
 
 def wmmse_ic(instance, cfg=None):
     """Per-pair beamforming WMMSE; returns beams (K, N) and the rate trace."""
-    cfg = _wmmse_config(cfg, "wmmse_ic")
     work = _scaled_copy(instance)
     budgets = work.budgets[work.serving]
     h_eff = work.channels[work.serving]  # (K, K, N): [j, k] = channel TX_j -> UE k
@@ -193,12 +179,11 @@ def wmmse_ic(instance, cfg=None):
         rhs = (w * np.conj(u))[:, None] * h_own
         lam, q = np.linalg.eigh(a_mat)
         y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets,
-                           cfg.power_tol, "wmmse_ic")
+                           _POWER_TOL, "wmmse_ic")
         v = np.einsum("jni,ji->jn", q, y)
         return v, objectives.sinr_ic(work, v).sum_rate
 
-    rng = np.random.default_rng(cfg.init_seed) if cfg.init == "random" else None
-    v = _mrt_init_ic(work, rng)
+    v = _mrt_init_ic(work)
     return _ascend(instance, step, v, objectives.sinr_ic(work, v).sum_rate,
                    lambda v: v, cfg)
 
@@ -207,7 +192,6 @@ def wmmse_ibc_power(instance, cfg=None):
     """Scalar WMMSE over the equivalent gains; returns per-UE powers (K,).
 
     The iterate is the amplitude sqrt(p), updated in real arithmetic."""
-    cfg = _wmmse_config(cfg, "wmmse_ibc_power")
     if instance.gains is None:
         raise ValueError("instance has no equivalent gains")
     work = _scaled_copy(instance)
@@ -225,18 +209,15 @@ def wmmse_ibc_power(instance, cfg=None):
         lam, c = np.zeros(padded), np.zeros(padded)   # padding slots carry c = 0
         lam[cells, slot] = g2 @ (w * u ** 2)          # sum_k w_k u_k^2 g_{jk}^2
         c[cells, slot] = w * u * diag
-        x = _secular_solve(lam, c, cell_budget, cfg.power_tol,
-                           "wmmse_ibc_power")[cells, slot]
+        x = _secular_solve(lam, c, cell_budget, _POWER_TOL, "wmmse_ibc_power")[cells, slot]
         return x, objectives.sinr_ibc(work, x ** 2).sum_rate
 
     x = np.sqrt(cell_budget[cells] / counts[cells])  # equal split at full power
-    if cfg.init == "random":
-        x *= np.random.default_rng(cfg.init_seed).random(work.n_ue)
     return _ascend(instance, step, x, objectives.sinr_ibc(work, x ** 2).sum_rate,
                    lambda x: x ** 2, cfg)
 
 
-def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
+def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, max_cycles=5):
     """Transmit step with per-BS budgets via block-coordinate ball solves.
 
     Minimizes sum_j v_j^H A v_j - 2 Re(b_j^H v_j) with A = sum_k scale_k
@@ -264,7 +245,7 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
             own = v[:, bs, :] @ a_blocks[bs, bs].T
             d = b[:, bs, :] - (coupled - own)
             y = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
-                               budgets[bs:bs + 1], power_tol, "wmmse_coop")
+                               budgets[bs:bs + 1], _POWER_TOL, "wmmse_coop")
             new_block = (q[bs] @ y[0]).T
             delta = max(delta, float(np.max(np.abs(new_block - v[:, bs, :]))))
             v[:, bs, :] = new_block
@@ -275,7 +256,6 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, power_tol, max_cycles=5):
 
 def wmmse_coop(instance, cfg=None):
     """Cooperative WMMSE on stacked per-UE beams; returns beams (M, K, N)."""
-    cfg = _wmmse_config(cfg, "wmmse_coop")
     work = _scaled_copy(instance)
     m, k_n, n = work.channels.shape
     h = work.channels.transpose(1, 0, 2).reshape(k_n, m * n)  # rows are stacked h_k
@@ -285,16 +265,12 @@ def wmmse_coop(instance, cfg=None):
 
     def step(v, _):
         u, w = _mmse(v @ h.conj().T, work.noise)   # [j, k] = h_k^H v_j
-        v = _coop_vstep(h, w * np.abs(u) ** 2, w * np.conj(u), v, work.budgets, m, n,
-                        cfg.power_tol)
+        v = _coop_vstep(h, w * np.abs(u) ** 2, w * np.conj(u), v, work.budgets, m, n)
         return v, objectives.sinr_coop(work, beams(v)).sum_rate
 
-    v = h  # stacked matched filter
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.init_seed)
-        v = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-    # scaled to full per-BS power: a block's power sums over UEs and antennas
-    blocks = v.reshape(k_n, m, n)
+    # stacked matched filter scaled to full per-BS power: a block's power sums
+    # over UEs and antennas
+    blocks = h.reshape(k_n, m, n)
     scale = np.sqrt(work.budgets / (np.abs(blocks) ** 2).sum(axis=(0, 2)))
     v = (blocks * scale[None, :, None]).reshape(k_n, m * n)
     return _ascend(instance, step, v, objectives.sinr_coop(work, beams(v)).sum_rate,
@@ -305,35 +281,25 @@ def wmmse_coop(instance, cfg=None):
 # projected gradient ascent (cooperative)
 
 
-def gp_coop(instance, cfg=None, v0=None):
+def gp_coop(instance, cfg=None):
     """Projected gradient ascent on the cooperative sum rate.
 
-    Starts from the full-power matched filter by default (the all-zero point
-    is stationary); each step doubles the step size, then halves it until the
-    projected move ascends, and stagnates below cfg.gp_min_step. Every iterate
+    Starts from the full-power matched filter (the all-zero point is
+    stationary); each step doubles the step size, then halves it until the
+    projected move ascends, and stagnates below _GP_MIN_STEP. Every iterate
     is feasible.
     """
-    cfg = cfg or SolverConfig()
-    m, k_n, n = instance.channels.shape
-    if v0 is not None:
-        v = split_complex(np.asarray(v0, dtype=np.complex128))
-    elif cfg.init == "random":
-        rng = np.random.default_rng(cfg.init_seed)
-        v = rng.standard_normal((m, k_n, 2 * n))
-    elif cfg.init == "zero":
-        v = np.zeros((m, k_n, 2 * n))
-    else:
-        # matched filter scaled to full per-BS power (projection only shrinks)
-        v = split_complex(instance.channels)
-        used = (v ** 2).sum(axis=(1, 2))
-        v *= np.sqrt(instance.budgets / used)[:, None, None]
+    # matched filter scaled to full per-BS power (projection only shrinks)
+    v = split_complex(instance.channels)
+    used = (v ** 2).sum(axis=(1, 2))
+    v *= np.sqrt(instance.budgets / used)[:, None, None]
     v = objectives.normalize_coop(nk.constant(v), instance).data
 
     def value(x):
         with nk.no_grad():
             return objectives.sinr_coop(instance, nk.constant(x)).sum_rate_value()
 
-    size = cfg.gp_init_step
+    size = _GP_INIT_STEP
 
     def step(x, rate):
         nonlocal size
@@ -346,7 +312,7 @@ def gp_coop(instance, cfg=None, v0=None):
             if f_new > rate:
                 return cand, f_new
             size *= 0.5
-            if size < cfg.gp_min_step:
+            if size < _GP_MIN_STEP:
                 return None
 
     return _ascend(instance, step, v, value(v), merge_complex, cfg)

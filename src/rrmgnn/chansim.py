@@ -59,6 +59,10 @@ class GeometryConfig:
     def __post_init__(self):
         if self.n_tx < 1 or self.n_rx < 1 or self.n_antennas < 1:
             raise ValueError("counts and antenna number must be >= 1")
+        for name in ("field_size", "min_bs_spacing", "serve_dist", "budget_dbm", "noise_dbm"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         lo, hi = self.serve_dist
         if not (0 < lo <= hi <= self.field_size):
             raise ValueError("serve_dist range must satisfy 0 < min <= max <= field_size")
@@ -75,11 +79,11 @@ class ScenarioInstance:
     """One problem realization: channels, budgets, noise, and scenario layout.
 
     channels[m, k] is the length-N channel between TX entity m and UE k. For
-    the broadcast setup the TX entities are the K = B*Q equivalent antennas;
-    `gains` then holds |h^H w| per (TX entity, UE) and `zf_beams[b]` the
-    unit-norm per-cell beams (N, Q). A minibatch (`sample_instances`) puts a
-    leading axis on every array field and shares the layout: `serving`,
-    `tx_cell` and `rx_cell`.
+    the broadcast setup the TX entities are the K = B*Q equivalent antennas,
+    each carrying one UE's zero-forcing beam w, and `gains` holds |h^H w| per
+    (TX entity, UE). A minibatch (`sample_instances`) puts a leading axis on
+    every array field and shares the layout: `serving`, `tx_cell` and
+    `rx_cell`.
     """
 
     kind: str
@@ -90,9 +94,6 @@ class ScenarioInstance:
     tx_cell: np.ndarray | None = None
     rx_cell: np.ndarray | None = None
     gains: np.ndarray | None = None
-    zf_beams: np.ndarray | None = None
-    bs_pos: np.ndarray | None = None
-    ue_pos: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -111,8 +112,9 @@ class ScenarioInstance:
             value = getattr(self, name)
             if value is not None and np.shape(value) != shape:
                 raise ValueError(f"{name} has shape {np.shape(value)}, expected {shape}")
-        if np.any(self.budgets <= 0) or np.any(self.noise <= 0):
-            raise ValueError("budgets and noise powers must be positive")
+        for name, value in (("budgets", self.budgets), ("noise", self.noise)):
+            if not np.all(np.isfinite(value) & (value > 0)):
+                raise ValueError(f"{name} powers must be finite and positive")
         if self.kind in (IC, IBC):
             srt = np.sort(np.asarray(self.serving))
             if not np.array_equal(srt, np.arange(k)):
@@ -281,7 +283,7 @@ def sample_instances(kind, cfg, seeds):
     budgets = np.full((len(draws), m), dbm_to_watts(cfg.budget_dbm))
     noise = np.full((len(draws), k), dbm_to_watts(cfg.noise_dbm))
     if kind != IBC:
-        return ScenarioInstance(kind, h, budgets, noise, anchor, bs_pos=bs, ue_pos=ue)
+        return ScenarioInstance(kind, h, budgets, noise, anchor)
 
     # S = len(seeds) samples of B = m cells
     cells = np.arange(m)
@@ -291,8 +293,7 @@ def sample_instances(kind, cfg, seeds):
     beams = zf.swapaxes(-1, -2)[:, anchor, np.arange(k) % q]   # (S, K, N): entity m's beam
     gains = np.abs(np.einsum("...mkn,...mn->...mk", channels.conj(), beams))
     return ScenarioInstance(IBC, channels, budgets, noise, serving=np.arange(k),
-                            tx_cell=anchor, rx_cell=anchor.copy(), gains=gains,
-                            zf_beams=zf, bs_pos=bs, ue_pos=ue)
+                            tx_cell=anchor, rx_cell=anchor.copy(), gains=gains)
 
 
 def build_instance(kind, cfg, seed=None):
@@ -321,15 +322,12 @@ def permute_instance(inst, p):
     """Relabel TX entities and UEs of an instance consistently with a graph
     permutation; cell identities and per-cell quantities are untouched."""
     tx, rx, both = p.pi_tx, p.pi_rx, (p.pi_tx, p.pi_rx)
-    per_bs = inst.kind != IBC  # ibc budgets and BS positions belong to cells
     return ScenarioInstance(
         inst.kind, _relabel(inst.channels, *both),
-        _relabel(inst.budgets, tx) if per_bs else inst.budgets,
+        inst.budgets if inst.kind == IBC else _relabel(inst.budgets, tx),  # ibc: per cell
         _relabel(inst.noise, rx), _relabel(tx[inst.serving], rx),
         tx_cell=_relabel(inst.tx_cell, tx), rx_cell=_relabel(inst.rx_cell, rx),
-        gains=_relabel(inst.gains, *both), zf_beams=inst.zf_beams,
-        bs_pos=_relabel(inst.bs_pos, tx) if per_bs else inst.bs_pos,
-        ue_pos=_relabel(inst.ue_pos, rx))
+        gains=_relabel(inst.gains, *both))
 
 
 def sample_seed(base_seed, index):
@@ -351,7 +349,8 @@ def instance_feature_widths(kind, n_antennas):
 # ---------------------------------------------------------------------------
 # dataset files
 
-DATASET_VERSION = 2      # 1 stored graphs, which cannot be scored
+DATASET_VERSION = 3      # 1 stored graphs, which cannot be scored; 2 also stored
+                         # ZF beams and positions, which nothing reads
 
 
 def write_dataset(path, kind, cfg, n_samples, seed=None):
@@ -376,8 +375,8 @@ def read_dataset(path):
         raise ValueError(f"{path}: not a dataset container")
     version = meta.get("dataset_version", 1)
     if version != DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {version} (version 1 "
-                         f"files hold graphs, not instances); regenerate it with "
+        raise ValueError(f"{path}: unsupported dataset version {version} (this reader "
+                         f"takes version {DATASET_VERSION}); regenerate it with "
                          f"`rrmgnn gen`")
     try:
         stack = ScenarioInstance(meta["scenario"], **arrays)

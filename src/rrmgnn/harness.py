@@ -11,6 +11,8 @@ given (config, seed).
 """
 
 import csv
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -214,13 +216,13 @@ def run_baseline(scenario, instance, which, solver_cfg=None):
     return baselines.wmmse_coop(instance, solver_cfg)
 
 
-def solve_set(scenario, geometry, n_samples, seed, which, solver_cfg=None):
+def solve_set(scenario, geometry, n_samples, seed, which):
     """Baseline `which` on each instance of the seeded set; returns (columns,
     per-sample results), columns in the order `{which}_mean_sum_rate`,
     `{which}_unconverged` (runs that stopped unconverged), `{which}_iterations`
     (mean). A bad baseline raises ConfigError before any instance is built."""
     _check_baseline(scenario, which)
-    results = [run_baseline(scenario, inst, which, solver_cfg)
+    results = [run_baseline(scenario, inst, which)
                for _, inst, _ in _seeded_set(scenario, geometry, n_samples, seed)]
     columns = {
         f"{which}_mean_sum_rate": float(np.mean([r.report.sum_rate_value()
@@ -249,11 +251,13 @@ def _apply_axis(geometry, scenario, axis, value):
 
 
 def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
-          baseline="none", solver_cfg=None, train_cfg=None, out_csv=None, log=None):
+          baseline="none", train_cfg=None, out_csv=None, log=None):
     """Evaluate (and for n_train_samples, retrain) across axis values.
 
     Returns a list of row dicts; the baseline columns are `solve_set`'s on the
-    same seeded set. Bad arguments raise ConfigError before any training or
+    same seeded set. n_train_samples retrains each value into a temporary
+    checkpoint, so train_cfg's checkpoint is left alone. Bad arguments,
+    including a value whose geometry is invalid, raise before any training or
     evaluation.
     """
     if baseline != "none":
@@ -266,22 +270,23 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
         raise ConfigError("a sweep needs at least one axis value")
     if axis in _COUNT_AXES and not all(float(v).is_integer() and v >= 1 for v in values):
         raise ConfigError(f"{axis} is a count and takes whole numbers >= 1, got {list(values)}")
+    geos = [train_cfg.geometry if axis == "n_train_samples"
+            else _apply_axis(geometry, scenario, axis, value) for value in values]
     rows = []
-    for value in values:
+    for value, geo_v in zip(values, geos):
+        params_v, net_v = params, net
         if axis == "n_train_samples":
             per_epoch = train_cfg.minibatches * train_cfg.batch_size
             epochs = max(1, int(np.ceil(int(value) / per_epoch)))
-            params_v, net_v, _ = train(replace(train_cfg, epochs=epochs))
-            geo_v = train_cfg.geometry
-        else:
-            params_v, net_v = params, net
-            geo_v = _apply_axis(geometry, scenario, axis, value)
+            with tempfile.TemporaryDirectory() as tmp:
+                params_v, net_v, _ = train(replace(
+                    train_cfg, epochs=epochs,
+                    checkpoint_path=os.path.join(tmp, "checkpoint.bin")))
         row, samples = evaluate(net_v, params_v, scenario, geo_v, n_samples, seed)
         entry = {"axis": axis, "value": value, "engnn_mean_sum_rate": row.mean_sum_rate,
                  "residual_max": row.residual_max}
         if baseline != "none":
-            entry.update(solve_set(scenario, geo_v, n_samples, seed, baseline,
-                                   solver_cfg)[0])
+            entry.update(solve_set(scenario, geo_v, n_samples, seed, baseline)[0])
         rows.append(entry)
         if log:
             log(f"{axis}={value}: engnn {entry['engnn_mean_sum_rate']:.4f}"

@@ -131,15 +131,6 @@ def test_secular_solve_rejects_non_finite_rows():
         baselines._secular_solve(lam, c, np.ones(2), 1e-10, "wmmse_ic")
 
 
-@pytest.mark.parametrize("kind,solver", [("ic", wmmse_ic), ("ibc", wmmse_ibc_power),
-                                         ("coop", wmmse_coop)])
-def test_wmmse_rejects_zero_init(kind, solver):
-    inst, _ = chansim.build_instance(kind, GeometryConfig(n_tx=2, n_rx=2, n_antennas=2,
-                                                          seed=1), [1, 0])
-    with pytest.raises(ValueError, match=solver.__name__):
-        solver(inst, SolverConfig(init="zero"))
-
-
 # ---------------------------------------------------------------------------
 # interference channel
 
@@ -217,7 +208,7 @@ def test_wmmse_ibc_isolated_cells_separate():
                 gains[m, k] = 0.0
     joint = ScenarioInstance("ibc", base.channels, base.budgets, base.noise,
                              serving=base.serving, tx_cell=cells_tx, rx_cell=cells_rx,
-                             gains=gains, zf_beams=base.zf_beams)
+                             gains=gains)
     # with zero cross-cell gains the joint iteration decouples exactly, so a
     # fixed iteration budget must reproduce the per-cell runs
     pinned = SolverConfig(max_iters=40, tol=1e-300)
@@ -286,30 +277,17 @@ def test_wmmse_coop_monotone_feasible_and_at_least_gp():
 # gradient projection
 
 
-def test_gp_zero_start_is_stationary():
-    inst, _ = chansim.build_coop_instance(GeometryConfig(n_tx=2, n_rx=2, seed=6))
-    res = gp_coop(inst, SolverConfig(init="zero"))
-    assert res.stagnated
-    np.testing.assert_array_equal(res.variables, np.zeros_like(res.variables))
-    assert len(res.trace) == 1
-
-
 def test_gp_single_user_hits_mrt_closed_form():
     inst, _ = chansim.build_coop_instance(GeometryConfig(n_tx=2, n_rx=1, seed=7))
     norms = np.linalg.norm(inst.channels[:, 0, :], axis=1)
     expect = np.log2(1 + (np.sqrt(inst.budgets) * norms).sum() ** 2 / inst.noise[0])
     res = gp_coop(inst)
     assert res.report.sum_rate >= 0.99 * expect
-    res_rnd = gp_coop(inst, SolverConfig(init="random", init_seed=3, max_iters=2000))
-    assert res_rnd.report.sum_rate >= 0.99 * expect
-
-
-def test_gp_accepts_warm_start():
-    inst, _ = chansim.build_coop_instance(GeometryConfig(n_tx=2, n_rx=2, seed=12))
-    warm = baselines.gp_coop(inst, SolverConfig(max_iters=30))
-    res = baselines.gp_coop(inst, SolverConfig(max_iters=30), v0=warm.variables)
-    assert res.report.sum_rate >= warm.report.sum_rate - 1e-12
-    assert obj.constraint_residual(inst, res.variables) <= 1e-12
+    # past the maximum no step ascends, so a tolerance no move can meet ends
+    # the run stagnated, not converged
+    stuck = gp_coop(inst, SolverConfig(tol=1e-300))
+    assert stuck.stagnated and not stuck.converged
+    assert stuck.report.sum_rate >= 0.99 * expect
 
 
 def test_gp_trace_ascends_and_iterates_feasible():
@@ -381,8 +359,3 @@ def test_solvers_match_pinned_results():
             got.append((res.iterations, res.converged, res.stagnated,
                         res.report.sum_rate_value()))
         assert got == want, (kind, which)
-
-
-def test_solver_config_rejects_unknown_init():
-    with pytest.raises(ValueError, match="init"):
-        SolverConfig(init="mtr")

@@ -47,12 +47,23 @@ def test_channel_rejects_nonpositive_distance():
             _faded(np.array(d), g)
 
 
+def _positions(cfg, seeds, anchor):
+    """BS (S, M, 2) and UE (S, K, 2) positions of the geometry draws that
+    sample_instances makes for each seed, UE k placed around BS anchor[k]."""
+    bs, radius, angle = (np.array(x) for x in zip(*(
+        chansim._draw_geometry(cfg, np.random.default_rng(s), cfg.n_tx, anchor)
+        for s in seeds)))
+    return bs, chansim._ue_positions(bs, anchor, radius, angle)
+
+
 def test_channel_mean_power_monte_carlo():
     # ~100k antenna draws of the sampler, each over the path loss of its own
-    # link's distance, from the positions the sampler reports
+    # link's distance, from the positions the sampler draws for the same seed
     geo = GeometryConfig(n_tx=4, n_rx=32, n_antennas=8)
-    inst = sample_instances("coop", geo, [[1, i] for i in range(100)])
-    d = np.linalg.norm(inst.bs_pos[:, :, None] - inst.ue_pos[:, None], axis=-1)
+    seeds = [[1, i] for i in range(100)]
+    inst = sample_instances("coop", geo, seeds)
+    bs, ue = _positions(geo, seeds, inst.serving)
+    d = np.linalg.norm(bs[:, :, None] - ue[:, None], axis=-1)
     ratio = np.abs(inst.channels) ** 2 / (10 ** (-path_loss_db(d) / 10))[..., None]
     assert ratio.size == 102_400
     assert abs(ratio.mean() - 1.0) < 0.02
@@ -95,14 +106,14 @@ def test_graph_of_widths_match_declared_widths():
 
 def test_geometry_single_bs_uniform():
     cfg = GeometryConfig(n_tx=1, n_rx=1)
-    pts = sample_instances("ic", cfg, list(range(200))).bs_pos[:, 0]
+    pts = _positions(cfg, range(200), np.arange(1))[0][:, 0]
     assert pts.min() >= 0 and pts.max() <= cfg.field_size
     assert 500 < pts.mean() < 1500  # crude uniformity check on the mean
 
 
 def test_geometry_respects_spacing():
     cfg = GeometryConfig(n_tx=5, n_rx=5)
-    bs = sample_instances("ic", cfg, list(range(10_000))).bs_pos
+    bs, _ = _positions(cfg, range(10_000), np.arange(5))
     d = np.linalg.norm(bs[:, :, None] - bs[:, None], axis=-1)
     d[:, np.arange(5), np.arange(5)] = np.inf
     assert d.min() >= cfg.min_bs_spacing
@@ -112,12 +123,22 @@ def test_geometry_serving_distance_annulus():
     for kind, cfg in (("ic", GeometryConfig(n_tx=3, n_rx=3)),
                       ("coop", GeometryConfig(n_tx=3, n_rx=5)),
                       ("ibc", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2))):
-        inst = sample_instances(kind, cfg, list(range(100)))
+        inst = sample_instances(kind, cfg, [0])
         anchor = inst.rx_cell if kind == "ibc" else inst.serving   # UE k's BS
-        d = np.linalg.norm(inst.bs_pos[:, anchor] - inst.ue_pos, axis=-1)
+        bs, ue = _positions(cfg, range(100), anchor)
+        d = np.linalg.norm(bs[:, anchor] - ue, axis=-1)
         assert np.all(d >= cfg.serve_dist[0] - 1e-9)
         assert np.all(d <= cfg.serve_dist[1] + 1e-9)
-        assert inst.ue_pos.min() >= 0 and inst.ue_pos.max() <= cfg.field_size
+        assert ue.min() >= 0 and ue.max() <= cfg.field_size
+
+
+@pytest.mark.parametrize("field,value", [
+    ("field_size", np.inf), ("min_bs_spacing", np.nan), ("serve_dist", (np.nan, 250.0)),
+    ("serve_dist", (50.0, np.inf)), ("budget_dbm", np.inf), ("noise_dbm", np.nan)],
+    ids=lambda v: str(v).replace(" ", ""))
+def test_geometry_config_refuses_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GeometryConfig(**{field: value})
 
 
 def test_geometry_infeasible_spacing_raises():
@@ -254,7 +275,7 @@ def test_dataset_roundtrip(tmp_path):
         path = tmp_path / f"{kind}.bin"
         chansim.write_dataset(path, kind, cfg, 3)
         meta, stack = chansim.read_dataset(path)
-        assert (meta["scenario"], meta["n_samples"], meta["dataset_version"]) == (kind, 3, 2)
+        assert (meta["scenario"], meta["n_samples"], meta["dataset_version"]) == (kind, 3, 3)
         expect = sample_instances(kind, cfg, seeds)
         for f in fields(expect):
             got, want = getattr(stack, f.name), getattr(expect, f.name)
@@ -299,6 +320,13 @@ def test_read_dataset_rejects_old_and_corrupt_files(tmp_path):
     container.write_bundle(short, {**meta, "n_samples": 4}, arrays)
     with pytest.raises(ValueError, match=re.escape(str(short)) + ".*n_samples = 4"):
         chansim.read_dataset(short)
+    # version 2 also stored ZF beams and positions
+    v2 = tmp_path / "v2.bin"
+    container.write_bundle(v2, {**meta, "dataset_version": 2},
+                           {**arrays, "bs_pos": np.zeros((3, 2, 2)),
+                            "ue_pos": np.zeros((3, 2, 2))})
+    with pytest.raises(ValueError, match=re.escape(str(v2)) + ".*regenerate it with `rrmgnn gen`"):
+        chansim.read_dataset(v2)
 
     ibc = tmp_path / "ibc.bin"
     chansim.write_dataset(ibc, "ibc", cfg, 3)
@@ -309,7 +337,9 @@ def test_read_dataset_rejects_old_and_corrupt_files(tmp_path):
             ("short_noise.bin", ibc_meta, {**ibc_arrays, "noise": ibc_arrays["noise"][:, :-1]},
              "noise has shape"),
             ("short_budgets.bin", meta, {**arrays, "budgets": arrays["budgets"][:, :-1]},
-             "budgets has shape")):
+             "budgets has shape"),
+            ("nan_noise.bin", meta, {**arrays, "noise": np.full_like(arrays["noise"], np.nan)},
+             "noise powers must be finite")):
         bad = tmp_path / name
         container.write_bundle(bad, file_meta, file_arrays)
         with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
@@ -384,8 +414,7 @@ def _oracle_instance(kind, cfg, seed):
         serving = np.arange(q) % m
         bs, ue = _oracle_geometry(cfg, rng, m, serving)
         return dict(channels=_oracle_channels(bs, ue, n, rng), budgets=budgets,
-                    noise=np.full(q, dbm_to_watts(cfg.noise_dbm)), serving=serving,
-                    bs_pos=bs, ue_pos=ue)
+                    noise=np.full(q, dbm_to_watts(cfg.noise_dbm)), serving=serving)
     k = m * q
     rx_cell = np.repeat(np.arange(m), q)
     bs, ue = _oracle_geometry(cfg, rng, m, rx_cell)
@@ -396,8 +425,7 @@ def _oracle_instance(kind, cfg, seed):
     return dict(channels=channels, budgets=budgets,
                 noise=np.full(k, dbm_to_watts(cfg.noise_dbm)), serving=np.arange(k),
                 tx_cell=rx_cell, rx_cell=rx_cell,
-                gains=np.abs(np.einsum("mkn,mn->mk", channels.conj(), beams)),
-                zf_beams=zf, bs_pos=bs, ue_pos=ue)
+                gains=np.abs(np.einsum("mkn,mn->mk", channels.conj(), beams)))
 
 
 def _geo(m, k, n, scaled=False):
@@ -425,8 +453,7 @@ def test_sample_instances_matches_per_seed_oracle(kind, geo):
     for i, seed in enumerate(seeds):
         want = _oracle_instance(kind, geo, seed)
         single, _ = build_instance(kind, geo, seed)
-        for name in ("channels", "budgets", "noise", "gains", "zf_beams", "bs_pos", "ue_pos",
-                     "serving", "tx_cell", "rx_cell"):
+        for name in ("channels", "budgets", "noise", "gains", "serving", "tx_cell", "rx_cell"):
             if name not in want:
                 assert getattr(batch, name) is None and getattr(single, name) is None
                 continue

@@ -173,7 +173,7 @@ def test_sweep_runs_untrained_across_sizes(tmp_path):
     assert all(np.isfinite(r["engnn_mean_sum_rate"]) for r in rows)
 
 
-def test_sweep_baseline_column_matches_standalone(tmp_path):
+def test_sweep_baseline_column_matches_standalone(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path)
     params, net, _ = harness.train(cfg)
     rows = harness.sweep(net, params, "ic", cfg.geometry, "noise_dbm", [-99.0], 4, 51,
@@ -191,9 +191,12 @@ def test_sweep_baseline_column_matches_standalone(tmp_path):
     for got, want in zip(solved, results, strict=True):
         np.testing.assert_array_equal(got.trace, want.trace)
     # a 2-iteration cap leaves every run unconverged, and the column says so
+    solve = harness.run_baseline
+    capped_cfg = baselines.SolverConfig(max_iters=2, tol=1e-15)
+    monkeypatch.setattr(harness, "run_baseline",
+                        lambda scenario, inst, which: solve(scenario, inst, which, capped_cfg))
     capped = harness.sweep(net, params, "ic", cfg.geometry, "noise_dbm", [-99.0], 4, 51,
-                           baseline="wmmse",
-                           solver_cfg=baselines.SolverConfig(max_iters=2, tol=1e-15))
+                           baseline="wmmse")
     assert capped[0]["wmmse_unconverged"] == 4
     assert capped[0]["wmmse_iterations"] == 2.0
 
@@ -209,10 +212,14 @@ def test_sweep_axis_scenario_validation(tmp_path):
 def test_sweep_train_samples_axis_retrains(tmp_path):
     cfg = tiny_cfg(tmp_path)
     params, net, _ = harness.train(cfg)
+    trained, files = open(cfg.checkpoint_path, "rb").read(), sorted(tmp_path.iterdir())
     rows = harness.sweep(net, params, "ic", cfg.geometry, "n_train_samples",
                          [8, 16], 3, 61, train_cfg=cfg)
     assert len(rows) == 2
     assert all(np.isfinite(r["engnn_mean_sum_rate"]) for r in rows)
+    # the retrained nets land in temporary checkpoints, not in the config's
+    assert open(cfg.checkpoint_path, "rb").read() == trained
+    assert sorted(tmp_path.iterdir()) == files
     with pytest.raises(ConfigError):
         harness.sweep(net, params, "ic", cfg.geometry, "n_train_samples", [8], 3, 61)
 
@@ -446,6 +453,8 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
                  ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", ",",
                   "--out", str(tmp_path / "sweep.csv")],
                  ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", "3.7",
+                  "--out", str(tmp_path / "sweep.csv")],
+                 ["sweep", "--checkpoint", ckpt, "--axis", "budget_dbm", "--values", "33,nan",
                   "--out", str(tmp_path / "sweep.csv")],
                  ["baseline", "--config", str(cfg_path), "--samples", "0"],
                  ["gen", "--config", str(cfg_path), "--samples", "-2",
