@@ -8,11 +8,10 @@ boundary. Generation is pure given (config, seed).
 """
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import container
 from .hetgraph import HetGraph, _relabel, split_complex
 
 MAX_REJECTION_ATTEMPTS = 10_000
@@ -344,45 +343,3 @@ def instance_feature_widths(kind, n_antennas):
     if kind == COOP:
         return 1, 1, 2 * n_antennas
     raise ValueError(f"unknown scenario kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# dataset files
-
-DATASET_VERSION = 3      # 1 stored graphs, which cannot be scored; 2 also stored
-                         # ZF beams and positions, which nothing reads
-
-
-def write_dataset(path, kind, cfg, n_samples, seed=None):
-    """Draw the instances of sample_seed(seed, i), i < n_samples (seed None:
-    cfg.seed), as one `sample_instances` stack and store each of its array
-    fields under the field's name."""
-    base = cfg.seed if seed is None else seed
-    stack = sample_instances(kind, cfg, [sample_seed(base, i) for i in range(n_samples)])
-    arrays = {f.name: getattr(stack, f.name) for f in fields(stack)
-              if f.name != "kind" and getattr(stack, f.name) is not None}
-    meta = {"kind": "dataset", "dataset_version": DATASET_VERSION, "scenario": kind,
-            "n_samples": n_samples, "seed": base, "geometry": asdict(cfg)}
-    container.write_bundle(path, meta, arrays)
-
-
-def read_dataset(path):
-    """Read a `write_dataset` file: (meta, the validated stacked instance), whose
-    graphs are `graph_of(stack)`. An old graph dataset, arrays that are not
-    instance fields, or a stack size other than n_samples raise ValueError."""
-    meta, arrays = container.read_bundle(path)
-    if meta.get("kind") != "dataset":
-        raise ValueError(f"{path}: not a dataset container")
-    version = meta.get("dataset_version", 1)
-    if version != DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {version} (this reader "
-                         f"takes version {DATASET_VERSION}); regenerate it with "
-                         f"`rrmgnn gen`")
-    try:
-        stack = ScenarioInstance(meta["scenario"], **arrays)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not an instance dataset: {exc}") from exc
-    if stack.batch_shape != (meta["n_samples"],):
-        raise ValueError(f"{path}: holds a stack of shape {stack.batch_shape}, but its "
-                         f"metadata says n_samples = {meta['n_samples']}")
-    return meta, stack

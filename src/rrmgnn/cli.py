@@ -1,5 +1,5 @@
-"""Command-line interface: dataset generation, training, evaluation,
-generalization sweeps, and standalone baseline runs."""
+"""Command-line interface: training, evaluation, generalization sweeps, and
+standalone baseline runs."""
 
 import argparse
 import sys
@@ -18,12 +18,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="rrmgnn",
                                      description="edge-update GNN radio resource toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a dataset file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("train", help="train a model per the config file")
     p.add_argument("--config", required=True)
@@ -71,23 +65,23 @@ def _restore(args):
         cfg = harness.load_config(args.config)
         scenario, geometry = cfg.scenario, cfg.geometry
     else:
-        train_meta = meta.get("train")
+        path, train_meta = args.checkpoint, meta.get("train")
         if not train_meta:
-            raise ValueError("checkpoint has no embedded config; pass --config")
-        scenario = train_meta["scenario"]
-        geometry = chansim.GeometryConfig.from_dict(train_meta["geometry"])
+            raise ValueError(f"{path}: checkpoint has no embedded 'train' config; "
+                             f"pass --config")
+        try:
+            scenario = train_meta["scenario"]
+            geometry = chansim.GeometryConfig.from_dict(train_meta["geometry"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad 'train' config in checkpoint ({exc!r}); "
+                             f"pass --config") from exc
     return net, params, scenario, geometry
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            cfg = _train_cfg(args)
-            chansim.write_dataset(args.out, cfg.scenario, cfg.geometry,
-                                  args.samples, cfg.seed)
-            print(f"wrote {args.samples} samples to {args.out}")
-        elif args.command == "train":
+        if args.command == "train":
             cfg = _train_cfg(args)
             if args.out is not None:
                 cfg = replace(cfg, checkpoint_path=args.out)

@@ -222,8 +222,7 @@ def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge"
 
 
 def save_checkpoint(path, cfg, params, extra_meta=None):
-    meta = {"kind": "checkpoint", "checkpoint_version": CHECKPOINT_VERSION,
-            "config": asdict(cfg)}
+    meta = {"checkpoint_version": CHECKPOINT_VERSION, "config": asdict(cfg)}
     if extra_meta:
         meta.update(extra_meta)
     container.write_bundle(path, meta, {name: t.data for name, t in params.named_tensors()})
@@ -234,8 +233,6 @@ def load_checkpoint(path):
     config holds exactly the ENGNNConfig fields and whose tensors are exactly
     the ones that config defines, in shape, raises ValueError naming the path."""
     meta, arrays = container.read_bundle(path)
-    if meta.get("kind") != "checkpoint":
-        raise ValueError(f"{path}: not a checkpoint container")
     version = meta.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version} not supported (expected "

@@ -18,7 +18,6 @@ ALLOWED = {
     "masked_max_aggregate": "tests/gradcheck_util.py calls it by name in acceptance 3's sweep",
     "dot": "a primitive in acceptance 3's gradient sweep",
     "exp": "a primitive in acceptance 3's gradient sweep",
-    "read_dataset": "the reader of the instance datasets `rrmgnn gen` writes",
     "build_ic_instance": "the per-kind builder the acceptance suite calls",
     "build_ibc_instance": "the per-kind builder the acceptance suite calls",
     "build_coop_instance": "the per-kind builder the acceptance suite calls",

@@ -1,10 +1,9 @@
-import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rrmgnn import chansim, container, harness
+from rrmgnn import chansim
 from rrmgnn.chansim import (GenerationError, GeometryConfig, _faded, build_coop_instance,
                             build_ibc_instance, build_ic_instance, build_instance,
                             dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
@@ -268,82 +267,29 @@ def test_coop_instance_structure():
             np.testing.assert_array_equal(merge_complex(g.e[m, k]), inst.channels[m, k])
 
 
-def test_dataset_roundtrip(tmp_path):
-    seeds = [chansim.sample_seed(11, i) for i in range(3)]
-    for kind, cfg in GEOMETRIES.items():
-        cfg = replace(cfg, seed=11)
-        path = tmp_path / f"{kind}.bin"
-        chansim.write_dataset(path, kind, cfg, 3)
-        meta, stack = chansim.read_dataset(path)
-        assert (meta["scenario"], meta["n_samples"], meta["dataset_version"]) == (kind, 3, 3)
-        expect = sample_instances(kind, cfg, seeds)
-        for f in fields(expect):
-            got, want = getattr(stack, f.name), getattr(expect, f.name)
-            if want is None or isinstance(want, str):
-                assert got == want, f.name
-            else:
-                assert got.dtype == want.dtype, f.name
-                np.testing.assert_array_equal(got, want, err_msg=f.name)
-        graphs = graph_of(stack)
-        for i, seed in enumerate(seeds):
-            inst, graph = build_instance(kind, cfg, seed)
-            for name in ("f_tx", "f_rx", "e", "edge_mask"):
-                np.testing.assert_array_equal(getattr(graphs, name)[i], getattr(graph, name))
-        first = replace(stack, **{f.name: getattr(stack, f.name)[0] for f in fields(stack)
-                                  if f.name not in ("kind", "serving", "tx_cell", "rx_cell")
-                                  and getattr(stack, f.name) is not None})
-        solved = harness.run_baseline(kind, first, "wmmse")
-        reference = harness.run_baseline(kind, build_instance(kind, cfg, seeds[0])[0], "wmmse")
-        assert solved.iterations == reference.iterations
-        np.testing.assert_array_equal(solved.trace, reference.trace)
-        np.testing.assert_array_equal(solved.variables, reference.variables)
+def _stack_fields(kind, drop=(), **edits):
+    """The array fields of a 3-instance `sample_instances` stack, minus `drop`,
+    with each of `edits` (name -> function of the field) applied."""
+    stack = sample_instances(kind, GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=11),
+                             [chansim.sample_seed(11, i) for i in range(3)])
+    arrays = {f.name: getattr(stack, f.name) for f in fields(stack)
+              if f.name != "kind" and f.name not in drop}
+    return {**arrays, **{name: edit(arrays[name]) for name, edit in edits.items()}}
 
 
-def test_read_dataset_rejects_old_and_corrupt_files(tmp_path):
-    cfg = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=11)
-    old = tmp_path / "graphs.bin"
-    _, g = build_ic_instance(cfg)
-    container.write_bundle(old, {"kind": "dataset", "scenario": "ic", "n_samples": 1},
-                           {"s0.f_tx": g.f_tx, "s0.f_rx": g.f_rx, "s0.e": g.e,
-                            "s0.edge_mask": g.edge_mask})
-    with pytest.raises(ValueError, match=re.escape(str(old)) + ".*regenerate it with `rrmgnn gen`"):
-        chansim.read_dataset(old)
-
-    good = tmp_path / "good.bin"
-    chansim.write_dataset(good, "ic", cfg, 3)
-    meta, arrays = container.read_bundle(good)
-    unknown = tmp_path / "unknown.bin"
-    container.write_bundle(unknown, meta, {**arrays, "wibble": np.zeros(3)})
-    with pytest.raises(ValueError, match=re.escape(str(unknown)) + ".*wibble"):
-        chansim.read_dataset(unknown)
-    short = tmp_path / "short.bin"
-    container.write_bundle(short, {**meta, "n_samples": 4}, arrays)
-    with pytest.raises(ValueError, match=re.escape(str(short)) + ".*n_samples = 4"):
-        chansim.read_dataset(short)
-    # version 2 also stored ZF beams and positions
-    v2 = tmp_path / "v2.bin"
-    container.write_bundle(v2, {**meta, "dataset_version": 2},
-                           {**arrays, "bs_pos": np.zeros((3, 2, 2)),
-                            "ue_pos": np.zeros((3, 2, 2))})
-    with pytest.raises(ValueError, match=re.escape(str(v2)) + ".*regenerate it with `rrmgnn gen`"):
-        chansim.read_dataset(v2)
-
-    ibc = tmp_path / "ibc.bin"
-    chansim.write_dataset(ibc, "ibc", cfg, 3)
-    ibc_meta, ibc_arrays = container.read_bundle(ibc)
-    no_gains = {k: v for k, v in ibc_arrays.items() if k != "gains"}
-    for name, file_meta, file_arrays, message in (
-            ("no_gains.bin", ibc_meta, no_gains, "need gains"),
-            ("short_noise.bin", ibc_meta, {**ibc_arrays, "noise": ibc_arrays["noise"][:, :-1]},
-             "noise has shape"),
-            ("short_budgets.bin", meta, {**arrays, "budgets": arrays["budgets"][:, :-1]},
-             "budgets has shape"),
-            ("nan_noise.bin", meta, {**arrays, "noise": np.full_like(arrays["noise"], np.nan)},
-             "noise powers must be finite")):
-        bad = tmp_path / name
-        container.write_bundle(bad, file_meta, file_arrays)
-        with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
-            chansim.read_dataset(bad)
+@pytest.mark.parametrize("kind,drop,edits,message", [
+    pytest.param("ibc", ("gains",), {}, "need gains", id="ibc-without-gains"),
+    pytest.param("ibc", (), {"noise": lambda a: a[:, :-1]}, "noise has shape",
+                 id="short-noise"),
+    pytest.param("ic", (), {"budgets": lambda a: a[:, :-1]}, "budgets has shape",
+                 id="short-budgets"),
+    pytest.param("ic", (), {"noise": lambda a: np.full_like(a, np.nan)},
+                 "noise powers must be finite", id="nan-noise"),
+])
+def test_scenario_instance_refuses_inconsistent_fields(kind, drop, edits, message):
+    arrays = _stack_fields(kind, drop, **edits)
+    with pytest.raises(ValueError, match=message):
+        chansim.ScenarioInstance(kind, **arrays)
 
 
 def test_sample_instances_needs_a_seed():

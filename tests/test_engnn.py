@@ -440,15 +440,17 @@ def _undefined_tensor(meta, arrays):
     pytest.param(_unknown_field, "hidden_e", id="unknown-field"),
     pytest.param(_missing_field, "fields", id="missing-field"),
     pytest.param(_undefined_tensor, "layers.1.mlp1.0.w", id="undefined-tensor"),
-    pytest.param(None, "not a checkpoint", id="dataset-file"),
+    pytest.param(None, "container version 1 .*retrain", id="container-version-1"),
 ])
 def test_checkpoint_version_mismatch_refused(tmp_path, edit, message):
     path = tmp_path / "ckpt.bin"
-    if edit is None:  # a dataset file
-        chansim.write_dataset(path, "ic", GeometryConfig(n_tx=2, n_rx=2, seed=20), 1)
+    cfg = config_for_scenario("ic", 2, hidden=4)
+    save_checkpoint(path, cfg, init_params(cfg, seed=20))
+    if edit is None:  # a file from before the checksummed float64-only container
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
     else:
-        cfg = config_for_scenario("ic", 2, hidden=4)
-        save_checkpoint(path, cfg, init_params(cfg, seed=20))
         meta, arrays = container.read_bundle(path)
         edit(meta, arrays)
         container.write_bundle(path, meta, arrays)

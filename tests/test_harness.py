@@ -408,13 +408,8 @@ def test_cli_eval_deterministic_output_hash(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_cli_gen_and_baseline(tmp_path, capsys):
+def test_cli_baseline(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
-    data = tmp_path / "data.bin"
-    assert cli.main(["gen", "--config", str(cfg_path), "--samples", "3",
-                     "--out", str(data)]) == 0
-    meta, stack = chansim.read_dataset(data)
-    assert stack.batch_shape == (3,)
     traces = tmp_path / "traces.csv"
     assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "2",
                      "--out", str(traces)]) == 0
@@ -446,6 +441,17 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, epochs=0)
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     ckpt = str(tmp_path / "cli_ckpt.bin")
+    net, params, meta = engnn.load_checkpoint(ckpt)
+    train = meta["train"]
+    bad_ckpts = {}  # path -> the key its error names
+    for name, key, extra_meta in (
+            ("no_train.bin", "'train'", None),
+            ("no_scenario.bin", "'scenario'",
+             {"train": {k: v for k, v in train.items() if k != "scenario"}}),
+            ("bad_geometry.bin", "'wibble'",
+             {"train": {**train, "geometry": {**train["geometry"], "wibble": 1}}})):
+        engnn.save_checkpoint(tmp_path / name, net, params, extra_meta=extra_meta)
+        bad_ckpts[str(tmp_path / name)] = key
     capsys.readouterr()
     for argv in (["eval", "--checkpoint", ckpt, "--samples", "0"],
                  ["sweep", "--checkpoint", ckpt, "--axis", "n_pairs", "--values", "2",
@@ -457,9 +463,10 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
                  ["sweep", "--checkpoint", ckpt, "--axis", "budget_dbm", "--values", "33,nan",
                   "--out", str(tmp_path / "sweep.csv")],
                  ["baseline", "--config", str(cfg_path), "--samples", "0"],
-                 ["gen", "--config", str(cfg_path), "--samples", "-2",
-                  "--out", str(tmp_path / "data.bin")]):
+                 *(["eval", "--checkpoint", bad] for bad in bad_ckpts)):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
-    assert not (tmp_path / "data.bin").exists() and not (tmp_path / "sweep.csv").exists()
+        if argv[2] in bad_ckpts:
+            assert err.startswith(f"error: {argv[2]}: ") and bad_ckpts[argv[2]] in err, err
+    assert not (tmp_path / "sweep.csv").exists()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rrmgnn import container
 from rrmgnn.hetgraph import (HetGraph, NodePermutation, merge_complex, permute_graph,
                              split_complex)
 
@@ -77,80 +76,3 @@ def test_mask_zero_fiber_consistency_after_permutation():
     g = random_graph(rng, 5, 4, p_edge=0.5)
     pg = permute_graph(g, NodePermutation.random(5, 4, rng))
     assert np.all(pg.e[~pg.edge_mask] == 0.0)
-
-
-def test_container_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    g = random_graph(rng, 3, 2, p_edge=0.8)
-    path = tmp_path / "bundle.bin"
-    meta = {"kind": "test", "note": "roundtrip"}
-    container.write_bundle(path, meta, {"f_tx": g.f_tx, "f_rx": g.f_rx, "e": g.e,
-                                        "edge_mask": g.edge_mask})
-    meta2, arrays = container.read_bundle(path)
-    assert meta2 == meta
-    g2 = HetGraph(arrays["f_tx"], arrays["f_rx"], arrays["e"],
-                  arrays["edge_mask"].astype(bool))
-    assert graphs_equal(g, g2)
-
-
-def test_container_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        container.read_bundle(path)
-
-
-def test_container_rejects_version_mismatch(tmp_path):
-    path = tmp_path / "v.bin"
-    container.write_bundle(path, {}, {"x": np.zeros(2)})
-    raw = bytearray(path.read_bytes())
-    raw[8] = 99  # bump version field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        container.read_bundle(path)
-
-
-def test_container_failed_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "ckpt.bin"
-    container.write_bundle(path, {"epoch": 1}, {"x": np.arange(4.0)})
-    before = path.read_bytes()
-    with pytest.raises(ValueError):
-        container.write_bundle(path, {"epoch": 2}, {"y": np.ones(3), "bad": np.array(["x"])})
-    assert path.read_bytes() == before
-    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
-
-
-def test_container_truncation_at_every_offset_is_a_clear_error(tmp_path):
-    path = tmp_path / "t.bin"
-    container.write_bundle(path, {"kind": "test"}, {"x": np.arange(3), "m": np.eye(2) > 0})
-    raw = path.read_bytes()
-    for n in range(len(raw)):
-        path.write_bytes(raw[:n])
-        with pytest.raises(ValueError, match="truncated") as info:
-            container.read_bundle(path)
-        assert str(path) in str(info.value)
-
-
-def test_container_oversized_lengths_are_clear_errors(tmp_path):
-    path = tmp_path / "o.bin"
-    container.write_bundle(path, {}, {"x": np.zeros(2)})
-    raw = path.read_bytes()
-    meta_len = int.from_bytes(raw[12:20], "little")
-    dims_at = 20 + meta_len + 4 + 4 + 1 + 2   # n_arrays, name_len, name "x", dtype, ndim
-    for offset, part in ((12, "metadata"), (dims_at, "payload")):  # meta_len, dim of "x"
-        bad = bytearray(raw)
-        bad[offset:offset + 8] = (2 ** 62).to_bytes(8, "little")
-        path.write_bytes(bytes(bad))
-        with pytest.raises(ValueError, match=f"truncated.*{part}") as info:
-            container.read_bundle(path)
-        assert str(path) in str(info.value)
-
-
-def test_container_corrupt_metadata_is_a_clear_error(tmp_path):
-    path = tmp_path / "c.bin"
-    container.write_bundle(path, {"a": 1}, {})
-    raw = bytearray(path.read_bytes())
-    raw[20] = 0xFF  # first byte of the JSON blob: not UTF-8
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="corrupt"):
-        container.read_bundle(path)
