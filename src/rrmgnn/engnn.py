@@ -94,18 +94,23 @@ def _init_affine(rng, d_out, d_in):
     return w, b
 
 
-def init_params(cfg, seed=0):
-    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] initialization per layer:
+def _build_params(cfg, affine):
+    """ENGNNParams with each affine map from `affine(d_out, d_in)`, in order:
     the three input maps, then per layer mlp1..mlp7 (2h -> h -> h -> h), then
-    the head."""
-    rng = np.random.default_rng(seed)
+    the head. The one place that knows the parameter layout."""
     h = cfg.hidden
-    pre_tx, pre_rx, pre_e = [_init_affine(rng, h, d)
+    pre_tx, pre_rx, pre_e = [affine(h, d)
                              for d in instance_feature_widths(cfg.kind, cfg.n_antennas)]
-    layers = [{f"mlp{i}": [_init_affine(rng, h, d_in) for d_in in (2 * h, h, h)]
+    layers = [{f"mlp{i}": [affine(h, d_in) for d_in in (2 * h, h, h)]
                for i in range(1, 8)} for _ in range(cfg.layers)]
-    post = _init_affine(rng, 1 if cfg.kind == IBC else 2 * cfg.n_antennas, h)
+    post = affine(1 if cfg.kind == IBC else 2 * cfg.n_antennas, h)
     return ENGNNParams(pre_tx, pre_rx, pre_e, layers, post)
+
+
+def init_params(cfg, seed=0):
+    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] initialization per affine map."""
+    rng = np.random.default_rng(seed)
+    return _build_params(cfg, lambda d_out, d_in: _init_affine(rng, d_out, d_in))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,9 @@ def load_checkpoint(path):
         cfg = ENGNNConfig(**stored)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
-    params = init_params(cfg, seed=0)
+    params = _build_params(cfg, lambda d_out, d_in: (
+        nk.Tensor(np.empty((d_out, d_in)), requires_grad=True),
+        nk.Tensor(np.empty(d_out), requires_grad=True)))
     named = dict(params.named_tensors())
     if set(arrays) != set(named):
         raise ValueError(f"{path}: checkpoint lacks tensors {sorted(set(named) - set(arrays))} "
@@ -255,5 +262,5 @@ def load_checkpoint(path):
         if arrays[name].shape != t.data.shape:
             raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
                              f"{arrays[name].shape}, config implies {t.data.shape}")
-        t.data[...] = arrays[name]
+        t.data = arrays[name]  # read_bundle's arrays are fresh float64 copies
     return cfg, params, meta

@@ -10,7 +10,8 @@ An op is its value plus one VJP (vector-Jacobian product) per parent:
 parent tensors to that parent's gradient, possibly still at the broadcast
 output shape. Ops never touch `.grad`: replaying the tape reduces each VJP
 back to its parent's shape and accumulates it, for the parents that require
-grad.
+grad. So a forward computes values only; whatever only a gradient needs, such
+as the max aggregations' argmax routes, is worked out inside the VJP.
 
 Graph tensors count their axes from the end: edge tensors are (..., M, K, d)
 with an (..., M, K) mask, node tensors (..., M, d) or (..., K, d). Any leading
@@ -377,7 +378,9 @@ def masked_agg_axis(x, mask, axis, kind="max"):
 
     kind="max" is the element-wise maximum with lowest-index tie routing,
     kind="mean" the arithmetic mean; empty slices aggregate to zeros. A NaN
-    among the present items makes the aggregate NaN.
+    among the present items makes the aggregate NaN. The max forward takes the
+    value alone; its VJP finds the argmax. The two agree byte for byte except
+    on the sign of a zero when -0.0 and 0.0 tie for the top.
     """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=bool)
@@ -390,11 +393,11 @@ def masked_agg_axis(x, mask, axis, kind="max"):
 
     if kind == "max":
         masked = np.where(mask3, x.data, -np.inf)
-        arg = np.expand_dims(np.argmax(masked, axis=ax), ax)  # first = lowest index
-        out_data = np.take_along_axis(masked, arg, ax).squeeze(ax)
+        out_data = masked.max(axis=ax)
         out_data[counts == 0] = 0.0
 
         def vjp(g, y, a):
+            arg = np.expand_dims(np.argmax(masked, axis=ax), ax)  # first = lowest index
             buf = np.zeros_like(a.data)
             g_eff = np.where((counts > 0)[..., None], g, 0.0)
             np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
@@ -413,17 +416,23 @@ def masked_agg_axis(x, mask, axis, kind="max"):
     return _make(out_data, (x,), (vjp,))
 
 
-def _excl_top2(masked, axis):
-    """Per-slice max excluding each own index, via top-2 along `axis` (-3 or -2)."""
+def _excl_max(masked, axis):
+    """Per-slice max along `axis` (-3 or -2) excluding each own entry: the
+    runner-up where the entry is the top (a NaN counts as the top), else the top."""
+    top = np.sort(masked, axis=axis)  # NaNs sort last
+    t1 = np.take(top, [-1], axis)
+    t2 = np.take(top, [-2], axis) if top.shape[axis] > 1 else np.full_like(t1, -np.inf)
+    return np.where((masked == t1) | (np.isnan(masked) & np.isnan(t1)), t2, t1)
+
+
+def _excl_max_routes(masked, axis):
+    """Where each entry's _excl_max value sits, as an offset along `axis`: the
+    slice's first argmax a1, or for the entry at a1, the first argmax of the rest."""
     a1 = np.expand_dims(np.argmax(masked, axis=axis), axis)
-    t1 = np.take_along_axis(masked, a1, axis)
-    wo = np.copy(masked)
-    np.put_along_axis(wo, a1, -np.inf, axis)
-    a2 = np.expand_dims(np.argmax(wo, axis=axis), axis)
-    t2 = np.take_along_axis(wo, a2, axis)
     pos = np.arange(masked.shape[axis]).reshape((-1,) + (1,) * (-1 - axis))
-    is_a1 = pos == a1
-    return np.where(is_a1, t2, t1), np.where(is_a1, a2, a1)
+    at_a1 = pos == a1
+    a2 = np.expand_dims(np.argmax(np.where(at_a1, -np.inf, masked), axis=axis), axis)
+    return np.where(at_a1, a2, a1) - pos
 
 
 def pair_excl_agg(t_row, t_col, mask, kind="max"):
@@ -435,7 +444,10 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
     element-wise maximum with ties routed to the earliest candidate in that
     order, and a NaN candidate makes it NaN; kind="mean" averages. An empty
     union yields the zero vector. Output fibers on absent edges are zero.
-    Tensors are (..., M, K, d) with an (..., M, K) mask.
+    Tensors are (..., M, K, d) with an (..., M, K) mask. The max forward takes
+    each family's values from one sort; each family's VJP finds its routes.
+    The two agree byte for byte except on the sign of a zero when -0.0 and 0.0
+    tie for the top.
     """
     t_row, t_col = as_tensor(t_row), as_tensor(t_col)
     mask = np.asarray(mask, dtype=bool)
@@ -447,8 +459,9 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
     col_cnt = mask.sum(axis=-2, keepdims=True) - mask
 
     if kind == "max":
-        row_vals, row_args = _excl_top2(np.where(mask3, t_row.data, -np.inf), axis=-2)
-        col_vals, col_args = _excl_top2(np.where(mask3, t_col.data, -np.inf), axis=-3)
+        row_m = np.where(mask3, t_row.data, -np.inf)
+        col_m = np.where(mask3, t_col.data, -np.inf)
+        row_vals, col_vals = _excl_max(row_m, -2), _excl_max(col_m, -3)
         # tie -> same-TX family (listed first); a NaN in either family wins
         use_row = (row_vals >= col_vals) | np.isnan(row_vals)
         live = mask3 & (row_cnt + col_cnt > 0)[..., None]
@@ -457,12 +470,12 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
         def family(axis):
             # the winning family's argmax along `axis` takes the gradient
             def vjp(g, y, *parents):
-                pick, args = (use_row, row_args) if axis == -2 else (~use_row, col_args)
-                idx = list(np.indices(g.shape, sparse=True))
-                idx[axis] = args
-                buf = np.zeros_like(g)
-                np.add.at(buf, tuple(idx), np.where(pick & live, g, 0.0))
-                return buf
+                masked, pick = (row_m, use_row) if axis == -2 else (col_m, ~use_row)
+                step = int(np.prod(g.shape[axis + 1:]))  # flat-index stride of `axis`
+                to = np.arange(g.size) + (_excl_max_routes(masked, axis) * step).ravel()
+                buf = np.zeros(g.size)
+                np.add.at(buf, to, np.where(pick & live, g, 0.0).ravel())
+                return buf.reshape(g.shape)
             return vjp
 
     elif kind == "mean":

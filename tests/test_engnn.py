@@ -388,6 +388,26 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         assert t1.data.tobytes() == t2.data.tobytes()
 
 
+def test_loaded_checkpoint_tensors_are_own_trainable_copies(tmp_path):
+    # load_checkpoint builds the tensors from the arrays it reads: each is the
+    # saved tensor bit for bit, requires grad and owns its memory, so a
+    # training step on a restored net writes through nothing else
+    cfg = config_for_scenario("coop", 2, hidden=8, layers=2)
+    params = init_params(cfg, seed=22)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, cfg, params)
+    _, loaded, _ = load_checkpoint(path)
+    saved, got = params.named_tensors(), loaded.named_tensors()
+    assert [name for name, _ in got] == [name for name, _ in saved]
+    for (_, t_saved), (_, t) in zip(saved, got):
+        assert t.data.shape == t_saved.data.shape and t.data.dtype == np.float64
+        assert t.data.tobytes() == t_saved.data.tobytes()
+        assert t.requires_grad and t.data.flags.writeable
+        assert not np.shares_memory(t.data, t_saved.data)
+    arrays = [t.data for t in loaded.tensors()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
 def test_checkpoint_edge_width_mismatch_refused(tmp_path):
     # the two edge family transforms feed one joint aggregation, so a stored
     # mlp6 whose output width differs from mlp5's must not load

@@ -1,6 +1,8 @@
 """Kernel tests: hand-computed forwards, finite-difference gradient oracles,
 and loop-reference cross-checks for the masked aggregation primitives."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -475,14 +477,99 @@ def test_pair_excl_agg_gradient_matches_reference_with_ties():
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_max_aggregations_propagate_nan(batch):
     # one family all NaN, the other all ones, on a full 2x2 mask: every
-    # present edge has a NaN candidate, so every output is NaN
+    # present edge has a NaN candidate, so every output is NaN; on the
+    # inference path and on the taped one
     mask = np.ones(batch + (2, 2), bool)
     nan, ones = np.full(batch + (2, 2, 1), np.nan), np.ones(batch + (2, 2, 1))
-    for t_row, t_col in ((nan, ones), (ones, nan)):
-        out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col), mask, "max").data
-        assert np.isnan(out).all()
-    for axis in (0, 1):
-        assert np.isnan(nk.masked_agg_axis(nk.constant(nan), mask, axis, "max").data).all()
+    for mode in (nk.no_grad, nullcontext):
+        with mode():
+            for t_row, t_col in ((nan, ones), (ones, nan)):
+                out = nk.pair_excl_agg(nk.Tensor(t_row, requires_grad=True),
+                                       nk.Tensor(t_col, requires_grad=True), mask, "max").data
+                assert np.isnan(out).all()
+            for axis in (0, 1):
+                agg = nk.masked_agg_axis(nk.Tensor(nan, requires_grad=True), mask, axis, "max")
+                assert np.isnan(agg.data).all()
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_max_aggregations_single_nan(batch):
+    # one NaN at edge (0, 0) of the same-TX family on a full 2x3 mask, every
+    # same-RX entry 2: edge (0, 0) excludes its own entry, so its output is
+    # finite; the other edges of TX row 0 see the NaN, those of row 1 do not
+    mask = np.ones(batch + (2, 3), bool)
+    t_row, t_col = np.ones(batch + (2, 3, 1)), np.full(batch + (2, 3, 1), 2.0)
+    t_row[..., 0, 0, :] = np.nan
+    sees_nan = np.array([[False, True, True], [False, False, False]])
+    for mode in (nk.no_grad, nullcontext):
+        with mode():
+            out = nk.pair_excl_agg(nk.Tensor(t_row, requires_grad=True),
+                                   nk.Tensor(t_col, requires_grad=True), mask, "max").data
+            x = nk.Tensor(t_row, requires_grad=True)
+            by_tx = nk.masked_agg_axis(x, mask, 1, "max").data[..., 0]   # over K, per TX
+            by_rx = nk.masked_agg_axis(x, mask, 0, "max").data[..., 0]   # over M, per RX
+        assert (np.isnan(out[..., 0]) == sees_nan).all()
+        assert (out[..., 0][..., ~sees_nan] == 2.0).all()
+        assert (np.isnan(by_tx) == [True, False]).all()
+        assert (np.isnan(by_rx) == [True, False, False]).all()
+
+
+def _routed_values(op, inputs):
+    """The parent entry each output element's gradient route selects, with 0
+    where no route leaves it: backward a one-hot output gradient per element
+    and read the one parent entry that receives it."""
+    with nk.no_grad():
+        shape = op(*(nk.constant(x) for x in inputs)).data.shape
+    picked = np.zeros(shape)
+    for e in range(picked.size):
+        parents = [nk.Tensor(x, requires_grad=True) for x in inputs]
+        hot = np.zeros(shape)
+        hot.flat[e] = 1.0
+        nk.backward(nk.tsum(op(*parents) * nk.constant(hot)))
+        hits = [(x, i) for x, p in zip(inputs, parents) if p.grad is not None
+                for i in np.flatnonzero(p.grad) if p.grad.flat[i] == 1.0]
+        assert sum(p.grad is not None and np.count_nonzero(p.grad) for p in parents) \
+            == len(hits) <= 1, "one output element, at most one route"
+        for x, i in hits:
+            picked.flat[e] = x.flat[i]
+    return picked
+
+
+def _tie_heavy_cases(rng):
+    """Small integers (many ties) on (2, 3, 4, 2) stacks: batch 0 has TX row 2
+    masked out, batch 1 an isolated edge (0, 0) with no neighbor at all, and
+    single NaNs at a present edge of either family."""
+    for case in range(6):
+        mask = rng.random((2, 3, 4)) < 0.75
+        mask[0, 2, :] = False
+        mask[1, 0, :], mask[1, :, 0] = False, False
+        mask[1, 0, 0] = True
+        t_row = rng.integers(0, 3, size=(2, 3, 4, 2)).astype(float)
+        t_col = rng.integers(0, 3, size=(2, 3, 4, 2)).astype(float)
+        if case % 3:
+            b, m, k = np.argwhere(mask)[rng.integers(mask.sum())]
+            (t_row if case % 3 == 1 else t_col)[b, m, k, rng.integers(2)] = np.nan
+        yield t_row, t_col, mask
+
+
+def test_value_only_forwards_match_their_gradient_routes():
+    # the forwards compute values alone and the VJPs find the routes; each
+    # output must be, byte for byte, the entry its route selects (the one
+    # allowed difference, the sign of a zero among -0.0/0.0 ties, needs -0.0
+    # inputs, which these are not)
+    rng = np.random.default_rng(47)
+    for t_row, t_col, mask in _tie_heavy_cases(rng):
+        with nk.no_grad():
+            out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col), mask, "max").data
+        routed = _routed_values(lambda a, b: nk.pair_excl_agg(a, b, mask, "max"),
+                                [t_row, t_col])
+        assert out.tobytes() == routed.tobytes()
+        for axis in (0, 1):
+            with nk.no_grad():
+                agg = nk.masked_agg_axis(nk.constant(t_row), mask, axis, "max").data
+            routed = _routed_values(lambda a: nk.masked_agg_axis(a, mask, axis, "max"),
+                                    [t_row])
+            assert agg.tobytes() == routed.tobytes()
 
 
 # ---------------------------------------------------------------------------
