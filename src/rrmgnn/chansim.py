@@ -69,7 +69,8 @@ class GeometryConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        d["serve_dist"] = tuple(d.get("serve_dist", (50.0, 250.0)))
+        if "serve_dist" in d:
+            d["serve_dist"] = tuple(d["serve_dist"])
         return cls(**d)
 
 

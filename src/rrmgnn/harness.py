@@ -14,7 +14,7 @@ import csv
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,8 +41,6 @@ class TrainConfig:
     minibatches: int = 20
     batch_size: int = 32
     learning_rate: float = 1e-3
-    rho: float = 0.99
-    epsilon: float = 1e-8
     seed: int = 0
     checkpoint_path: str = "checkpoint.bin"
     hidden: int = 8
@@ -97,8 +95,9 @@ def _calibrate_scales(scenario, geometry, seed, n_probe=8):
 def train(cfg, log=None):
     """Run the unsupervised loop; returns (params, net config, metrics rows).
 
-    A checkpoint lands at cfg.checkpoint_path after every epoch and at the
-    end (epochs=0 stores the raw initialization).
+    A checkpoint lands at cfg.checkpoint_path before the first epoch (the
+    initialization) and after every epoch; its "epoch" is the number of
+    epochs completed.
     """
     s_tx, s_rx, s_e = _calibrate_scales(cfg.scenario, cfg.geometry, cfg.seed)
     net = engnn.config_for_scenario(cfg.scenario, cfg.geometry.n_antennas,
@@ -108,10 +107,11 @@ def train(cfg, log=None):
                                     input_scale_e=s_e)
     params = engnn.init_params(net, seed=cfg.seed)
     tensors = params.tensors()
-    state = nk.RMSPropState(learning_rate=cfg.learning_rate, decay=cfg.rho,
-                            epsilon=cfg.epsilon)
+    state = nk.RMSPropState(cfg.learning_rate)
     rows = []
     run_id = f"{cfg.scenario}-seed{cfg.seed}"
+    engnn.save_checkpoint(cfg.checkpoint_path, net, params,
+                          extra_meta={"train": asdict(cfg), "epoch": 0})
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
         t_epoch = time.perf_counter()
@@ -122,14 +122,14 @@ def train(cfg, log=None):
             inst = chansim.sample_instances(cfg.scenario, cfg.geometry, seeds)
             raw = engnn.forward(chansim.graph_of(inst), net, params)
             variables = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
-            rates = objectives.evaluate(inst, variables).sum_rate      # (B,)
+            report = objectives.evaluate(inst, variables)
+            rates = report.sum_rate                                     # (B,)
             bad = ~np.isfinite(rates.data)
             if bad.any():
                 raise NumericalError(
                     f"non-finite training loss in epoch {epoch} minibatch {mb}; "
                     f"reproduce with sample seed {seeds[int(np.argmax(bad))]}")
-            epoch_residual = max(epoch_residual,
-                                 objectives.constraint_residual(inst, variables))
+            epoch_residual = max(epoch_residual, report.residual)
             batch_mean = nk.tsum(rates) * (1.0 / cfg.batch_size)
             nk.backward(batch_mean)
             grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -145,9 +145,7 @@ def train(cfg, log=None):
             log(f"epoch {epoch}: train mean sum rate {row.mean_sum_rate:.4f} "
                 f"(residual {row.residual_max:.2e}, {row.samples_per_s:.0f} samples/s)")
         engnn.save_checkpoint(cfg.checkpoint_path, net, params,
-                              extra_meta={"train": asdict(cfg), "epoch": epoch})
-    engnn.save_checkpoint(cfg.checkpoint_path, net, params,
-                          extra_meta={"train": asdict(cfg), "epoch": cfg.epochs})
+                              extra_meta={"train": asdict(cfg), "epoch": epoch + 1})
     return params, net, rows
 
 
@@ -183,7 +181,7 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
         samples.append({
             "sample": i,
             "sum_rate": report.sum_rate_value(),
-            "residual": objectives.constraint_residual(inst, variables),
+            "residual": report.residual,
             "infer_seconds": infer_s,
         })
     wall = time.perf_counter() - t_start
@@ -298,38 +296,25 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
     return rows
 
 
-def write_csv(path_or_buf, header, rows):
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if own:
-            f.close()
 
 
 # ---------------------------------------------------------------------------
 # plain-text key-value config files
 
 
-_GEOMETRY_KEYS = {"n_tx": int, "n_rx": int, "n_antennas": int, "field_size": float,
-                  "min_bs_spacing": float, "serve_dist_min": float,
-                  "serve_dist_max": float, "budget_dbm": float, "noise_dbm": float}
-_TRAIN_KEYS = {"epochs": int, "minibatches": int, "batch_size": int,
-               "learning_rate": float, "rho": float, "epsilon": float,
-               "hidden": int, "layers": int}
-
-
 def parse_config_text(text):
     """Parse `key = value` lines ('#' comments) into a TrainConfig.
 
-    Recognized keys: scenario, seed, checkpoint, output_head, aggregator,
-    n_pairs (alias for n_tx+n_rx), the geometry keys (n_tx, n_rx, n_antennas,
-    field_size, min_bs_spacing, serve_dist_min/max, budget_dbm, noise_dbm),
-    and the training keys (epochs, minibatches, batch_size, learning_rate,
-    rho, epsilon, hidden, layers).
+    Every field of TrainConfig and of GeometryConfig is a key of the same
+    name, parsed with the type of the field's default, except four spellings:
+    `checkpoint` sets checkpoint_path, `seed` sets both seeds, `n_pairs` sets
+    n_tx and n_rx, and `serve_dist_min`/`serve_dist_max` set the two ends of
+    serve_dist.
     """
     values = {}
     for ln, raw_line in enumerate(text.splitlines(), 1):
@@ -347,34 +332,32 @@ def parse_config_text(text):
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
 
+    geo_defaults = {f.name: f.default for f in fields(GeometryConfig)}
+    geo_keys = {name: type(default) for name, default in geo_defaults.items()
+                if name not in ("serve_dist", "seed")}
+    train_keys = {f.name: type(f.default) for f in fields(TrainConfig)
+                  if f.name not in ("geometry", "checkpoint_path", "seed")}
     geo_kwargs = {}
     train_kwargs = {}
-    serve = [50.0, 250.0]
+    serve = list(geo_defaults["serve_dist"])
     for key, val in values.items():
-        if key == "scenario":
-            train_kwargs["scenario"] = val
+        if key == "checkpoint":
+            train_kwargs["checkpoint_path"] = val
         elif key == "seed":
             train_kwargs["seed"] = geo_kwargs["seed"] = parse(key, val, int)
-        elif key == "checkpoint":
-            train_kwargs["checkpoint_path"] = val
-        elif key == "output_head":
-            train_kwargs["output_head"] = val
-        elif key == "aggregator":
-            train_kwargs["aggregator"] = val
         elif key == "n_pairs":
             geo_kwargs["n_tx"] = geo_kwargs["n_rx"] = parse(key, val, int)
         elif key == "serve_dist_min":
             serve[0] = parse(key, val, float)
         elif key == "serve_dist_max":
             serve[1] = parse(key, val, float)
-        elif key in _GEOMETRY_KEYS:
-            geo_kwargs[key] = parse(key, val, _GEOMETRY_KEYS[key])
-        elif key in _TRAIN_KEYS:
-            train_kwargs[key] = parse(key, val, _TRAIN_KEYS[key])
+        elif key in geo_keys:
+            geo_kwargs[key] = parse(key, val, geo_keys[key])
+        elif key in train_keys:
+            train_kwargs[key] = parse(key, val, train_keys[key])
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    geo_kwargs["serve_dist"] = tuple(serve)
-    geometry = GeometryConfig(**geo_kwargs)
+    geometry = GeometryConfig(serve_dist=tuple(serve), **geo_kwargs)
     return TrainConfig(geometry=geometry, **train_kwargs)
 
 

@@ -562,17 +562,17 @@ def backward(loss):
 # optimizer
 
 
-class RMSPropState:
-    """Running mean of squared gradients plus the step hyperparameters."""
+_RMSPROP_DECAY = 0.99
+_RMSPROP_EPSILON = 1e-8
 
-    def __init__(self, learning_rate=1e-4, decay=0.99, epsilon=1e-8):
-        if not (0.0 < decay < 1.0):
-            raise ValueError("decay must lie in (0, 1)")
-        if learning_rate <= 0 or epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be positive")
+
+class RMSPropState:
+    """Running mean of squared gradients plus the learning rate."""
+
+    def __init__(self, learning_rate):
+        if learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
-        self.decay = decay
-        self.epsilon = epsilon
         self.square_avg = None
 
     def _init(self, params):
@@ -580,7 +580,8 @@ class RMSPropState:
 
 
 def rmsprop_step(params, grads, state):
-    """One RMSProp ascent step: v <- rho v + (1-rho) g^2, theta += lr g/(sqrt(v)+eps).
+    """One RMSProp ascent step: v <- d v + (1-d) g^2, theta += lr g/(sqrt(v)+eps),
+    with the decay d = 0.99 and eps = 1e-8.
 
     `grads` must be aligned one-to-one with `params` and hold the gradient of
     the objective to MAXIMIZE.
@@ -591,12 +592,12 @@ def rmsprop_step(params, grads, state):
         state._init(params)
     if len(state.square_avg) != len(params):
         raise ValueError("optimizer state does not match parameter count")
-    rho, lr, eps = state.decay, state.learning_rate, state.epsilon
+    lr = state.learning_rate
     for p, g, v in zip(params, grads, state.square_avg):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter "
                              f"shape {p.data.shape}")
-        v *= rho
-        v += (1.0 - rho) * g * g
-        p.data += lr * g / (np.sqrt(v) + eps)
+        v *= _RMSPROP_DECAY
+        v += (1.0 - _RMSPROP_DECAY) * g * g
+        p.data += lr * g / (np.sqrt(v) + _RMSPROP_EPSILON)

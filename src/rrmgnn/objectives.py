@@ -17,16 +17,18 @@ FEAS_TOL = 1e-9
 
 
 class RateReport:
-    """Per-UE SINR (linear), per-UE rate (bits/s/Hz), and their sum.
+    """Per-UE SINR (linear), the sum rate (bits/s/Hz), and the constraint
+    residual of the variables scored (`constraint_residual`, a float).
 
-    For a stacked instance every field carries its batch axis: `sum_rate`
-    then holds one sum per instance, shape (B,).
+    For a stacked instance `sinr` and `sum_rate` carry its batch axis:
+    `sum_rate` then holds one sum per instance, shape (B,), and `residual` is
+    the worst over the stack.
     """
 
-    def __init__(self, sinr, rates, sum_rate):
+    def __init__(self, sinr, sum_rate, residual):
         self.sinr = sinr
-        self.rates = rates
         self.sum_rate = sum_rate
+        self.residual = residual
 
     def sum_rate_value(self):
         return float(self.sum_rate.data) if isinstance(self.sum_rate, nk.Tensor) \
@@ -43,13 +45,12 @@ def _as_split_tensor(v, complex_input):
     return nk.constant(v), False
 
 
-def _report(sinr_t, tensor_in):
-    rates = nk.log1p(sinr_t) * (1.0 / LN2)
-    total = nk.tsum(rates, axis=-1)
+def _report(sinr_t, tensor_in, residual):
+    total = nk.tsum(nk.log1p(sinr_t) * (1.0 / LN2), axis=-1)
     if tensor_in:
-        return RateReport(sinr_t, rates, total)
-    sum_rate = float(total.data) if total.data.ndim == 0 else total.data.copy()
-    return RateReport(sinr_t.data.copy(), rates.data.copy(), sum_rate)
+        return RateReport(sinr_t, total, residual)
+    sum_rate = float(total.data) if total.data.ndim == 0 else total.data
+    return RateReport(sinr_t.data, sum_rate, residual)
 
 
 def _check_shape(what, v, shape):
@@ -58,10 +59,12 @@ def _check_shape(what, v, shape):
 
 
 def _check_feasible(instance, v):
+    """The constraint residual of v; raises ValueError past FEAS_TOL."""
     residual = constraint_residual(instance, v)
     if residual > FEAS_TOL:
         raise ValueError(f"{instance.kind} variables violate the power constraints "
                          f"by {residual:.3g}")
+    return residual
 
 
 def _signal_over_rest(power, noise):
@@ -73,11 +76,13 @@ def _signal_over_rest(power, noise):
     return signal / (interference + nk.constant(noise))
 
 
-def _complex_quadratic(h_re, h_im, v, n):
-    """|h^H v|^2 rows for stacked constants h and split tensor v (.., 2n)."""
+def _complex_quadratic(h, v, n, axis):
+    """|h^H v|^2 for complex channels h (.., n) and split tensor v (.., 2n),
+    the inner product summed over `axis` (which includes the last)."""
+    h_re, h_im = nk.constant(h.real), nk.constant(h.imag)
     v_re, v_im = v[..., :n], v[..., n:]
-    re = nk.tsum(h_re * v_re + h_im * v_im, axis=-1)
-    im = nk.tsum(h_re * v_im - h_im * v_re, axis=-1)
+    re = nk.tsum(h_re * v_re + h_im * v_im, axis=axis)
+    im = nk.tsum(h_re * v_im - h_im * v_re, axis=axis)
     return nk.square(re) + nk.square(im)
 
 
@@ -89,11 +94,11 @@ def sinr_ic(instance, v):
     v_t, tensor_in = _as_split_tensor(v, complex_input=True)
     lead, k, n = instance.batch_shape, instance.n_ue, instance.channels.shape[-1]
     _check_shape("beams", v_t, lead + (k, 2 * n))
-    _check_feasible(instance, v_t)
+    residual = _check_feasible(instance, v_t)
     h_eff = instance.channels[..., instance.serving, :, :]  # [j, k] = h_{m1(j), k}
     v3 = nk.reshape(v_t, lead + (k, 1, 2 * n))
-    power = _complex_quadratic(nk.constant(h_eff.real), nk.constant(h_eff.imag), v3, n)
-    return _report(_signal_over_rest(power, instance.noise), tensor_in)
+    power = _complex_quadratic(h_eff, v3, n, axis=-1)
+    return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
 
 
 def _cell_indicator(instance):
@@ -107,13 +112,13 @@ def sinr_ibc(instance, p):
     p_t, tensor_in = _as_split_tensor(p, complex_input=False)
     lead, k = instance.batch_shape, instance.n_ue
     p_t = nk.reshape(p_t, lead + (k,))
-    _check_feasible(instance, p_t)
+    residual = _check_feasible(instance, p_t)
     g2 = nk.constant(instance.gains[..., instance.serving, :] ** 2)  # [j, k]: TX_j -> UE k
     received = nk.reshape(nk.matmul(nk.reshape(p_t, lead + (1, k)), g2), lead + (k,))
     idx = np.arange(k)
     signal = g2[..., idx, idx] * p_t
     sinr = signal / (received - signal + nk.constant(instance.noise))
-    return _report(sinr, tensor_in)
+    return _report(sinr, tensor_in, residual)
 
 
 def sinr_coop(instance, v):
@@ -126,15 +131,11 @@ def sinr_coop(instance, v):
     lead = instance.batch_shape
     m, k, n = instance.channels.shape[-3:]
     _check_shape("beams", v_t, lead + (m, k, 2 * n))
-    _check_feasible(instance, v_t)
+    residual = _check_feasible(instance, v_t)
     h = instance.channels[..., :, None, :, :]                      # (M, 1, K, N)
-    h_re, h_im = nk.constant(h.real), nk.constant(h.imag)
     v4 = nk.reshape(v_t, lead + (m, k, 1, 2 * n))                  # (M, K', 1, 2N)
-    v_re, v_im = v4[..., :n], v4[..., n:]
-    re = nk.tsum(h_re * v_re + h_im * v_im, axis=(-4, -1))        # (K', K)
-    im = nk.tsum(h_re * v_im - h_im * v_re, axis=(-4, -1))
-    power = nk.square(re) + nk.square(im)
-    return _report(_signal_over_rest(power, instance.noise), tensor_in)
+    power = _complex_quadratic(h, v4, n, axis=(-4, -1))           # (K', K)
+    return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
 
 
 def evaluate(instance, variables):
@@ -152,16 +153,30 @@ def evaluate(instance, variables):
 # feasibility projections (scale-down only, differentiable a.e.)
 
 
+def _power_balls(instance):
+    """The ic and coop constraints, ||v||^2 <= P per ball: (P per ball, the
+    axes of one ball). An ic ball is one beam, a coop ball one BS's beams."""
+    if instance.kind == IC:
+        return instance.budgets[..., instance.serving], -1
+    return instance.budgets, (-2, -1)
+
+
+def _scale_into_balls(raw, instance):
+    """v <- v * sqrt(P / max(||v||^2, P)) per power ball."""
+    budgets, axes = _power_balls(instance)
+    budgets = nk.constant(budgets)
+    norms2 = nk.tsum(nk.square(raw), axis=axes)
+    scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
+    return raw * nk.reshape(scale, scale.data.shape + (1,) * (raw.data.ndim - scale.data.ndim))
+
+
 def normalize_ic(raw, instance):
     """Scale each beam into its power ball: v_k <- v_k * min(1, sqrt(P_k)/||v_k||)."""
     raw = nk.as_tensor(raw)
     lead, k = instance.batch_shape, instance.n_ue
     if raw.data.shape[:-1] != lead + (k,):
         raise ValueError(f"expected {lead + (k,)} raw beams of width 2N, got {raw.data.shape}")
-    budgets = nk.constant(instance.budgets[..., instance.serving])
-    norms2 = nk.tsum(nk.square(raw), axis=-1)
-    scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
-    return raw * nk.reshape(scale, lead + (k, 1))
+    return _scale_into_balls(raw, instance)
 
 
 def normalize_ibc(raw, instance):
@@ -183,10 +198,7 @@ def normalize_coop(raw, instance):
     if raw.data.shape[:-2] != lead + (m,):
         raise ValueError(f"expected {lead + (m,)} raw beam rows of shape (K, 2N), "
                          f"got {raw.data.shape}")
-    budgets = nk.constant(instance.budgets)
-    norms2 = nk.tsum(nk.square(raw), axis=(-2, -1))
-    scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
-    return raw * nk.reshape(scale, lead + (m, 1, 1))
+    return _scale_into_balls(raw, instance)
 
 
 def normalize(raw, instance):
@@ -214,18 +226,14 @@ def constraint_residual(instance, variables):
     Variables may be split-real or complex; the squared norms agree either way.
     """
     v = _data(variables)
-    if instance.kind == IC:
+    if instance.kind in (IC, COOP):
+        budgets, axes = _power_balls(instance)
         norms = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
-        used = norms.sum(axis=-1)
-        return float(np.maximum(used - instance.budgets[..., instance.serving], 0.0).max())
+        return float(np.maximum(norms.sum(axis=axes) - budgets, 0.0).max())
     if instance.kind == IBC:
         p = np.asarray(v, dtype=np.float64).reshape(instance.batch_shape + (-1,))
         neg = np.maximum(-p, 0.0).max() if p.size else 0.0
         sums = p @ _cell_indicator(instance).T
         over = np.maximum(sums - instance.budgets, 0.0).max()
         return float(max(neg, over))
-    if instance.kind == COOP:
-        norms = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
-        used = norms.sum(axis=(-2, -1))
-        return float(np.maximum(used - instance.budgets, 0.0).max())
     raise ValueError(f"unknown scenario kind {instance.kind!r}")

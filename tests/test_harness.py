@@ -1,7 +1,8 @@
 import csv
 import hashlib
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,18 +78,29 @@ def test_training_residuals_are_zero(tmp_path):
     assert all(r.residual_max <= 1e-12 for r in rows)
 
 
-def test_nan_loss_aborts_with_batch_seed(tmp_path, monkeypatch):
-    cfg = tiny_cfg(tmp_path)
+@pytest.mark.parametrize("poisoned_epoch", [0, 2])
+def test_nan_loss_aborts_with_batch_seed(tmp_path, monkeypatch, poisoned_epoch):
+    cfg = tiny_cfg(tmp_path, epochs=3)
     real_forward = engnn.forward
+    calls = []
 
     def poisoned(graph, net, params):
         out = real_forward(graph, net, params)
-        out.xi.data[...] = np.nan
+        calls.append(None)
+        if len(calls) > poisoned_epoch * cfg.minibatches:
+            out.xi.data[...] = np.nan
         return out
 
     monkeypatch.setattr(engnn, "forward", poisoned)
-    with pytest.raises(NumericalError, match="epoch 0 minibatch 0"):
+    with pytest.raises(NumericalError, match=f"epoch {poisoned_epoch} minibatch 0"):
         harness.train(cfg)
+    # the crash leaves the checkpoint of the epochs completed before it
+    net, params, meta = engnn.load_checkpoint(cfg.checkpoint_path)
+    assert meta["epoch"] == poisoned_epoch
+    if poisoned_epoch == 0:
+        fresh = engnn.init_params(net, seed=cfg.seed)
+        for (_, a), (_, b) in zip(params.named_tensors(), fresh.named_tensors(), strict=True):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_nan_loss_names_the_failing_sample(tmp_path, monkeypatch):
@@ -123,6 +135,20 @@ def test_evaluate_rejects_non_finite_output_with_sample_seed():
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
     with pytest.raises(NumericalError, match=r"sample seed \[11, 0\]"):
         harness.evaluate(net, params, "ic", geo, 3, 11)
+
+
+def test_train_and_evaluate_score_each_batch_once(tmp_path, monkeypatch):
+    # the residual comes with the rates (RateReport.residual), not from a second call
+    calls = []
+    residual = objectives.constraint_residual
+    monkeypatch.setattr(objectives, "constraint_residual",
+                        lambda *a: calls.append(None) or residual(*a))
+    cfg = tiny_cfg(tmp_path)
+    params, net, _ = harness.train(cfg)
+    assert len(calls) == cfg.epochs * cfg.minibatches
+    calls.clear()
+    harness.evaluate(net, params, "ic", cfg.geometry, 5, 11)
+    assert len(calls) == 5
 
 
 def test_metrics_row_rejects_negative_residual():
@@ -324,9 +350,68 @@ def test_parse_config_text():
     assert cfg.epochs == 3 and cfg.checkpoint_path == "out.bin"
 
 
-def test_parse_config_rejects_unknown_key():
+# one value per key of README's config table, unlike its field's default:
+# (value text, {TrainConfig field or geometry.<field>: the value it parses to})
+CONFIG_KEY_VALUES = {
+    "scenario": ("ibc", {"scenario": "ibc"}),
+    "n_pairs": ("3", {"geometry.n_tx": 3, "geometry.n_rx": 3}),
+    "n_tx": ("3", {"geometry.n_tx": 3}),
+    "n_rx": ("5", {"geometry.n_rx": 5}),
+    "n_antennas": ("4", {"geometry.n_antennas": 4}),
+    "field_size": ("1500", {"geometry.field_size": 1500.0}),
+    "min_bs_spacing": ("400", {"geometry.min_bs_spacing": 400.0}),
+    "serve_dist_min": ("60", {"geometry.serve_dist": (60.0, 250.0)}),
+    "serve_dist_max": ("200", {"geometry.serve_dist": (50.0, 200.0)}),
+    "budget_dbm": ("30", {"geometry.budget_dbm": 30.0}),
+    "noise_dbm": ("-100", {"geometry.noise_dbm": -100.0}),
+    "seed": ("7", {"seed": 7, "geometry.seed": 7}),
+    "epochs": ("3", {"epochs": 3}),
+    "minibatches": ("2", {"minibatches": 2}),
+    "batch_size": ("16", {"batch_size": 16}),
+    "learning_rate": ("0.01", {"learning_rate": 0.01}),
+    "hidden": ("16", {"hidden": 16}),
+    "layers": ("2", {"layers": 2}),
+    "output_head": ("tx_node", {"output_head": "tx_node"}),
+    "aggregator": ("mean", {"aggregator": "mean"}),
+    "checkpoint": ("out.bin", {"checkpoint_path": "out.bin"}),
+}
+
+
+def _readme_config_keys():
+    """The backquoted keys in the first column of README's config table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    return [key for row in section.splitlines() if row.startswith("| `")
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+
+
+def test_readme_config_table_lists_every_key_once():
+    keys = _readme_config_keys()
+    assert sorted(keys) == sorted(CONFIG_KEY_VALUES)
+
+
+@pytest.mark.parametrize("key", _readme_config_keys())
+def test_config_key_parses_into_its_field(key):
+    text, expected = CONFIG_KEY_VALUES[key]
+    cfg = parse_config_text(f"{key} = {text}\n")
+    want = TrainConfig()
+    for path, value in expected.items():
+        name = path.removeprefix("geometry.")
+        owner = cfg if name == path else cfg.geometry
+        default = {f.name: f.default for f in fields(owner)}[name]
+        assert type(getattr(owner, name)) is type(value) is type(default), path
+        if owner is cfg:
+            want = replace(want, **{name: value})
+        else:
+            want = replace(want, geometry=replace(want.geometry, **{name: value}))
+    assert cfg == want
+
+
+@pytest.mark.parametrize("key", ["wibble", "rho", "epsilon", "checkpoint_path", "geometry",
+                                 "serve_dist"])
+def test_parse_config_rejects_unknown_key(key):
     with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config_text("scenario = ic\nwibble = 3\n")
+        parse_config_text(f"scenario = ic\n{key} = 3\n")
 
 
 def test_parse_config_rejects_bad_value():
@@ -406,6 +491,19 @@ def test_cli_eval_deterministic_output_hash(tmp_path, capsys):
         outs.append(hashlib.sha256(
             "".join(r[0] + r[1] for r in rows).encode()).hexdigest())
     assert outs[0] == outs[1]
+
+
+def test_cli_eval_restores_checkpoint_with_older_train_keys(tmp_path, capsys):
+    # `train` metadata with keys TrainConfig lacks (older checkpoints hold the
+    # RMSProp `rho` and `epsilon`) restores without --config
+    cfg_path = write_cfg(tmp_path, epochs=0)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    net, params, meta = engnn.load_checkpoint(str(tmp_path / "cli_ckpt.bin"))
+    old = tmp_path / "old.bin"
+    engnn.save_checkpoint(old, net, params, extra_meta={
+        "train": {**meta["train"], "rho": 0.99, "epsilon": 1e-8}, "epoch": 0})
+    assert cli.main(["eval", "--checkpoint", str(old), "--samples", "2"]) == 0
+    assert "mean sum rate" in capsys.readouterr().out
 
 
 def test_cli_baseline(tmp_path, capsys):

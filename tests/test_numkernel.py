@@ -578,7 +578,7 @@ def test_value_only_forwards_match_their_gradient_routes():
 
 def test_rmsprop_zero_gradient_keeps_params():
     p = nk.Tensor([1.0, -2.0], requires_grad=True)
-    state = nk.RMSPropState(learning_rate=1e-4, decay=0.99, epsilon=1e-8)
+    state = nk.RMSPropState(learning_rate=1e-4)
     nk.rmsprop_step([p], [np.zeros(2)], state)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     nk.rmsprop_step([p], [np.ones(2)], state)
@@ -589,7 +589,7 @@ def test_rmsprop_zero_gradient_keeps_params():
 
 def test_rmsprop_single_step_hand_computed():
     p = nk.Tensor([0.0], requires_grad=True)
-    state = nk.RMSPropState(learning_rate=1e-4, decay=0.99, epsilon=1e-8)
+    state = nk.RMSPropState(learning_rate=1e-4)
     nk.rmsprop_step([p], [np.array([1.0])], state)
     np.testing.assert_allclose(state.square_avg[0], [0.01])
     expected = 1e-4 * 1.0 / (np.sqrt(0.01) + 1e-8)
@@ -599,7 +599,7 @@ def test_rmsprop_single_step_hand_computed():
 
 def test_rmsprop_symmetry():
     p = nk.Tensor([0.3, 0.3], requires_grad=True)
-    state = nk.RMSPropState()
+    state = nk.RMSPropState(learning_rate=1e-4)
     for _ in range(5):
         nk.rmsprop_step([p], [np.array([0.7, 0.7])], state)
     assert p.data[0] == p.data[1]
@@ -607,7 +607,7 @@ def test_rmsprop_symmetry():
 
 def test_rmsprop_shape_mismatch():
     p = nk.Tensor([0.0, 1.0], requires_grad=True)
-    state = nk.RMSPropState()
+    state = nk.RMSPropState(learning_rate=1e-4)
     with pytest.raises(ValueError):
         nk.rmsprop_step([p], [np.zeros(3)], state)
 
