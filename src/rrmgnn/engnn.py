@@ -2,12 +2,14 @@
 with TX-, RX-, and edge-update mechanisms, and an affine postprocessing head.
 
 All updates in layer l read only layer l-1 representations. Aggregations are
-masked element-wise max by default (mean available); the edge update
-aggregates both transformed neighbor families jointly. Every representation
-has the one hidden width h, so each of the seven layer MLPs maps 2h -> h -> h
--> h. Parameter shapes are independent of the graph size.
+masked element-wise max; the edge update aggregates both transformed neighbor
+families jointly. Every representation has the one hidden width h, so each of
+the seven layer MLPs maps 2h -> h -> h -> h. Parameter shapes are independent
+of the graph size.
 """
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -17,9 +19,8 @@ from . import numkernel as nk
 from .chansim import COOP, IBC, KINDS, instance_feature_widths
 
 HEADS = ("edge", "tx_node", "rx_node")
-AGGREGATORS = ("max", "mean")
 
-CHECKPOINT_VERSION = 2   # 1 stored the derived widths too
+CHECKPOINT_VERSION = 3   # 2 stored the aggregator too, 1 the derived widths
 
 
 class ConfigError(ValueError):
@@ -29,7 +30,7 @@ class ConfigError(ValueError):
 @dataclass
 class ENGNNConfig:
     """The network a caller chooses: the scenario `kind`, its antenna count N,
-    the hidden width h, the depth, the head and the aggregator.
+    the hidden width h, the depth and the head.
 
     The rest follows from these: the graph widths are
     `chansim.instance_feature_widths(kind, N)`, and the head maps h to 2N
@@ -43,7 +44,6 @@ class ENGNNConfig:
     hidden: int = 8
     layers: int = 1
     output_head: str = "edge"
-    aggregator: str = "max"
     input_scale_tx: float = 1.0
     input_scale_rx: float = 1.0
     input_scale_e: float = 1.0
@@ -52,12 +52,17 @@ class ENGNNConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         for name in ("n_antennas", "hidden", "layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("input_scale_tx", "input_scale_rx", "input_scale_e"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+                    or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.output_head not in HEADS:
             raise ConfigError(f"output_head must be one of {HEADS}")
-        if self.aggregator not in AGGREGATORS:
-            raise ConfigError(f"aggregator must be one of {AGGREGATORS}")
         if self.kind == COOP and self.output_head != "edge":
             raise ConfigError("cooperative variables live on edges; use the edge head")
 
@@ -138,31 +143,31 @@ def _on_edges(f, axis, n):
     return nk.broadcast_to(f, tuple(shape))
 
 
-def tx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
+def tx_update(layer, f_tx, f_rx, e, mask):
     """New TX representations from layer l-1 RX and edge representations:
     mlp1 forms the RX+edge messages, mlp2 the update."""
     rx_b = _on_edges(f_rx, -3, mask.shape[-2])
     msgs = nk.mlp_forward(nk.concat([rx_b, e], axis=-1), layer["mlp1"])
-    agg = nk.masked_agg_axis(msgs, mask, axis=1, kind=aggregator)
+    agg = nk.masked_agg_axis(msgs, mask, axis=1)
     return nk.mlp_forward(nk.concat([f_tx, agg], axis=-1), layer["mlp2"])
 
 
-def rx_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
+def rx_update(layer, f_tx, f_rx, e, mask):
     """Mirror of tx_update with the node roles reversed (mlp3, mlp4)."""
     tx_b = _on_edges(f_tx, -2, mask.shape[-1])
     msgs = nk.mlp_forward(nk.concat([tx_b, e], axis=-1), layer["mlp3"])
-    agg = nk.masked_agg_axis(msgs, mask, axis=0, kind=aggregator)
+    agg = nk.masked_agg_axis(msgs, mask, axis=0)
     return nk.mlp_forward(nk.concat([f_rx, agg], axis=-1), layer["mlp4"])
 
 
-def edge_update(layer, f_tx, f_rx, e, mask, aggregator="max"):
+def edge_update(layer, f_tx, f_rx, e, mask):
     """New edge fibers from both neighbor families, aggregated jointly: mlp5
     transforms the same-TX family, mlp6 the same-RX family, mlp7 updates."""
     tx_b = _on_edges(f_tx, -2, mask.shape[-1])
     rx_b = _on_edges(f_rx, -3, mask.shape[-2])
     t_row = nk.mlp_forward(nk.concat([e, tx_b], axis=-1), layer["mlp5"])
     t_col = nk.mlp_forward(nk.concat([e, rx_b], axis=-1), layer["mlp6"])
-    agg = nk.pair_excl_agg(t_row, t_col, mask, kind=aggregator)
+    agg = nk.pair_excl_agg(t_row, t_col, mask)
     mask_f = nk.constant(mask[..., None].astype(np.float64))
     return nk.mlp_forward(nk.concat([e, agg], axis=-1), layer["mlp7"]) * mask_f
 
@@ -185,9 +190,9 @@ def forward(graph, cfg, params):
     mask = graph.edge_mask
     f_tx, f_rx, e = preprocess(graph, cfg, params)
     for layer in params.layers:
-        new_tx = tx_update(layer, f_tx, f_rx, e, mask, cfg.aggregator)
-        new_rx = rx_update(layer, f_tx, f_rx, e, mask, cfg.aggregator)
-        new_e = edge_update(layer, f_tx, f_rx, e, mask, cfg.aggregator)
+        new_tx = tx_update(layer, f_tx, f_rx, e, mask)
+        new_rx = rx_update(layer, f_tx, f_rx, e, mask)
+        new_e = edge_update(layer, f_tx, f_rx, e, mask)
         f_tx, f_rx, e = new_tx, new_rx, new_e
     w, b = params.post
     if cfg.output_head == "edge":
@@ -215,11 +220,10 @@ def extract_variables(raw, instance, cfg):
     return raw.s_rx
 
 
-def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge",
-                        aggregator="max", **scales):
+def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge", **scales):
     """The network for `kind` at N antennas: beams are complex length-N, powers
     real scalars."""
-    return ENGNNConfig(kind, n_antennas, hidden, layers, output_head, aggregator, **scales)
+    return ENGNNConfig(kind, n_antennas, hidden, layers, output_head, **scales)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class TrainConfig:
     hidden: int = 8
     layers: int = 1
     output_head: str = "edge"
-    aggregator: str = "max"
 
     def __post_init__(self):
         if self.scenario not in chansim.KINDS:
@@ -102,7 +101,7 @@ def train(cfg, log=None):
     s_tx, s_rx, s_e = _calibrate_scales(cfg.scenario, cfg.geometry, cfg.seed)
     net = engnn.config_for_scenario(cfg.scenario, cfg.geometry.n_antennas,
                                     hidden=cfg.hidden, layers=cfg.layers,
-                                    output_head=cfg.output_head, aggregator=cfg.aggregator,
+                                    output_head=cfg.output_head,
                                     input_scale_tx=s_tx, input_scale_rx=s_rx,
                                     input_scale_e=s_e)
     params = engnn.init_params(net, seed=cfg.seed)
@@ -231,12 +230,16 @@ def solve_set(scenario, geometry, n_samples, seed, which):
     return columns, results
 
 
+def _check_pairs_scenario(scenario):
+    if scenario != "ic":
+        raise ConfigError("n_pairs applies to the pairs scenario only")
+
+
 def _apply_axis(geometry, scenario, axis, value):
     """New GeometryConfig with one swept knob changed (n_train_samples retrains
     instead; `sweep` handles it)."""
     if axis == "n_pairs":
-        if scenario != "ic":
-            raise ConfigError("n_pairs applies to the pairs scenario only")
+        _check_pairs_scenario(scenario)
         return replace(geometry, n_tx=int(value), n_rx=int(value))
     if axis in ("n_ues", "n_bss"):
         if scenario == "ic":
@@ -314,17 +317,23 @@ def parse_config_text(text):
     name, parsed with the type of the field's default, except four spellings:
     `checkpoint` sets checkpoint_path, `seed` sets both seeds, `n_pairs` sets
     n_tx and n_rx, and `serve_dist_min`/`serve_dist_max` set the two ends of
-    serve_dist.
+    serve_dist. A key given twice, `n_pairs` next to `n_tx` or `n_rx`, and
+    `n_pairs` outside the ic scenario raise ConfigError.
     """
-    values = {}
+    values = {}   # key -> (line number, value text)
     for ln, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw_line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ConfigError(f"config key {key!r} given twice, on lines {values[key][0]} "
+                              f"and {ln}")
+        values[key] = ln, val
+    if "n_pairs" in values and {"n_tx", "n_rx"} & values.keys():
+        raise ConfigError("n_pairs sets both n_tx and n_rx; give n_pairs or n_tx/n_rx")
 
     def parse(key, val, kind):
         try:
@@ -340,7 +349,7 @@ def parse_config_text(text):
     geo_kwargs = {}
     train_kwargs = {}
     serve = list(geo_defaults["serve_dist"])
-    for key, val in values.items():
+    for key, (_, val) in values.items():
         if key == "checkpoint":
             train_kwargs["checkpoint_path"] = val
         elif key == "seed":
@@ -358,7 +367,10 @@ def parse_config_text(text):
         else:
             raise ConfigError(f"unknown config key {key!r}")
     geometry = GeometryConfig(serve_dist=tuple(serve), **geo_kwargs)
-    return TrainConfig(geometry=geometry, **train_kwargs)
+    cfg = TrainConfig(geometry=geometry, **train_kwargs)
+    if "n_pairs" in values:
+        _check_pairs_scenario(cfg.scenario)
+    return cfg
 
 
 def load_config(path):

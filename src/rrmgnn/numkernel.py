@@ -372,15 +372,14 @@ def _graph_shapes(name, x, mask):
                          f"{x.shape} and {mask.shape}")
 
 
-def masked_agg_axis(x, mask, axis, kind="max"):
-    """Aggregate an (..., M, K, d) tensor over its M (axis=0) or K (axis=1)
-    axis under an (..., M, K) mask.
+def masked_agg_axis(x, mask, axis):
+    """Element-wise maximum of an (..., M, K, d) tensor over its M (axis=0) or
+    K (axis=1) axis under an (..., M, K) mask, with lowest-index tie routing.
 
-    kind="max" is the element-wise maximum with lowest-index tie routing,
-    kind="mean" the arithmetic mean; empty slices aggregate to zeros. A NaN
-    among the present items makes the aggregate NaN. The max forward takes the
-    value alone; its VJP finds the argmax. The two agree byte for byte except
-    on the sign of a zero when -0.0 and 0.0 tie for the top.
+    Empty slices aggregate to zeros. A NaN among the present items makes the
+    aggregate NaN. The forward takes the value alone; its VJP finds the argmax.
+    The two agree byte for byte except on the sign of a zero when -0.0 and 0.0
+    tie for the top.
     """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=bool)
@@ -388,30 +387,17 @@ def masked_agg_axis(x, mask, axis, kind="max"):
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     ax = axis - 3                       # M = -3, K = -2 on (..., M, K, d)
-    mask3 = mask[..., None]
     counts = mask.sum(axis=axis - 2)    # (..., K) for axis=0, (..., M) for axis=1
+    masked = np.where(mask[..., None], x.data, -np.inf)
+    out_data = masked.max(axis=ax)
+    out_data[counts == 0] = 0.0
 
-    if kind == "max":
-        masked = np.where(mask3, x.data, -np.inf)
-        out_data = masked.max(axis=ax)
-        out_data[counts == 0] = 0.0
-
-        def vjp(g, y, a):
-            arg = np.expand_dims(np.argmax(masked, axis=ax), ax)  # first = lowest index
-            buf = np.zeros_like(a.data)
-            g_eff = np.where((counts > 0)[..., None], g, 0.0)
-            np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
-            return buf
-
-    elif kind == "mean":
-        denom = np.maximum(counts, 1)[..., None]
-        out_data = (x.data * mask3).sum(axis=ax) / denom
-
-        def vjp(g, y, a):
-            return np.expand_dims(g / denom, ax) * mask3
-
-    else:
-        raise ValueError(f"unknown aggregation kind {kind!r}")
+    def vjp(g, y, a):
+        arg = np.expand_dims(np.argmax(masked, axis=ax), ax)  # first = lowest index
+        buf = np.zeros_like(a.data)
+        g_eff = np.where((counts > 0)[..., None], g, 0.0)
+        np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
+        return buf
 
     return _make(out_data, (x,), (vjp,))
 
@@ -435,19 +421,18 @@ def _excl_max_routes(masked, axis):
     return np.where(at_a1, a2, a1) - pos
 
 
-def pair_excl_agg(t_row, t_col, mask, kind="max"):
+def pair_excl_agg(t_row, t_col, mask):
     """Joint neighborhood aggregation for edge updates on a bipartite graph.
 
     For each present edge (m, k) the candidate set is the union of
     t_row[m, k1] over present k1 != k (same-TX family, listed first) and
-    t_col[m1, k] over present m1 != m (same-RX family). kind="max" takes the
+    t_col[m1, k] over present m1 != m (same-RX family). The result is the
     element-wise maximum with ties routed to the earliest candidate in that
-    order, and a NaN candidate makes it NaN; kind="mean" averages. An empty
-    union yields the zero vector. Output fibers on absent edges are zero.
-    Tensors are (..., M, K, d) with an (..., M, K) mask. The max forward takes
-    each family's values from one sort; each family's VJP finds its routes.
-    The two agree byte for byte except on the sign of a zero when -0.0 and 0.0
-    tie for the top.
+    order, and a NaN candidate makes it NaN. An empty union yields the zero
+    vector. Output fibers on absent edges are zero. Tensors are (..., M, K, d)
+    with an (..., M, K) mask. The forward takes each family's values from one
+    sort; each family's VJP finds its routes. The two agree byte for byte
+    except on the sign of a zero when -0.0 and 0.0 tie for the top.
     """
     t_row, t_col = as_tensor(t_row), as_tensor(t_col)
     mask = np.asarray(mask, dtype=bool)
@@ -457,41 +442,24 @@ def pair_excl_agg(t_row, t_col, mask, kind="max"):
     mask3 = mask[..., None]
     row_cnt = mask.sum(axis=-1, keepdims=True) - mask  # neighbors excluding self
     col_cnt = mask.sum(axis=-2, keepdims=True) - mask
+    row_m = np.where(mask3, t_row.data, -np.inf)
+    col_m = np.where(mask3, t_col.data, -np.inf)
+    row_vals, col_vals = _excl_max(row_m, -2), _excl_max(col_m, -3)
+    # tie -> same-TX family (listed first); a NaN in either family wins
+    use_row = (row_vals >= col_vals) | np.isnan(row_vals)
+    live = mask3 & (row_cnt + col_cnt > 0)[..., None]
+    out_data = np.where(live, np.where(use_row, row_vals, col_vals), 0.0)
 
-    if kind == "max":
-        row_m = np.where(mask3, t_row.data, -np.inf)
-        col_m = np.where(mask3, t_col.data, -np.inf)
-        row_vals, col_vals = _excl_max(row_m, -2), _excl_max(col_m, -3)
-        # tie -> same-TX family (listed first); a NaN in either family wins
-        use_row = (row_vals >= col_vals) | np.isnan(row_vals)
-        live = mask3 & (row_cnt + col_cnt > 0)[..., None]
-        out_data = np.where(live, np.where(use_row, row_vals, col_vals), 0.0)
-
-        def family(axis):
-            # the winning family's argmax along `axis` takes the gradient
-            def vjp(g, y, *parents):
-                masked, pick = (row_m, use_row) if axis == -2 else (col_m, ~use_row)
-                step = int(np.prod(g.shape[axis + 1:]))  # flat-index stride of `axis`
-                to = np.arange(g.size) + (_excl_max_routes(masked, axis) * step).ravel()
-                buf = np.zeros(g.size)
-                np.add.at(buf, to, np.where(pick & live, g, 0.0).ravel())
-                return buf.reshape(g.shape)
-            return vjp
-
-    elif kind == "mean":
-        total = np.maximum(row_cnt + col_cnt, 1)[..., None]
-        row_sum = (t_row.data * mask3).sum(axis=-2, keepdims=True) - t_row.data * mask3
-        col_sum = (t_col.data * mask3).sum(axis=-3, keepdims=True) - t_col.data * mask3
-        out_data = (row_sum + col_sum) / total * mask3
-
-        def family(axis):
-            def vjp(g, y, *parents):
-                g_eff = g * mask3 / total
-                return (g_eff.sum(axis=axis, keepdims=True) - g_eff) * mask3
-            return vjp
-
-    else:
-        raise ValueError(f"unknown aggregation kind {kind!r}")
+    def family(axis):
+        # the winning family's argmax along `axis` takes the gradient
+        def vjp(g, y, *parents):
+            masked, pick = (row_m, use_row) if axis == -2 else (col_m, ~use_row)
+            step = int(np.prod(g.shape[axis + 1:]))  # flat-index stride of `axis`
+            to = np.arange(g.size) + (_excl_max_routes(masked, axis) * step).ravel()
+            buf = np.zeros(g.size)
+            np.add.at(buf, to, np.where(pick & live, g, 0.0).ravel())
+            return buf.reshape(g.shape)
+        return vjp
 
     return _make(out_data, (t_row, t_col), (family(-2), family(-3)))
 

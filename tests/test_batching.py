@@ -13,18 +13,18 @@ from rrmgnn.hetgraph import HetGraph, NodePermutation, permute_graph
 
 B = 5
 CASES = [
-    ("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2), "edge", "max"),
-    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), "edge", "max"),
-    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), "tx_node", "mean"),
-    ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2), "edge", "mean"),
+    ("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2), "edge"),
+    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), "edge"),
+    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), "tx_node"),
+    ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2), "edge"),
 ]
 
 
-def _net(kind, geo, head, agg):
+def _net(kind, geo, head):
     # input scales bring watts, noise deviations and channels to O(1), so the
     # outputs depend on the instance
     return engnn.config_for_scenario(
-        kind, geo.n_antennas, hidden=5, layers=2, output_head=head, aggregator=agg,
+        kind, geo.n_antennas, hidden=5, layers=2, output_head=head,
         input_scale_tx=1.0 / float(chansim.dbm_to_watts(geo.budget_dbm)),
         input_scale_rx=1.0 / np.sqrt(float(chansim.dbm_to_watts(geo.noise_dbm))),
         input_scale_e=1e6)
@@ -45,9 +45,9 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
-@pytest.mark.parametrize("kind,geo,head,agg", CASES)
-def test_stacked_pass_matches_mean_of_single_passes(kind, geo, head, agg):
-    net = _net(kind, geo, head, agg)
+@pytest.mark.parametrize("kind,geo,head", CASES)
+def test_stacked_pass_matches_mean_of_single_passes(kind, geo, head):
+    net = _net(kind, geo, head)
     params = engnn.init_params(net, seed=7)
     singles = [_pass(chansim.build_instance(kind, geo, [7, i])[0], net, params)
                for i in range(B)]
@@ -66,10 +66,10 @@ def test_stacked_pass_matches_mean_of_single_passes(kind, geo, head, agg):
             assert not np.any(g)
 
 
-@pytest.mark.parametrize("kind,geo,head,agg", [c for c in CASES if c[2] == "edge"])
-def test_stacked_forward_is_equivariant_per_element(kind, geo, head, agg):
+@pytest.mark.parametrize("kind,geo,head", [c for c in CASES if c[2] == "edge"])
+def test_stacked_forward_is_equivariant_per_element(kind, geo, head):
     rng = np.random.default_rng(11)
-    net = _net(kind, geo, head, agg)
+    net = _net(kind, geo, head)
     params = engnn.init_params(net, seed=11)
     graphs = [chansim.build_instance(kind, geo, [11, i])[1] for i in range(B)]
     perms = [NodePermutation.random(graphs[0].m, graphs[0].k, rng) for _ in range(B)]
@@ -86,15 +86,14 @@ def test_stacked_forward_is_equivariant_per_element(kind, geo, head, agg):
 
 
 def test_graph_of_stack_is_stack_of_graphs():
-    for kind, geo, _, _ in CASES:
+    for kind, geo, _ in CASES:
         graphs = [chansim.build_instance(kind, geo, [13, i])[1] for i in range(B)]
         g = chansim.graph_of(chansim.sample_instances(kind, geo, [[13, i] for i in range(B)]))
         for f in ("f_tx", "f_rx", "e", "edge_mask"):
             assert np.array_equal(getattr(g, f), np.stack([getattr(h, f) for h in graphs]))
 
 
-@pytest.mark.parametrize("kind", ["max", "mean"])
-def test_gradcheck_masked_agg_axis_batched(kind):
+def test_gradcheck_masked_agg_axis_batched():
     rng = np.random.default_rng(19)
     for _ in range(5):
         x = rng.normal(size=(3, 4, 5, 2)) * 2.0
@@ -102,15 +101,14 @@ def test_gradcheck_masked_agg_axis_batched(kind):
         for axis in (0, 1):
             cc = rng.normal(size=(3, 5, 2) if axis == 0 else (3, 4, 2))
             check_op(lambda t, axis=axis, cc=cc: nk.tsum(
-                nk.masked_agg_axis(t, mask, axis, kind) * nk.constant(cc)), x)
-            got = nk.masked_agg_axis(nk.constant(x), mask, axis, kind).data
+                nk.masked_agg_axis(t, mask, axis) * nk.constant(cc)), x)
+            got = nk.masked_agg_axis(nk.constant(x), mask, axis).data
             for b in range(3):
                 assert np.array_equal(
-                    got[b], nk.masked_agg_axis(nk.constant(x[b]), mask[b], axis, kind).data)
+                    got[b], nk.masked_agg_axis(nk.constant(x[b]), mask[b], axis).data)
 
 
-@pytest.mark.parametrize("kind", ["max", "mean"])
-def test_gradcheck_pair_excl_agg_batched(kind):
+def test_gradcheck_pair_excl_agg_batched():
     rng = np.random.default_rng(23)
     for _ in range(5):
         t5 = rng.normal(size=(3, 4, 3, 2)) * 2.0
@@ -118,10 +116,10 @@ def test_gradcheck_pair_excl_agg_batched(kind):
         mask = rng.random((3, 4, 3)) < 0.8
         c = rng.normal(size=t5.shape)
         check_op(lambda t: nk.tsum(
-            nk.pair_excl_agg(t, nk.constant(t6), mask, kind) * nk.constant(c)), t5)
+            nk.pair_excl_agg(t, nk.constant(t6), mask) * nk.constant(c)), t5)
         check_op(lambda t: nk.tsum(
-            nk.pair_excl_agg(nk.constant(t5), t, mask, kind) * nk.constant(c)), t6)
-        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6), mask, kind).data
+            nk.pair_excl_agg(nk.constant(t5), t, mask) * nk.constant(c)), t6)
+        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6), mask).data
         for b in range(3):
             assert np.array_equal(got[b], nk.pair_excl_agg(
-                nk.constant(t5[b]), nk.constant(t6[b]), mask[b], kind).data)
+                nk.constant(t5[b]), nk.constant(t6[b]), mask[b]).data)

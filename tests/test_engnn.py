@@ -223,32 +223,6 @@ def test_forward_permutation_equivariance(kind, geo, builder):
         assert np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - base)) <= 1e-9
 
 
-def test_forward_equivariance_mean_aggregator():
-    rng = np.random.default_rng(19)
-    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
-    cfg = config_for_scenario("ic", 2, hidden=6, layers=2, aggregator="mean")
-    params = init_params(cfg, seed=19)
-    for seed in range(10):
-        geo.seed = seed
-        _, g = chansim.build_ic_instance(geo)
-        p = NodePermutation.random(g.m, g.k, rng)
-        base = forward(g, cfg, params).xi.data
-        permuted = forward(permute_graph(g, p), cfg, params).xi.data
-        assert np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - base)) <= 1e-9
-
-
-def test_mean_and_max_aggregators_differ():
-    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=23)
-    _, g = chansim.build_ic_instance(geo)
-    out = {}
-    for agg in ("max", "mean"):
-        cfg = config_for_scenario("ic", 2, hidden=6, aggregator=agg,
-                                  input_scale_e=1e6)
-        params = init_params(cfg, seed=23)
-        out[agg] = forward(g, cfg, params).xi.data
-    assert np.max(np.abs(out["max"] - out["mean"])) > 1e-8
-
-
 def test_forward_equivariance_node_heads():
     rng = np.random.default_rng(29)
     geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
@@ -437,6 +411,10 @@ def _version_1(meta, arrays):
     meta.update(checkpoint_version=1, config=V1_CONFIG)
 
 
+def _version_2(meta, arrays):
+    meta.update(checkpoint_version=2, config={**meta["config"], "aggregator": "max"})
+
+
 def _no_config(meta, arrays):
     del meta["config"]
 
@@ -453,13 +431,26 @@ def _undefined_tensor(meta, arrays):
     arrays["layers.1.mlp1.0.w"] = arrays["layers.0.mlp1.0.w"]
 
 
+def _config_value(name, value):
+    def edit(meta, arrays):
+        meta["config"][name] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     pytest.param(_future, "version 99", id="future-version"),
     pytest.param(_version_1, "version 1 .*retrain", id="version-1"),
+    pytest.param(_version_2, "version 2 .*retrain", id="version-2"),
     pytest.param(_no_config, "config None", id="no-config"),
     pytest.param(_unknown_field, "hidden_e", id="unknown-field"),
     pytest.param(_missing_field, "fields", id="missing-field"),
     pytest.param(_undefined_tensor, "layers.1.mlp1.0.w", id="undefined-tensor"),
+    pytest.param(_config_value("hidden", 4.0), "hidden must be an integer", id="float-hidden"),
+    pytest.param(_config_value("layers", True), "layers must be an integer", id="bool-layers"),
+    pytest.param(_config_value("input_scale_e", "x"), "input_scale_e must be a finite",
+                 id="str-scale"),
+    pytest.param(_config_value("input_scale_tx", float("nan")),
+                 "input_scale_tx must be a finite", id="nan-scale"),
     pytest.param(None, "container version 1 .*retrain", id="container-version-1"),
 ])
 def test_checkpoint_version_mismatch_refused(tmp_path, edit, message):

@@ -51,7 +51,7 @@ def test_training_matches_pinned_sum_rates(tmp_path):
     assert (net.input_scale_tx, net.input_scale_rx, net.input_scale_e) == (
         0.5011872336272724, 2818382.931264455, 1287951.2491492066)
     assert [r.mean_sum_rate for r in rows] == [10.916704536685993, 12.198710332365385]
-    # every scenario, output head and aggregator, and a second layer: each one
+    # every scenario and output head, and a second layer: each one
     # runs its own ops' gradients through the tape, so a wrong VJP moves a rate
     ibc = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=29)
     coop = GeometryConfig(n_tx=2, n_rx=3, n_antennas=2, seed=29)
@@ -60,7 +60,6 @@ def test_training_matches_pinned_sum_rates(tmp_path):
             (dict(scenario="coop", geometry=coop), [1.7120057950760712, 1.6828173067981878]),
             (dict(output_head="tx_node"), [12.208673282913827, 12.672757503400772]),
             (dict(output_head="rx_node"), [9.497511134042037, 9.936177139226286]),
-            (dict(aggregator="mean"), [10.866373747848177, 12.120460073063912]),
             (dict(layers=2), [10.549502302668628, 10.324079218486117])):
         _, _, rows = harness.train(replace(cfg, **kw))
         assert [r.mean_sum_rate for r in rows] == rates, kw
@@ -310,7 +309,6 @@ def test_bad_baseline_fails_before_any_work(monkeypatch):
 def test_training_smoke_other_scenarios(tmp_path, scenario, geo):
     cfg = TrainConfig(scenario=scenario, geometry=geo, epochs=2, minibatches=2,
                       batch_size=4, learning_rate=1e-3, seed=9, hidden=4,
-                      aggregator="mean" if scenario == "coop" else "max",
                       checkpoint_path=str(tmp_path / f"{scenario}.bin"))
     params, net, rows = harness.train(cfg)
     assert all(np.isfinite(r.mean_sum_rate) for r in rows)
@@ -372,7 +370,6 @@ CONFIG_KEY_VALUES = {
     "hidden": ("16", {"hidden": 16}),
     "layers": ("2", {"layers": 2}),
     "output_head": ("tx_node", {"output_head": "tx_node"}),
-    "aggregator": ("mean", {"aggregator": "mean"}),
     "checkpoint": ("out.bin", {"checkpoint_path": "out.bin"}),
 }
 
@@ -407,11 +404,22 @@ def test_config_key_parses_into_its_field(key):
     assert cfg == want
 
 
-@pytest.mark.parametrize("key", ["wibble", "rho", "epsilon", "checkpoint_path", "geometry",
-                                 "serve_dist"])
+@pytest.mark.parametrize("key", ["wibble", "rho", "epsilon", "aggregator", "checkpoint_path",
+                                 "geometry", "serve_dist"])
 def test_parse_config_rejects_unknown_key(key):
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config_text(f"scenario = ic\n{key} = 3\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("seed = 1\nepochs = 3\nseed = 2\n", "'seed' given twice, on lines 1 and 3"),
+    ("n_tx = 3\nn_pairs = 5\n", "n_pairs sets both n_tx and n_rx"),
+    ("n_pairs = 5\nn_rx = 3\n", "n_pairs sets both n_tx and n_rx"),
+    ("n_pairs = 3\nscenario = coop\n", "n_pairs applies to the pairs scenario only"),
+], ids=["twice", "n_tx-then-n_pairs", "n_pairs-then-n_rx", "n_pairs-coop"])
+def test_parse_config_rejects_conflicting_keys(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
 
 
 def test_parse_config_rejects_bad_value():

@@ -328,60 +328,55 @@ def test_gradcheck_masked_aggregates():
 
         check_op(build, items)
 
-    for kind in ("max", "mean"):
-        for _ in range(10):
-            x = rng.normal(size=(4, 5, 3)) * 2.0
-            mask = rng.random((4, 5)) < 0.8
-            for axis in (0, 1):
-                cc = rng.normal(size=(5, 3) if axis == 0 else (4, 3))
+    for _ in range(10):
+        x = rng.normal(size=(4, 5, 3)) * 2.0
+        mask = rng.random((4, 5)) < 0.8
+        for axis in (0, 1):
+            cc = rng.normal(size=(5, 3) if axis == 0 else (4, 3))
 
-                def build_axis(t, axis=axis, cc=cc, kind=kind):
-                    return nk.tsum(nk.masked_agg_axis(t, mask, axis, kind) * nk.constant(cc))
+            def build_axis(t, axis=axis, cc=cc):
+                return nk.tsum(nk.masked_agg_axis(t, mask, axis) * nk.constant(cc))
 
-                check_op(build_axis, x)
+            check_op(build_axis, x)
 
 
 def test_gradcheck_pair_excl_agg():
     rng = np.random.default_rng(29)
-    for kind in ("max", "mean"):
-        for _ in range(8):
-            m, k, d = 4, 3, 2
-            t5 = rng.normal(size=(m, k, d)) * 2.0
-            t6 = rng.normal(size=(m, k, d)) * 2.0
-            mask = rng.random((m, k)) < 0.8
-            c = rng.normal(size=(m, k, d))
+    for _ in range(8):
+        m, k, d = 4, 3, 2
+        t5 = rng.normal(size=(m, k, d)) * 2.0
+        t6 = rng.normal(size=(m, k, d)) * 2.0
+        mask = rng.random((m, k)) < 0.8
+        c = rng.normal(size=(m, k, d))
 
-            def build5(t, kind=kind):
-                return nk.tsum(nk.pair_excl_agg(t, nk.constant(t6), mask, kind) * nk.constant(c))
+        def build5(t):
+            return nk.tsum(nk.pair_excl_agg(t, nk.constant(t6), mask) * nk.constant(c))
 
-            check_op(build5, t5)
+        check_op(build5, t5)
 
-            def build6(t, kind=kind):
-                return nk.tsum(nk.pair_excl_agg(nk.constant(t5), t, mask, kind) * nk.constant(c))
+        def build6(t):
+            return nk.tsum(nk.pair_excl_agg(nk.constant(t5), t, mask) * nk.constant(c))
 
-            check_op(build6, t6)
+        check_op(build6, t6)
 
 
 # ---------------------------------------------------------------------------
 # vectorized aggregations against the per-set reference
 
 
-def reference_agg_axis(x, mask, axis, kind):
-    m, k, d = x.shape
+def reference_agg_axis(x, mask, axis):
+    m, k = x.shape[:2]
     out_n = k if axis == 0 else m
     rows = []
     for i in range(out_n):
         items = x[:, i, :] if axis == 0 else x[i, :, :]
         present = mask[:, i] if axis == 0 else mask[i, :]
-        if kind == "max":
-            rows.append(nk.masked_max_aggregate(nk.constant(items), present).data)
-        else:
-            rows.append(items[present].mean(axis=0) if present.any() else np.zeros(d))
+        rows.append(nk.masked_max_aggregate(nk.constant(items), present).data)
     return np.stack(rows)
 
 
-def reference_pair_excl(t5, t6, mask, kind):
-    m, k, d = t5.shape
+def reference_pair_excl(t5, t6, mask):
+    m, k = t5.shape[:2]
     out = np.zeros_like(t5)
     for mi in range(m):
         for ki in range(k):
@@ -398,38 +393,32 @@ def reference_pair_excl(t5, t6, mask, kind):
                     present.append(mask[m1, ki])
             if not cands:
                 continue
-            stacked = np.stack(cands)
-            pres = np.array(present)
-            if kind == "max":
-                out[mi, ki] = nk.masked_max_aggregate(nk.constant(stacked), pres).data
-            else:
-                out[mi, ki] = stacked[pres].mean(axis=0) if pres.any() else np.zeros(d)
+            out[mi, ki] = nk.masked_max_aggregate(nk.constant(np.stack(cands)),
+                                                  np.array(present)).data
     return out
 
 
-@pytest.mark.parametrize("kind", ["max", "mean"])
-def test_agg_axis_matches_reference(kind):
+def test_agg_axis_matches_reference():
     rng = np.random.default_rng(31)
     for _ in range(25):
         m, k, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 5)
         x = rng.normal(size=(m, k, d))
         mask = rng.random((m, k)) < 0.7
         for axis in (0, 1):
-            got = nk.masked_agg_axis(nk.constant(x), mask, axis, kind).data
-            np.testing.assert_allclose(got, reference_agg_axis(x, mask, axis, kind),
+            got = nk.masked_agg_axis(nk.constant(x), mask, axis).data
+            np.testing.assert_allclose(got, reference_agg_axis(x, mask, axis),
                                        rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("kind", ["max", "mean"])
-def test_pair_excl_agg_matches_reference(kind):
+def test_pair_excl_agg_matches_reference():
     rng = np.random.default_rng(37)
     for _ in range(25):
         m, k, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 5)
         t5 = rng.normal(size=(m, k, d))
         t6 = rng.normal(size=(m, k, d))
         mask = rng.random((m, k)) < 0.7
-        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6), mask, kind).data
-        np.testing.assert_allclose(got, reference_pair_excl(t5, t6, mask, kind),
+        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6), mask).data
+        np.testing.assert_allclose(got, reference_pair_excl(t5, t6, mask),
                                    rtol=0, atol=1e-15)
 
 
@@ -443,7 +432,7 @@ def test_pair_excl_agg_gradient_matches_reference_with_ties():
         t6 = nk.Tensor(base[::-1].copy(), requires_grad=True)
         mask = rng.random((m, k)) < 0.85
         c = rng.normal(size=(m, k, d))
-        nk.backward(nk.tsum(nk.pair_excl_agg(t5, t6, mask, "max") * nk.constant(c)))
+        nk.backward(nk.tsum(nk.pair_excl_agg(t5, t6, mask) * nk.constant(c)))
         got5, got6 = t5.grad.copy(), t6.grad.copy()
 
         r5 = nk.Tensor(base, requires_grad=True)
@@ -485,10 +474,10 @@ def test_max_aggregations_propagate_nan(batch):
         with mode():
             for t_row, t_col in ((nan, ones), (ones, nan)):
                 out = nk.pair_excl_agg(nk.Tensor(t_row, requires_grad=True),
-                                       nk.Tensor(t_col, requires_grad=True), mask, "max").data
+                                       nk.Tensor(t_col, requires_grad=True), mask).data
                 assert np.isnan(out).all()
             for axis in (0, 1):
-                agg = nk.masked_agg_axis(nk.Tensor(nan, requires_grad=True), mask, axis, "max")
+                agg = nk.masked_agg_axis(nk.Tensor(nan, requires_grad=True), mask, axis)
                 assert np.isnan(agg.data).all()
 
 
@@ -504,10 +493,10 @@ def test_max_aggregations_single_nan(batch):
     for mode in (nk.no_grad, nullcontext):
         with mode():
             out = nk.pair_excl_agg(nk.Tensor(t_row, requires_grad=True),
-                                   nk.Tensor(t_col, requires_grad=True), mask, "max").data
+                                   nk.Tensor(t_col, requires_grad=True), mask).data
             x = nk.Tensor(t_row, requires_grad=True)
-            by_tx = nk.masked_agg_axis(x, mask, 1, "max").data[..., 0]   # over K, per TX
-            by_rx = nk.masked_agg_axis(x, mask, 0, "max").data[..., 0]   # over M, per RX
+            by_tx = nk.masked_agg_axis(x, mask, 1).data[..., 0]   # over K, per TX
+            by_rx = nk.masked_agg_axis(x, mask, 0).data[..., 0]   # over M, per RX
         assert (np.isnan(out[..., 0]) == sees_nan).all()
         assert (out[..., 0][..., ~sees_nan] == 2.0).all()
         assert (np.isnan(by_tx) == [True, False]).all()
@@ -560,14 +549,14 @@ def test_value_only_forwards_match_their_gradient_routes():
     rng = np.random.default_rng(47)
     for t_row, t_col, mask in _tie_heavy_cases(rng):
         with nk.no_grad():
-            out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col), mask, "max").data
-        routed = _routed_values(lambda a, b: nk.pair_excl_agg(a, b, mask, "max"),
+            out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col), mask).data
+        routed = _routed_values(lambda a, b: nk.pair_excl_agg(a, b, mask),
                                 [t_row, t_col])
         assert out.tobytes() == routed.tobytes()
         for axis in (0, 1):
             with nk.no_grad():
-                agg = nk.masked_agg_axis(nk.constant(t_row), mask, axis, "max").data
-            routed = _routed_values(lambda a: nk.masked_agg_axis(a, mask, axis, "max"),
+                agg = nk.masked_agg_axis(nk.constant(t_row), mask, axis).data
+            routed = _routed_values(lambda a: nk.masked_agg_axis(a, mask, axis),
                                     [t_row])
             assert agg.tobytes() == routed.tobytes()
 
