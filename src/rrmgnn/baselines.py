@@ -11,6 +11,10 @@ share the MMSE receiver and weight update (`_mmse`).
 
 Every solver is its set-up plus one step; `_ascend` is the one loop that runs
 the steps, keeps the trace, applies the stopping rule and builds the result.
+For the WMMSE solvers it also extrapolates: after each plain step it tries a
+longer step along the last move, scaled back into the budgets, and keeps it
+only if it raises the sum rate (safeguarded as in Zhang, O'Donoghue & Boyd's
+type-I Anderson acceleration, SIAM J. Optim. 2020).
 """
 
 import dataclasses
@@ -27,6 +31,10 @@ _NEWTON_STEPS = 100
 _POWER_TOL = 1e-10        # relative power residual of a binding budget
 _GP_INIT_STEP = 1.0
 _GP_MIN_STEP = 1e-12
+_BETA_INIT = 1.0          # extrapolation: first step length, relative to the last move
+_BETA_GROW = 1.5          # after an accepted try
+_BETA_SHRINK = 0.5        # after a rejected one
+_BETA_MAX = 1e6
 
 
 def _scaled_copy(instance):
@@ -68,6 +76,7 @@ class SolverResult:
     converged: bool
     iterations: int
     stagnated: bool = False
+    extrapolations: int = 0   # accepted extrapolated steps (WMMSE only)
 
 
 def _secular_solve(lam, c, pmax, power_tol, solver):
@@ -121,32 +130,53 @@ def _secular_solve(lam, c, pmax, power_tol, solver):
     return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2))
 
 
-def _ascend(instance, step, x, rate, variables, cfg):
-    """The one ascent loop every solver runs, from iterate x at sum rate `rate`.
+def _ascend(instance, step, x, score, variables, cfg, project=None):
+    """The one ascent loop every solver runs, from iterate x.
 
     step(x, rate) returns the next iterate and its sum rate, or None when it
-    finds no ascent (the run then stops stagnated). The run converges once the
-    rate moves by less than cfg.tol and otherwise stops after cfg.max_iters
-    steps. variables(x) maps an iterate to the solver's output; the report
-    scores that output on `instance`, unscaled.
+    finds no ascent (the run then stops stagnated); score(x) is an iterate's
+    sum rate. The run converges once the rate moves by less than cfg.tol and
+    otherwise stops after cfg.max_iters steps. variables(x) maps an iterate to
+    the solver's output; the report scores that output on `instance`, unscaled.
+
+    With `project` (the WMMSE solvers), each plain step x -> x1 after the
+    first is followed by a try at y = project(x1 + beta (x1 - x)), which
+    scales a point into the budgets. y replaces x1 only if its sum rate is
+    strictly higher; beta then grows, else it shrinks. A plain WMMSE step
+    never lowers the rate, so the trace stays monotone.
     """
     cfg = cfg or SolverConfig()
-    trace = [rate]
+    trace = [score(x)]
     converged = stagnated = False
-    it = 0
+    it = accepted = 0
+    beta = _BETA_INIT
     for it in range(1, cfg.max_iters + 1):
         nxt = step(x, trace[-1])
         if nxt is None:
             stagnated = True
             break
-        x, rate = nxt
+        x_prev, (x, rate) = x, nxt
+        if project is not None and it > 1:
+            y = project(x + beta * (x - x_prev))
+            y_rate = score(y)
+            if y_rate > rate:
+                x, rate = y, y_rate
+                accepted += 1
+                beta = min(beta * _BETA_GROW, _BETA_MAX)
+            else:
+                beta *= _BETA_SHRINK
         trace.append(rate)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
             break
     out = variables(x)
     return SolverResult(out, objectives.evaluate(instance, out), np.array(trace),
-                        converged, it, stagnated)
+                        converged, it, stagnated, accepted)
+
+
+def _shrink(norm2, budgets):
+    """Per-ball factor that scales a squared norm into its budget (1 inside)."""
+    return np.sqrt(budgets / np.maximum(norm2, budgets))
 
 
 def _mmse(a_jk, noise):
@@ -171,21 +201,25 @@ def wmmse_ic(instance, cfg=None):
     h_eff = work.channels[work.serving]  # (K, K, N): [j, k] = channel TX_j -> UE k
     h_own = np.diagonal(h_eff).T         # (K, N): pair j's direct channel
 
+    def score(v):
+        return objectives.sinr_ic(work, v).sum_rate
+
     def step(v, _):
         u, w = _mmse(np.einsum("jkn,jn->jk", h_eff.conj(), v), work.noise)
         # pair j's quadratic collects the interference v_j causes at every UE;
         # it depends only on (u, w), so the K problems are solved as one batch
         a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
-        rhs = (w * np.conj(u))[:, None] * h_own
+        rhs = (w * u)[:, None] * h_own
         lam, q = np.linalg.eigh(a_mat)
         y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets,
                            _POWER_TOL, "wmmse_ic")
         v = np.einsum("jni,ji->jn", q, y)
-        return v, objectives.sinr_ic(work, v).sum_rate
+        return v, score(v)
 
-    v = _mrt_init_ic(work)
-    return _ascend(instance, step, v, objectives.sinr_ic(work, v).sum_rate,
-                   lambda v: v, cfg)
+    def project(v):   # each beam into its power ball
+        return v * _shrink((np.abs(v) ** 2).sum(axis=1), budgets)[:, None]
+
+    return _ascend(instance, step, _mrt_init_ic(work), score, lambda v: v, cfg, project)
 
 
 def wmmse_ibc_power(instance, cfg=None):
@@ -203,6 +237,9 @@ def wmmse_ibc_power(instance, cfg=None):
     slot = np.tril(cells[:, None] == cells[None, :], -1).sum(axis=1)
     padded = (cell_budget.size, counts.max())
 
+    def score(x):
+        return objectives.sinr_ibc(work, x ** 2).sum_rate
+
     def step(x, _):
         u = diag * x / (work.noise + g2.T @ (x ** 2))
         w = 1.0 / (1.0 - u * diag * x)
@@ -210,11 +247,15 @@ def wmmse_ibc_power(instance, cfg=None):
         lam[cells, slot] = g2 @ (w * u ** 2)          # sum_k w_k u_k^2 g_{jk}^2
         c[cells, slot] = w * u * diag
         x = _secular_solve(lam, c, cell_budget, _POWER_TOL, "wmmse_ibc_power")[cells, slot]
-        return x, objectives.sinr_ibc(work, x ** 2).sum_rate
+        return x, score(x)
+
+    def project(x):   # nonnegative amplitudes, each cell's power into its budget
+        x = np.abs(x)
+        cell_power = np.bincount(cells, weights=x ** 2, minlength=cell_budget.size)
+        return x * _shrink(cell_power, cell_budget)[cells]
 
     x = np.sqrt(cell_budget[cells] / counts[cells])  # equal split at full power
-    return _ascend(instance, step, x, objectives.sinr_ibc(work, x ** 2).sum_rate,
-                   lambda x: x ** 2, cfg)
+    return _ascend(instance, step, x, score, lambda x: x ** 2, cfg, project)
 
 
 def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, max_cycles=5):
@@ -263,18 +304,25 @@ def wmmse_coop(instance, cfg=None):
     def beams(v_stack):
         return v_stack.reshape(k_n, m, n).transpose(1, 0, 2)
 
+    def score(v):
+        return objectives.sinr_coop(work, beams(v)).sum_rate
+
     def step(v, _):
         u, w = _mmse(v @ h.conj().T, work.noise)   # [j, k] = h_k^H v_j
-        v = _coop_vstep(h, w * np.abs(u) ** 2, w * np.conj(u), v, work.budgets, m, n)
-        return v, objectives.sinr_coop(work, beams(v)).sum_rate
+        v = _coop_vstep(h, w * np.abs(u) ** 2, w * u, v, work.budgets, m, n)
+        return v, score(v)
+
+    def project(v):   # each BS's block of beams into its power ball
+        blocks = v.reshape(k_n, m, n)
+        power = (np.abs(blocks) ** 2).sum(axis=(0, 2))
+        return (blocks * _shrink(power, work.budgets)[None, :, None]).reshape(k_n, m * n)
 
     # stacked matched filter scaled to full per-BS power: a block's power sums
     # over UEs and antennas
     blocks = h.reshape(k_n, m, n)
     scale = np.sqrt(work.budgets / (np.abs(blocks) ** 2).sum(axis=(0, 2)))
     v = (blocks * scale[None, :, None]).reshape(k_n, m * n)
-    return _ascend(instance, step, v, objectives.sinr_coop(work, beams(v)).sum_rate,
-                   beams, cfg)
+    return _ascend(instance, step, v, score, beams, cfg, project)
 
 
 # ---------------------------------------------------------------------------
@@ -315,4 +363,4 @@ def gp_coop(instance, cfg=None):
             if size < _GP_MIN_STEP:
                 return None
 
-    return _ascend(instance, step, v, value(v), merge_complex, cfg)
+    return _ascend(instance, step, v, value, merge_complex, cfg)

@@ -110,10 +110,10 @@ def main(argv=None):
             cfg = _train_cfg(args)
             columns, results = harness.solve_set(cfg.scenario, cfg.geometry, args.samples,
                                                  cfg.seed, args.baseline)
-            rate, unconverged, iterations = columns.values()
+            rate, unconverged, iterations, extrapolations = columns.values()
             print(f"{args.baseline} mean sum rate {rate:.6f} bits/s/Hz over {args.samples} "
                   f"samples ({unconverged} stopped unconverged, mean {iterations:.1f} "
-                  f"iterations)")
+                  f"iterations), mean {extrapolations:.1f} extrapolated steps accepted")
             if args.out:
                 harness.write_csv(args.out, ["sample", "iteration", "sum_rate"],
                                   [[i, t, r] for i, res in enumerate(results)

@@ -217,7 +217,8 @@ def solve_set(scenario, geometry, n_samples, seed, which):
     """Baseline `which` on each instance of the seeded set; returns (columns,
     per-sample results), columns in the order `{which}_mean_sum_rate`,
     `{which}_unconverged` (runs that stopped unconverged), `{which}_iterations`
-    (mean). A bad baseline raises ConfigError before any instance is built."""
+    and `{which}_extrapolations` (means; accepted extrapolated steps, 0 for
+    GP). A bad baseline raises ConfigError before any instance is built."""
     _check_baseline(scenario, which)
     results = [run_baseline(scenario, inst, which)
                for _, inst, _ in _seeded_set(scenario, geometry, n_samples, seed)]
@@ -226,6 +227,7 @@ def solve_set(scenario, geometry, n_samples, seed, which):
                                                  for r in results])),
         f"{which}_unconverged": sum(not r.converged for r in results),
         f"{which}_iterations": float(np.mean([r.iterations for r in results])),
+        f"{which}_extrapolations": float(np.mean([r.extrapolations for r in results])),
     }
     return columns, results
 

@@ -209,10 +209,12 @@ def test_wmmse_ibc_isolated_cells_separate():
     joint = ScenarioInstance("ibc", base.channels, base.budgets, base.noise,
                              serving=base.serving, tx_cell=cells_tx, rx_cell=cells_rx,
                              gains=gains)
-    # with zero cross-cell gains the joint iteration decouples exactly, so a
-    # fixed iteration budget must reproduce the per-cell runs
-    pinned = SolverConfig(max_iters=40, tol=1e-300)
-    res = wmmse_ibc_power(joint, pinned)
+    # with zero cross-cell gains a plain step decouples exactly; only the
+    # first step is plain, as extrapolation's one accept test couples the
+    # cells on purpose
+    plain = SolverConfig(max_iters=1, tol=1e-300)
+    res = wmmse_ibc_power(joint, plain)
+    assert res.extrapolations == 0
     for b in range(2):
         members = np.flatnonzero(cells_rx == b)
         sub = ScenarioInstance("ibc", base.channels[np.ix_(members, members)],
@@ -220,8 +222,9 @@ def test_wmmse_ibc_isolated_cells_separate():
                                serving=np.arange(2), tx_cell=np.zeros(2, dtype=int),
                                rx_cell=np.zeros(2, dtype=int),
                                gains=gains[np.ix_(members, members)])
-        sub_res = wmmse_ibc_power(sub, pinned)
+        sub_res = wmmse_ibc_power(sub, plain)
         np.testing.assert_allclose(res.variables[members], sub_res.variables, rtol=1e-9)
+    assert wmmse_ibc_power(joint).converged
 
 
 def test_wmmse_ibc_random_feasible_and_monotone():
@@ -329,33 +332,51 @@ def test_baselines_permutation_consistent():
 
 # (kind, (n_tx, n_rx, antennas), set seed, baseline) -> per instance i of
 # sample_seed(set seed, i): (iterations, converged, stagnated, sum rate).
-# Recorded with the hand-written per-solver loops that `_ascend` replaced; a
-# change meant to move the iterates (say, extrapolation) updates these on purpose.
+# The GP rows were recorded with the hand-written per-solver loops that
+# `_ascend` replaced, the WMMSE rows with `_ascend`'s safeguarded
+# extrapolation; a change meant to move the iterates updates these on purpose.
 PINNED = {
     ("ic", (8, 8, 2), 777, "wmmse"): [
-        (172, True, False, 47.55213460899539), (321, True, False, 56.94357916634794),
-        (177, True, False, 52.14168240039636)],
+        (63, True, False, 47.552151449936034), (114, True, False, 56.943602942357366),
+        (65, True, False, 52.14169646112207)],
     ("ibc", (3, 2, 4), 777, "wmmse"): [
-        (500, False, False, 45.24796367634657), (216, True, False, 36.39659613455626),
-        (210, True, False, 41.456843835848694), (320, True, False, 41.93512458409305),
-        (500, False, False, 40.88885137004531), (500, False, False, 44.32980413549147),
-        (500, False, False, 39.39587069927674), (194, True, False, 40.119055761101414)],
+        (54, True, False, 45.250095477559356), (14, True, False, 36.3966356478057),
+        (14, True, False, 41.45687975701123), (24, True, False, 41.935360331734486),
+        (28, True, False, 40.8899250298366), (198, True, False, 44.33345660792489),
+        (47, True, False, 39.398097167317154), (14, True, False, 40.119096539042225)],
     ("coop", (5, 2, 2), 909, "wmmse"): [
-        (35, True, False, 23.449100946149684), (17, True, False, 14.305283827256304),
-        (38, True, False, 15.839658942016218), (17, True, False, 14.969275041882767)],
+        (19, True, False, 23.449113944940926), (9, True, False, 14.305285003105366),
+        (16, True, False, 15.839661554323023), (9, True, False, 14.969276599695682)],
     ("coop", (5, 2, 2), 909, "gp"): [
         (7, True, False, 23.448937151195537), (159, True, False, 14.294880378343692),
         (56, True, False, 15.800508424148356), (25, True, False, 14.968908683738395)],
 }
 
 
+def _fixed_set(kind, geometry, seed, count, which):
+    """(instance, result) of `which` on the first `count` of the fixed set."""
+    m, k, n = geometry
+    geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=n)
+    for i in range(count):
+        inst, _ = chansim.build_instance(kind, geo, chansim.sample_seed(seed, i))
+        yield inst, harness.run_baseline(kind, inst, which)
+
+
 def test_solvers_match_pinned_results():
-    for (kind, (m, k, n), seed, which), want in PINNED.items():
-        geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=n)
+    for (kind, geometry, seed, which), want in PINNED.items():
         got = []
-        for i in range(len(want)):
-            inst, _ = chansim.build_instance(kind, geo, chansim.sample_seed(seed, i))
-            res = harness.run_baseline(kind, inst, which)
+        for inst, res in _fixed_set(kind, geometry, seed, len(want), which):
             got.append((res.iterations, res.converged, res.stagnated,
                         res.report.sum_rate_value()))
+            assert_trace_monotone(res.trace)
+            assert obj.constraint_residual(inst, res.variables) <= 1e-9
         assert got == want, (kind, which)
+
+
+def test_extrapolations_counted_on_fixed_set():
+    # every fixed IBC run accepts some extrapolated steps, at most one a step
+    for _, res in _fixed_set("ibc", (3, 2, 4), 777, 8, "wmmse"):
+        assert 0 < res.extrapolations <= res.iterations
+    # GP adapts its own step and never extrapolates
+    for _, res in _fixed_set("coop", (5, 2, 2), 909, 2, "gp"):
+        assert res.extrapolations == 0

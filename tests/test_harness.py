@@ -209,10 +209,11 @@ def test_sweep_baseline_column_matches_standalone(tmp_path, monkeypatch):
         [r.report.sum_rate_value() for r in results])
     assert rows[0]["wmmse_unconverged"] == sum(not r.converged for r in results)
     assert rows[0]["wmmse_iterations"] == np.mean([r.iterations for r in results])
+    assert rows[0]["wmmse_extrapolations"] == np.mean([r.extrapolations for r in results])
     # solve_set: the same columns, in the order `rrmgnn baseline` prints them,
     # and the per-sample results whose traces it writes
     columns, solved = harness.solve_set("ic", cfg.geometry, 4, 51, "wmmse")
-    assert list(columns.items()) == list(rows[0].items())[-3:]
+    assert list(columns.items()) == list(rows[0].items())[-4:]
     for got, want in zip(solved, results, strict=True):
         np.testing.assert_array_equal(got.trace, want.trace)
     # a 2-iteration cap leaves every run unconverged, and the column says so
@@ -540,6 +541,18 @@ def test_cli_baseline_reports_unconverged_samples(tmp_path, capsys, monkeypatch)
         "ic", harness.load_config(cfg_path).geometry, chansim.sample_seed(5, i))[0],
         "wmmse").iterations for i in range(3)])
     assert f"(0 stopped unconverged, mean {iterations:.1f} iterations)" in \
+        capsys.readouterr().out
+
+
+def test_cli_baseline_reports_extrapolations(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    assert cli.main(["baseline", "--config", str(cfg_path), "--samples", "3"]) == 0
+    geometry = harness.load_config(cfg_path).geometry
+    accepted = np.mean([harness.run_baseline("ic", chansim.build_instance(
+        "ic", geometry, chansim.sample_seed(5, i))[0], "wmmse").extrapolations
+        for i in range(3)])
+    assert accepted > 0
+    assert f"iterations), mean {accepted:.1f} extrapolated steps accepted" in \
         capsys.readouterr().out
 
 
