@@ -15,6 +15,14 @@ For the WMMSE solvers it also extrapolates: after each plain step it tries a
 longer step along the last move, scaled back into the budgets, and keeps it
 only if it raises the sum rate (safeguarded as in Zhang, O'Donoghue & Boyd's
 type-I Anderson acceleration, SIAM J. Optim. 2020).
+
+Every scored point gets its sum rate in numpy (`_rate`) from its received-power
+table, [j, k] = power of stream j at UE k: for beams |h_k^H v_j|^2, the table
+whose MMSE weights are w_k = 1 + SINR_k (Shi, Razaviyayn, Luo & He, IEEE TSP
+2011). Each score first runs `objectives.check_feasible`, so an infeasible
+point raises as it would in `objectives`; the result's report is
+`objectives.evaluate` on the final variables. Only GP's gradient uses the
+`numkernel` tape.
 """
 
 import dataclasses
@@ -135,7 +143,8 @@ def _ascend(instance, step, x, score, variables, cfg, project=None):
 
     step(x, rate) returns the next iterate and its sum rate, or None when it
     finds no ascent (the run then stops stagnated); score(x) is an iterate's
-    sum rate. The run converges once the rate moves by less than cfg.tol and
+    sum rate, from its received-power table (`_rate`), and raises on an
+    infeasible x. The run converges once the rate moves by less than cfg.tol and
     otherwise stops after cfg.max_iters steps. variables(x) maps an iterate to
     the solver's output; the report scores that output on `instance`, unscaled.
 
@@ -179,6 +188,16 @@ def _shrink(norm2, budgets):
     return np.sqrt(budgets / np.maximum(norm2, budgets))
 
 
+def _rate(instance, variables, power):
+    """Sum rate of `variables` on `instance` from their received-power table
+    power[j, k] (stream j at UE k; the diagonal is each UE's own stream).
+    Raises ValueError, as `objectives` does, if the variables are infeasible."""
+    objectives.check_feasible(instance, variables)
+    signal = np.diagonal(power)
+    sinr = signal / (power.sum(axis=0) - signal + instance.noise)
+    return float(np.log1p(sinr).sum()) / objectives.LN2
+
+
 def _mmse(a_jk, noise):
     """MMSE receivers u and rate weights w from a[j, k], beam j's gain at UE k."""
     totals = noise + (np.abs(a_jk) ** 2).sum(axis=0)
@@ -200,12 +219,16 @@ def wmmse_ic(instance, cfg=None):
     budgets = work.budgets[work.serving]
     h_eff = work.channels[work.serving]  # (K, K, N): [j, k] = channel TX_j -> UE k
     h_own = np.diagonal(h_eff).T         # (K, N): pair j's direct channel
+    h_conj = h_eff.conj()
+
+    def gains(v):   # [j, k] = h_{jk}^H v_j
+        return np.einsum("jkn,jn->jk", h_conj, v)
 
     def score(v):
-        return objectives.sinr_ic(work, v).sum_rate
+        return _rate(work, v, np.abs(gains(v)) ** 2)
 
     def step(v, _):
-        u, w = _mmse(np.einsum("jkn,jn->jk", h_eff.conj(), v), work.noise)
+        u, w = _mmse(gains(v), work.noise)
         # pair j's quadratic collects the interference v_j causes at every UE;
         # it depends only on (u, w), so the K problems are solved as one batch
         a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
@@ -238,7 +261,8 @@ def wmmse_ibc_power(instance, cfg=None):
     padded = (cell_budget.size, counts.max())
 
     def score(x):
-        return objectives.sinr_ibc(work, x ** 2).sum_rate
+        p = x ** 2
+        return _rate(work, p, g2 * p[:, None])
 
     def step(x, _):
         u = diag * x / (work.noise + g2.T @ (x ** 2))
@@ -300,15 +324,19 @@ def wmmse_coop(instance, cfg=None):
     work = _scaled_copy(instance)
     m, k_n, n = work.channels.shape
     h = work.channels.transpose(1, 0, 2).reshape(k_n, m * n)  # rows are stacked h_k
+    h_conj_t = h.conj().T
 
     def beams(v_stack):
         return v_stack.reshape(k_n, m, n).transpose(1, 0, 2)
 
+    def gains(v):   # [j, k] = h_k^H v_j
+        return v @ h_conj_t
+
     def score(v):
-        return objectives.sinr_coop(work, beams(v)).sum_rate
+        return _rate(work, beams(v), np.abs(gains(v)) ** 2)
 
     def step(v, _):
-        u, w = _mmse(v @ h.conj().T, work.noise)   # [j, k] = h_k^H v_j
+        u, w = _mmse(gains(v), work.noise)
         v = _coop_vstep(h, w * np.abs(u) ** 2, w * u, v, work.budgets, m, n)
         return v, score(v)
 
@@ -329,23 +357,31 @@ def wmmse_coop(instance, cfg=None):
 # projected gradient ascent (cooperative)
 
 
+def _project_split_coop(x, budgets):
+    """Scale each BS's split beams x[m] (K, 2N) into its power ball, by the
+    formula of `objectives.normalize_coop`."""
+    return x * _shrink((x ** 2).sum(axis=(1, 2)), budgets)[:, None, None]
+
+
 def gp_coop(instance, cfg=None):
     """Projected gradient ascent on the cooperative sum rate.
 
     Starts from the full-power matched filter (the all-zero point is
     stationary); each step doubles the step size, then halves it until the
     projected move ascends, and stagnates below _GP_MIN_STEP. Every iterate
-    is feasible.
+    is feasible. The iterate is split-real (M, K, 2N); its gradient comes from
+    the tape, its projection and line-search scores from numpy.
     """
     # matched filter scaled to full per-BS power (projection only shrinks)
     v = split_complex(instance.channels)
     used = (v ** 2).sum(axis=(1, 2))
     v *= np.sqrt(instance.budgets / used)[:, None, None]
-    v = objectives.normalize_coop(nk.constant(v), instance).data
+    v = _project_split_coop(v, instance.budgets)
+    h_conj = instance.channels.conj()
 
-    def value(x):
-        with nk.no_grad():
-            return objectives.sinr_coop(instance, nk.constant(x)).sum_rate_value()
+    def value(x):   # [j, k] = |sum_m h_{m,k}^H v_{m,j}|^2
+        power = np.abs(np.einsum("mkn,mjn->jk", h_conj, merge_complex(x))) ** 2
+        return _rate(instance, x, power)
 
     size = _GP_INIT_STEP
 
@@ -355,7 +391,7 @@ def gp_coop(instance, cfg=None):
         nk.backward(objectives.sinr_coop(instance, t).sum_rate)
         size = min(size * 2.0, 1e12)
         while True:
-            cand = objectives.normalize_coop(nk.constant(x + size * t.grad), instance).data
+            cand = _project_split_coop(x + size * t.grad, instance.budgets)
             f_new = value(cand)
             if f_new > rate:
                 return cand, f_new

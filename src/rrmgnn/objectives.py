@@ -58,8 +58,10 @@ def _check_shape(what, v, shape):
         raise ValueError(f"expected {what} of split shape {shape}, got {v.data.shape}")
 
 
-def _check_feasible(instance, v):
-    """The constraint residual of v; raises ValueError past FEAS_TOL."""
+def check_feasible(instance, v):
+    """The constraint residual of v; raises ValueError past FEAS_TOL. The
+    evaluators here and the solvers' numpy scores run it on every point they
+    rate."""
     residual = constraint_residual(instance, v)
     if residual > FEAS_TOL:
         raise ValueError(f"{instance.kind} variables violate the power constraints "
@@ -94,7 +96,7 @@ def sinr_ic(instance, v):
     v_t, tensor_in = _as_split_tensor(v, complex_input=True)
     lead, k, n = instance.batch_shape, instance.n_ue, instance.channels.shape[-1]
     _check_shape("beams", v_t, lead + (k, 2 * n))
-    residual = _check_feasible(instance, v_t)
+    residual = check_feasible(instance, v_t)
     h_eff = instance.channels[..., instance.serving, :, :]  # [j, k] = h_{m1(j), k}
     v3 = nk.reshape(v_t, lead + (k, 1, 2 * n))
     power = _complex_quadratic(h_eff, v3, n, axis=-1)
@@ -112,7 +114,7 @@ def sinr_ibc(instance, p):
     p_t, tensor_in = _as_split_tensor(p, complex_input=False)
     lead, k = instance.batch_shape, instance.n_ue
     p_t = nk.reshape(p_t, lead + (k,))
-    residual = _check_feasible(instance, p_t)
+    residual = check_feasible(instance, p_t)
     g2 = nk.constant(instance.gains[..., instance.serving, :] ** 2)  # [j, k]: TX_j -> UE k
     received = nk.reshape(nk.matmul(nk.reshape(p_t, lead + (1, k)), g2), lead + (k,))
     idx = np.arange(k)
@@ -131,7 +133,7 @@ def sinr_coop(instance, v):
     lead = instance.batch_shape
     m, k, n = instance.channels.shape[-3:]
     _check_shape("beams", v_t, lead + (m, k, 2 * n))
-    residual = _check_feasible(instance, v_t)
+    residual = check_feasible(instance, v_t)
     h = instance.channels[..., :, None, :, :]                      # (M, 1, K, N)
     v4 = nk.reshape(v_t, lead + (m, k, 1, 2 * n))                  # (M, K', 1, 2N)
     power = _complex_quadratic(h, v4, n, axis=(-4, -1))           # (K', K)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rrmgnn import baselines, chansim, harness, objectives as obj
+from rrmgnn import baselines, chansim, harness, numkernel as nk, objectives as obj
 from rrmgnn.baselines import SolverConfig, gp_coop, wmmse_coop, wmmse_ibc_power, wmmse_ic
 from rrmgnn.chansim import GeometryConfig, NumericalError, ScenarioInstance, permute_instance
 from rrmgnn.hetgraph import NodePermutation
@@ -380,3 +380,65 @@ def test_extrapolations_counted_on_fixed_set():
     # GP adapts its own step and never extrapolates
     for _, res in _fixed_set("coop", (5, 2, 2), 909, 2, "gp"):
         assert res.extrapolations == 0
+
+
+# ---------------------------------------------------------------------------
+# numpy scores agree with the objectives, and keep their feasibility check
+
+def test_scores_match_objectives_on_fixed_set(monkeypatch):
+    ascend, checked = baselines._ascend, []
+
+    def compared(instance, step, x, score, variables, cfg, project=None):
+        def agree(x, rate):
+            want = obj.evaluate(instance, variables(x)).sum_rate_value()
+            assert abs(rate - want) <= 1e-12 * want, (instance.kind, rate, want)
+            checked.append(rate)
+
+        def scored(x):
+            rate = score(x)
+            agree(x, rate)
+            return rate
+
+        def stepped(x, rate):
+            nxt = step(x, rate)
+            if nxt is not None:
+                agree(*nxt)
+            return nxt
+
+        return ascend(instance, stepped, x, scored, variables, cfg, project)
+
+    monkeypatch.setattr(baselines, "_ascend", compared)
+    for (kind, geometry, seed, which), want in PINNED.items():
+        for _ in _fixed_set(kind, geometry, seed, len(want), which):
+            pass
+    assert len(checked) > 1500   # every trace point and extrapolated try of the 19 runs
+
+
+def test_gp_projection_is_normalize_coop(monkeypatch):
+    project, moved = baselines._project_split_coop, []
+    geo = GeometryConfig(n_tx=5, n_rx=2, n_antennas=2)
+    for i in range(4):
+        inst, _ = chansim.build_instance("coop", geo, chansim.sample_seed(909, i))
+
+        def compared(x, budgets, inst=inst):
+            out = project(x, budgets)
+            np.testing.assert_array_equal(out, obj.normalize_coop(nk.constant(x), inst).data)
+            moved.append(not np.array_equal(out, x))
+            return out
+
+        monkeypatch.setattr(baselines, "_project_split_coop", compared)
+        gp_coop(inst)
+    assert sum(moved) > 100   # candidates outside a ball were scaled back
+
+
+@pytest.mark.parametrize("kind,geometry,seed,which", list(PINNED),
+                         ids=[f"{kind}-{which}" for kind, _, _, which in PINNED])
+def test_scores_reject_infeasible_points(monkeypatch, kind, geometry, seed, which):
+    # with the projections disabled, an extrapolated try (WMMSE) or a gradient
+    # move (GP) leaves the budgets; its score must raise, not rate it
+    monkeypatch.setattr(baselines, "_shrink", lambda norm2, budgets: np.ones_like(norm2))
+    m, k, n = geometry
+    inst, _ = chansim.build_instance(kind, GeometryConfig(n_tx=m, n_rx=k, n_antennas=n),
+                                     chansim.sample_seed(seed, 0))
+    with pytest.raises(ValueError, match="violate the power constraints"):
+        harness.run_baseline(kind, inst, which)
