@@ -5,7 +5,9 @@ WMMSE alternates MMSE receivers u, rate weights w, and transmit variables. The
 transmit step minimizes convex quadratics under power budgets: each quadratic
 is eigendecomposed once, and its budget's multiplier mu >= 0 is the root of a
 scalar secular equation, found by safeguarded Newton for a batch of
-quadratics at a time. Every iterate is feasible and the sum-rate trace is
+quadratics at a time. In coop the quadratic couples BSs that each have their
+own budget, so its step is one block-coordinate sweep, exact per BS, that
+lowers the weighted MSE without minimizing it. Every iterate is feasible and the sum-rate trace is
 non-decreasing up to the power tolerance. The complex solvers (ic, coop)
 share the MMSE receiver and weight update (`_mmse`).
 
@@ -282,16 +284,18 @@ def wmmse_ibc_power(instance, cfg=None):
     return _ascend(instance, step, x, score, lambda x: x ** 2, cfg, project)
 
 
-def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, max_cycles=5):
-    """Transmit step with per-BS budgets via block-coordinate ball solves.
+def _coop_vstep(h, scale, beta, v_prev, budgets, m, n):
+    """Transmit step with per-BS budgets: one block-coordinate sweep.
 
-    Minimizes sum_j v_j^H A v_j - 2 Re(b_j^H v_j) with A = sum_k scale_k
-    h_k h_k^H and b_j = beta_j h_j, subject to per-BS block power caps. The
-    constraints are separable over per-BS blocks, so cycling exact per-BS
-    minimizations (each one multiplier over that BS's stacked beams, in the
-    eigenbasis of its diagonal block) descends the cost monotonically and
-    converges to the step's global optimum. Starts from the previous beams;
-    every sweep is feasible. Returns stacked beams (K, MN).
+    Lowers sum_j v_j^H A v_j - 2 Re(b_j^H v_j), with A = sum_k scale_k h_k h_k^H
+    and b_j = beta_j h_j, under per-BS block power caps, from the previous
+    beams. The caps separate over BS blocks, so the sweep gives each BS's
+    stacked beams in turn their exact capped minimizer with the other blocks
+    held (one multiplier, in the eigenbasis of its diagonal block). No block
+    move raises this weighted MSE, so one sweep keeps `_ascend`'s rate trace
+    monotone; further sweeps would refine a surrogate that the next step's
+    fresh (u, w) replace. Every block stays feasible. Returns stacked beams
+    (K, MN).
     """
     k_n = h.shape[0]
     hb = h.reshape(k_n, m, n)
@@ -300,22 +304,13 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n, max_cycles=5):
     b = beta[:, None, None] * hb
     lam, q = np.linalg.eigh(a_blocks[np.arange(m), np.arange(m)])
     v = v_prev.reshape(k_n, m, n).copy()
-    # a handful of sweeps suffices: the outer loop re-enters with fresh (u, w)
-    # anyway, and any sweep count keeps the surrogate descent (and the rate
-    # trace) monotone
-    for _ in range(max_cycles):
-        delta = 0.0
-        for bs in range(m):
-            coupled = np.einsum("lab,klb->ka", a_blocks[bs], v)
-            own = v[:, bs, :] @ a_blocks[bs, bs].T
-            d = b[:, bs, :] - (coupled - own)
-            y = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
-                               budgets[bs:bs + 1], _POWER_TOL, "wmmse_coop")
-            new_block = (q[bs] @ y[0]).T
-            delta = max(delta, float(np.max(np.abs(new_block - v[:, bs, :]))))
-            v[:, bs, :] = new_block
-        if delta <= 1e-11 * (1.0 + float(np.max(np.abs(v)))):
-            break
+    for bs in range(m):
+        coupled = np.einsum("lab,klb->ka", a_blocks[bs], v)
+        own = v[:, bs, :] @ a_blocks[bs, bs].T
+        d = b[:, bs, :] - (coupled - own)
+        y = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
+                           budgets[bs:bs + 1], _POWER_TOL, "wmmse_coop")
+        v[:, bs, :] = (q[bs] @ y[0]).T
     return v.reshape(k_n, m * n)
 
 

@@ -306,18 +306,6 @@ def build_instance(kind, cfg, seed=None):
     return inst, graph_of(inst)
 
 
-def build_ic_instance(cfg, seed=None):
-    return build_instance(IC, cfg, seed)
-
-
-def build_ibc_instance(cfg, seed=None):
-    return build_instance(IBC, cfg, seed)
-
-
-def build_coop_instance(cfg, seed=None):
-    return build_instance(COOP, cfg, seed)
-
-
 def permute_instance(inst, p):
     """Relabel TX entities and UEs of an instance consistently with a graph
     permutation; cell identities and per-cell quantities are untouched."""

@@ -29,6 +29,7 @@ SAMPLES_HEADER = ["sample", "sum_rate", "residual", "infer_seconds"]
 SWEEP_AXES = ("n_pairs", "n_ues", "n_bss", "noise_dbm", "field_size", "budget_dbm",
               "n_train_samples")
 _COUNT_AXES = ("n_pairs", "n_ues", "n_bss", "n_train_samples")
+_N_PROBE = 8   # instances in the batch that calibrates the input scalings
 
 
 @dataclass
@@ -52,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.epochs < 0 or self.minibatches < 1 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0; minibatches and batch size >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -73,7 +76,7 @@ def batch_seed(base_seed, epoch, minibatch, index):
     return [int(base_seed), int(epoch), int(minibatch), int(index)]
 
 
-def _calibrate_scales(scenario, geometry, seed, n_probe=8):
+def _calibrate_scales(scenario, geometry, seed):
     """Fixed per-family input scalings from a probe batch's RMS statistics.
 
     Folding these constants into the preprocessing affine maps keeps raw
@@ -82,7 +85,7 @@ def _calibrate_scales(scenario, geometry, seed, n_probe=8):
     into the config and ride along in checkpoints.
     """
     g = chansim.graph_of(chansim.sample_instances(
-        scenario, geometry, [chansim.sample_seed(seed, i) for i in range(n_probe)]))
+        scenario, geometry, [chansim.sample_seed(seed, i) for i in range(_N_PROBE)]))
     scales = []
     for arr in (g.f_tx, g.f_rx, g.e):
         # summed per probe, in probe order, as one probe at a time would

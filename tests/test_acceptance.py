@@ -95,7 +95,7 @@ def test_acceptance_3_gradient_correctness():
     checks = primitive_gradcheck_sweep(rtol=1e-6, points_per_op=100)
 
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=303)
-    inst, g = chansim.build_ic_instance(geo)
+    inst, g = chansim.build_instance("ic", geo)
     net = config_for_scenario("ic", 2, hidden=4, input_scale_e=1e6)
     params = init_params(net, seed=303)
 
@@ -156,8 +156,8 @@ def test_acceptance_4_wmmse_monotone_traces():
 def test_acceptance_5_closed_form_oracles():
     worst_ic = 0.0
     for trial in range(20):
-        inst, _ = chansim.build_ic_instance(
-            GeometryConfig(n_tx=1, n_rx=1, n_antennas=4, seed=trial))
+        inst, _ = chansim.build_instance(
+            "ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4, seed=trial))
         res = baselines.wmmse_ic(inst)
         h = inst.channels[0, 0]
         expect = np.log2(1 + inst.budgets[0] * np.linalg.norm(h) ** 2 / inst.noise[0])
@@ -166,8 +166,8 @@ def test_acceptance_5_closed_form_oracles():
 
     worst_gp = 0.0
     for trial in range(10):
-        inst, _ = chansim.build_coop_instance(
-            GeometryConfig(n_tx=3, n_rx=1, n_antennas=2, seed=trial))
+        inst, _ = chansim.build_instance(
+            "coop", GeometryConfig(n_tx=3, n_rx=1, n_antennas=2, seed=trial))
         norms = np.linalg.norm(inst.channels[:, 0, :], axis=1)
         expect = np.log2(1 + (np.sqrt(inst.budgets) * norms).sum() ** 2 / inst.noise[0])
         res = baselines.gp_coop(inst)
@@ -181,7 +181,7 @@ def test_acceptance_6_zero_forcing_residuals():
     geo = GeometryConfig(n_tx=5, n_rx=2, n_antennas=16)
     worst = 0.0
     for trial in range(20):
-        inst, _ = chansim.build_ibc_instance(geo, [606, trial])
+        inst, _ = chansim.build_instance("ibc", geo, [606, trial])
         for m in range(inst.n_tx_entities):
             for j in range(inst.n_ue):
                 if m != j and inst.tx_cell[m] == inst.rx_cell[j]:
@@ -206,7 +206,7 @@ def test_acceptance_7_feasibility_fuzz():
         n = int(rng.integers(1, 4))
         geo = GeometryConfig(n_tx=k, n_rx=k, n_antennas=n,
                              budget_dbm=float(rng.uniform(21, 33)))
-        inst, g = chansim.build_ic_instance(geo, [707, trial])
+        inst, g = chansim.build_instance("ic", geo, [707, trial])
         net = config_for_scenario("ic", n, hidden=4)
         params = init_params(net, seed=trial)
         with nk.no_grad():
@@ -221,7 +221,7 @@ def test_acceptance_7_feasibility_fuzz():
         n = int(rng.integers(q, 5))
         geo = GeometryConfig(n_tx=b, n_rx=q, n_antennas=n,
                              budget_dbm=float(rng.uniform(21, 33)))
-        inst, g = chansim.build_ibc_instance(geo, [708, trial])
+        inst, g = chansim.build_instance("ibc", geo, [708, trial])
         net = config_for_scenario("ibc", n, hidden=4)
         params = init_params(net, seed=trial)
         with nk.no_grad():
@@ -236,7 +236,7 @@ def test_acceptance_7_feasibility_fuzz():
         n = int(rng.integers(1, 3))
         geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=n,
                              budget_dbm=float(rng.uniform(21, 33)))
-        inst, g = chansim.build_coop_instance(geo, [709, trial])
+        inst, g = chansim.build_instance("coop", geo, [709, trial])
         net = config_for_scenario("coop", n, hidden=4)
         params = init_params(net, seed=trial)
         with nk.no_grad():
@@ -281,7 +281,7 @@ def test_acceptance_9_speed_ordering():
     geo = GeometryConfig(n_tx=5, n_rx=2, n_antennas=2)
     net = config_for_scenario("coop", 2, hidden=8, layers=2)
     params = init_params(net, seed=909)
-    pairs = [chansim.build_coop_instance(geo, [909, i]) for i in range(100)]
+    pairs = [chansim.build_instance("coop", geo, [909, i]) for i in range(100)]
 
     t0 = time.perf_counter()
     for inst, g in pairs:
@@ -312,7 +312,7 @@ def test_acceptance_10_degenerate_graphs():
     worst = 0.0
     for m, k in ((1, 1), (1, 3), (3, 1)):
         geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, min_bs_spacing=100.0)
-        inst, g = chansim.build_coop_instance(geo, [1010, m, k])
+        inst, g = chansim.build_instance("coop", geo, [1010, m, k])
         net = config_for_scenario("coop", 2, hidden=6)
         params = init_params(net, seed=1010)
         raw = forward(g, net, params)

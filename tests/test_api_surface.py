@@ -1,7 +1,7 @@
 """Every public top-level function and class of the package must be used by the
 package itself or by the benchmark in `rrmbench/`, and every defaulted
-parameter of a public function must be passed by one of their calls; API and
-options that only tests use are dead weight. Run with
+parameter of a top-level function, public or private, must be passed by one of
+their calls; API and options that only tests use are dead weight. Run with
 `python -m pytest tests/test_api_surface.py`.
 """
 
@@ -18,9 +18,6 @@ ALLOWED = {
     "masked_max_aggregate": "tests/gradcheck_util.py calls it by name in acceptance 3's sweep",
     "dot": "a primitive in acceptance 3's gradient sweep",
     "exp": "a primitive in acceptance 3's gradient sweep",
-    "build_ic_instance": "the per-kind builder the acceptance suite calls",
-    "build_ibc_instance": "the per-kind builder the acceptance suite calls",
-    "build_coop_instance": "the per-kind builder the acceptance suite calls",
 }
 
 
@@ -126,12 +123,11 @@ def _calls():
 
 def _defaulted():
     """(module, function, parameter, position or None if keyword-only) of every
-    defaulted parameter of a public top-level function that the package or the
-    benchmark calls (ALLOWED names are called by tests alone)."""
+    defaulted parameter of a top-level function, public or private, that the
+    package or the benchmark calls (ALLOWED names are called by tests alone)."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
-                    or node.name in ALLOWED):
+            if not isinstance(node, ast.FunctionDef) or node.name in ALLOWED:
                 continue
             args = node.args.posonlyargs + node.args.args
             first = len(args) - len(node.args.defaults)

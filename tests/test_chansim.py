@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rrmgnn import chansim
-from rrmgnn.chansim import (GenerationError, GeometryConfig, _faded, build_coop_instance,
-                            build_ibc_instance, build_ic_instance, build_instance,
+from rrmgnn.chansim import (GenerationError, GeometryConfig, _faded, build_instance,
                             dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
                             permute_instance, sample_instances, zero_forcing)
 from rrmgnn.hetgraph import NodePermutation, merge_complex, permute_graph
@@ -148,7 +147,7 @@ def test_geometry_infeasible_spacing_raises():
 
 def test_ic_instance_structure():
     cfg = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=5)
-    inst, g = build_ic_instance(cfg)
+    inst, g = build_instance("ic", cfg)
     n = cfg.n_antennas
     assert g.e.shape == (3, 3, 4 * n)  # 2N complex one-hot -> 4N reals
     # direct-edge fibers nonzero exactly on the serving bijection
@@ -167,7 +166,7 @@ def test_ic_instance_structure():
 
 def test_ic_single_pair_one_hot():
     cfg = GeometryConfig(n_tx=1, n_rx=1, n_antennas=3, seed=1)
-    inst, g = build_ic_instance(cfg)
+    inst, g = build_instance("ic", cfg)
     fiber = merge_complex(g.e[0, 0])
     assert np.all(fiber[3:] == 0)
     assert np.any(fiber[:3] != 0)
@@ -175,13 +174,13 @@ def test_ic_single_pair_one_hot():
 
 def test_ic_requires_square():
     with pytest.raises(ValueError):
-        build_ic_instance(GeometryConfig(n_tx=2, n_rx=3))
+        build_instance("ic", GeometryConfig(n_tx=2, n_rx=3))
 
 
 def test_ic_reproducible_bit_exact():
     cfg = GeometryConfig(n_tx=4, n_rx=4, seed=9)
-    a_inst, a_graph = build_ic_instance(cfg)
-    b_inst, b_graph = build_ic_instance(cfg)
+    a_inst, a_graph = build_instance("ic", cfg)
+    b_inst, b_graph = build_instance("ic", cfg)
     assert a_graph.e.tobytes() == b_graph.e.tobytes()
     assert a_inst.channels.tobytes() == b_inst.channels.tobytes()
 
@@ -217,7 +216,7 @@ def test_zero_forcing_rank_deficient_raises():
 
 def test_ibc_instance_structure_and_zf_property():
     cfg = GeometryConfig(n_tx=2, n_rx=2, n_antennas=16, seed=6)
-    inst, g = build_ibc_instance(cfg)
+    inst, g = build_instance("ibc", cfg)
     k = 4
     assert inst.gains.shape == (k, k)
     assert g.e.shape == (k, k, 3)
@@ -241,25 +240,25 @@ def test_ibc_instance_structure_and_zf_property():
 
 def test_ibc_single_ue_per_cell_has_no_intra_slot():
     cfg = GeometryConfig(n_tx=3, n_rx=1, n_antennas=2, seed=7)
-    inst, g = build_ibc_instance(cfg)
+    inst, g = build_instance("ibc", cfg)
     assert np.all(g.e[:, :, 1] == 0)
     assert inst.n_tx_entities == 3 and inst.n_ue == 3
 
 
 def test_ibc_counts_equivalent_entities():
     cfg = GeometryConfig(n_tx=2, n_rx=3, n_antennas=4, seed=8)
-    inst, g = build_ibc_instance(cfg)
+    inst, g = build_instance("ibc", cfg)
     assert g.m == 6 and g.k == 6  # K = B*Q equivalent TX-nodes and K RX-nodes
 
 
 def test_ibc_requires_enough_antennas():
     with pytest.raises(ValueError):
-        build_ibc_instance(GeometryConfig(n_tx=2, n_rx=3, n_antennas=2))
+        build_instance("ibc", GeometryConfig(n_tx=2, n_rx=3, n_antennas=2))
 
 
 def test_coop_instance_structure():
     cfg = GeometryConfig(n_tx=3, n_rx=2, n_antennas=2, seed=10)
-    inst, g = build_coop_instance(cfg)
+    inst, g = build_instance("coop", cfg)
     assert g.e.shape == (3, 2, 4)  # raw split channel, width 2N, no one-hot
     assert g.edge_mask.all()
     for m in range(3):

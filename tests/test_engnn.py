@@ -203,20 +203,20 @@ def test_edge_update_permutation_equivariant():
 
 def scenario_cases():
     return [
-        ("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2), chansim.build_ic_instance),
-        ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), chansim.build_ibc_instance),
-        ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2), chansim.build_coop_instance),
+        ("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)),
+        ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)),
+        ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2)),
     ]
 
 
-@pytest.mark.parametrize("kind,geo,builder", scenario_cases())
-def test_forward_permutation_equivariance(kind, geo, builder):
+@pytest.mark.parametrize("kind,geo", scenario_cases())
+def test_forward_permutation_equivariance(kind, geo):
     rng = np.random.default_rng(11)
     cfg = config_for_scenario(kind, geo.n_antennas, hidden=6, layers=2)
     params = init_params(cfg, seed=11)
     for seed in range(10):
         geo.seed = seed
-        inst, g = builder(geo)
+        inst, g = chansim.build_instance(kind, geo)
         p = NodePermutation.random(g.m, g.k, rng)
         base = forward(g, cfg, params).xi.data
         permuted = forward(permute_graph(g, p), cfg, params).xi.data
@@ -231,7 +231,7 @@ def test_forward_equivariance_node_heads():
         params = init_params(cfg, seed=29)
         for seed in range(10):
             geo.seed = seed
-            _, g = chansim.build_ic_instance(geo)
+            _, g = chansim.build_instance("ic", geo)
             p = NodePermutation.random(g.m, g.k, rng)
             base = forward(g, cfg, params)
             permuted = forward(permute_graph(g, p), cfg, params)
@@ -245,7 +245,7 @@ def test_forward_equivariance_node_heads():
 
 def test_ibc_node_head_variable_path():
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=31)
-    inst, g = chansim.build_ibc_instance(geo)
+    inst, g = chansim.build_instance("ibc", geo)
     cfg = config_for_scenario("ibc", 4, hidden=4, output_head="rx_node")
     params = init_params(cfg, seed=31)
     raw = forward(g, cfg, params)
@@ -257,7 +257,7 @@ def test_ibc_node_head_variable_path():
 
 def test_forward_identity_permutation_identical():
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
-    inst, g = chansim.build_ic_instance(geo)
+    inst, g = chansim.build_instance("ic", geo)
     cfg = config_for_scenario("ic", 2, hidden=4)
     params = init_params(cfg, seed=12)
     a = forward(g, cfg, params).xi.data
@@ -271,7 +271,7 @@ def test_forward_runs_across_sizes_with_same_params():
     for m, k in ((3, 2), (5, 7), (1, 1), (1, 4), (4, 1)):
         geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, seed=m * 10 + k,
                              min_bs_spacing=100.0)
-        inst, g = chansim.build_coop_instance(geo)
+        inst, g = chansim.build_instance("coop", geo)
         out = forward(g, cfg, params).xi
         assert out.data.shape == (m, k, 2 * 2)
         assert np.isfinite(out.data).all()
@@ -279,7 +279,7 @@ def test_forward_runs_across_sizes_with_same_params():
 
 def test_forward_node_heads():
     geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=5)
-    inst, g = chansim.build_ic_instance(geo)
+    inst, g = chansim.build_instance("ic", geo)
     for head in ("rx_node", "tx_node"):
         cfg = config_for_scenario("ic", 2, hidden=4, output_head=head)
         params = init_params(cfg, seed=14)
@@ -316,7 +316,7 @@ def test_degenerate_graphs_forward_backward_and_pe():
     rng = np.random.default_rng(16)
     for m, k in ((1, 1), (1, 3), (3, 1)):
         geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, seed=17, min_bs_spacing=100.0)
-        inst, g = chansim.build_coop_instance(geo)
+        inst, g = chansim.build_instance("coop", geo)
         cfg = config_for_scenario("coop", 2, hidden=4)
         params = init_params(cfg, seed=17)
         raw = forward(g, cfg, params)
@@ -337,14 +337,14 @@ def test_parameter_shapes_do_not_depend_on_graph_size(tmp_path):
     cfg = config_for_scenario("ic", 2, hidden=4)
     params = init_params(cfg, seed=18)
     geo_small = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=1)
-    _, g_small = chansim.build_ic_instance(geo_small)
+    _, g_small = chansim.build_instance("ic", geo_small)
     forward(g_small, cfg, params)
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, cfg, params)
     cfg2, params2, _ = load_checkpoint(path)
     geo_big = GeometryConfig(n_tx=8, n_rx=8, n_antennas=2, seed=2, min_bs_spacing=300.0)
-    _, g_big = chansim.build_ic_instance(geo_big)
+    _, g_big = chansim.build_instance("ic", geo_big)
     out = forward(g_big, cfg2, params2).xi
     assert out.data.shape == (8, 8, 4)
 
@@ -483,8 +483,8 @@ def test_config_refuses_nets_no_scenario_uses():
 def test_extract_variables_refuses_another_kind():
     # an ic net at N=1 and a coop graph at N=2 both have edge width 4, so only
     # the kind tells them apart
-    inst, g = chansim.build_coop_instance(GeometryConfig(n_tx=2, n_rx=2, n_antennas=2,
-                                                         seed=24))
+    inst, g = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2,
+                                                            seed=24))
     cfg = config_for_scenario("ic", 1, hidden=4)
     raw = forward(g, cfg, init_params(cfg, seed=24))
     with pytest.raises(ConfigError, match="ic network cannot serve a coop instance"):
@@ -497,7 +497,7 @@ def test_extract_variables_refuses_another_kind():
 
 def test_param_gradients_match_finite_differences():
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=21)
-    inst, g = chansim.build_ic_instance(geo)
+    inst, g = chansim.build_instance("ic", geo)
     cfg = config_for_scenario("ic", 2, hidden=3, input_scale_e=1e6)
     params = init_params(cfg, seed=21)
 

@@ -428,6 +428,13 @@ def test_parse_config_rejects_bad_value():
         parse_config_text("epochs = lots\n")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "0"])
+def test_parse_config_rejects_bad_learning_rate(text):
+    # a non-finite rate would otherwise fail in training, blaming a sample
+    with pytest.raises(ConfigError, match="learning_rate"):
+        parse_config_text(f"learning_rate = {text}\n")
+
+
 def test_parse_config_rejects_missing_equals():
     with pytest.raises(ConfigError):
         parse_config_text("scenario ic\n")
