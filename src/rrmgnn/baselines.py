@@ -89,7 +89,7 @@ class SolverResult:
     extrapolations: int = 0   # accepted extrapolated steps (WMMSE only)
 
 
-def _secular_solve(lam, c, pmax, power_tol, solver):
+def _secular_solve(lam, c, pmax, solver):
     """Power-capped minimizers of a batch of eigendecomposed quadratics.
 
     Row r minimizes sum_i lam[r, i] |y_i|^2 - 2 Re(conj(c[r, i]) y_i) subject
@@ -97,17 +97,17 @@ def _secular_solve(lam, c, pmax, power_tol, solver):
     its rhs in the eigenbasis (trailing axes of c are rhs columns sharing the
     row's budget). The minimizer is y = c / (lam + mu), with mu = 0 if that is
     feasible, else the root of p(mu) = sum_i |c_i|^2 / (lam_i + mu)^2 = pmax.
-    Newton runs on phi(mu) = p^(-1/2) - t^(-1/2), t = pmax (1 - power_tol/2),
+    Newton runs on phi(mu) = p^(-1/2) - t^(-1/2), t = pmax (1 - _POWER_TOL/2),
     which is concave and increasing (More & Sorensen): from a lower bound it
     climbs to the root, so a binding row ends with power in
-    [pmax (1 - power_tol), pmax]. Directions with c = 0 contribute nothing,
+    [pmax (1 - _POWER_TOL), pmax]. Directions with c = 0 contribute nothing,
     also where lam = 0 (a rank-deficient quadratic). Returns y, shaped like c.
     """
     c2 = (np.abs(c) ** 2).reshape(lam.shape + (-1,)).sum(axis=-1)
     # eigh rounding can leave PSD eigenvalues below 0; directions without rhs
     # get lam = 1, so they add exactly 0 to p and to y
     lam = np.where(c2 > 0, np.maximum(lam, 0.0), 1.0)
-    target = pmax * (1.0 - 0.5 * power_tol)
+    target = pmax * (1.0 - 0.5 * _POWER_TOL)
 
     def power(mu):
         d = lam + mu[:, None]
@@ -127,7 +127,7 @@ def _secular_solve(lam, c, pmax, power_tol, solver):
         mu = np.where(open_, lo, 0.0)
         for _ in range(_NEWTON_STEPS):
             p, p3 = power(mu)
-            open_ &= ~((p <= pmax) & (p >= pmax * (1.0 - power_tol)))
+            open_ &= ~((p <= pmax) & (p >= pmax * (1.0 - _POWER_TOL)))
             if not open_.any():
                 break
             # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]
@@ -236,8 +236,7 @@ def wmmse_ic(instance, cfg=None):
         a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
         rhs = (w * u)[:, None] * h_own
         lam, q = np.linalg.eigh(a_mat)
-        y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets,
-                           _POWER_TOL, "wmmse_ic")
+        y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets, "wmmse_ic")
         v = np.einsum("jni,ji->jn", q, y)
         return v, score(v)
 
@@ -272,7 +271,7 @@ def wmmse_ibc_power(instance, cfg=None):
         lam, c = np.zeros(padded), np.zeros(padded)   # padding slots carry c = 0
         lam[cells, slot] = g2 @ (w * u ** 2)          # sum_k w_k u_k^2 g_{jk}^2
         c[cells, slot] = w * u * diag
-        x = _secular_solve(lam, c, cell_budget, _POWER_TOL, "wmmse_ibc_power")[cells, slot]
+        x = _secular_solve(lam, c, cell_budget, "wmmse_ibc_power")[cells, slot]
         return x, score(x)
 
     def project(x):   # nonnegative amplitudes, each cell's power into its budget
@@ -309,7 +308,7 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n):
         own = v[:, bs, :] @ a_blocks[bs, bs].T
         d = b[:, bs, :] - (coupled - own)
         y = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
-                           budgets[bs:bs + 1], _POWER_TOL, "wmmse_coop")
+                           budgets[bs:bs + 1], "wmmse_coop")
         v[:, bs, :] = (q[bs] @ y[0]).T
     return v.reshape(k_n, m * n)
 

@@ -8,6 +8,7 @@ boundary. Generation is pure given (config, seed).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -42,7 +43,8 @@ class GeometryConfig:
     """Placement and radio parameters for one scenario family.
 
     n_tx is M for pair/cooperative setups and the cell count B for the
-    broadcast setup; n_rx is K or the per-cell UE count Q accordingly.
+    broadcast setup; n_rx is K or the per-cell UE count Q accordingly. UEs
+    lie in the annulus [serve_dist_min, serve_dist_max] around their BS.
     """
 
     n_tx: int = 4
@@ -50,28 +52,25 @@ class GeometryConfig:
     n_antennas: int = 2
     field_size: float = 2000.0
     min_bs_spacing: float = 500.0
-    serve_dist: tuple = (50.0, 250.0)
+    serve_dist_min: float = 50.0
+    serve_dist_max: float = 250.0
     budget_dbm: float = 33.0
     noise_dbm: float = -99.0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n_tx < 1 or self.n_rx < 1 or self.n_antennas < 1:
-            raise ValueError("counts and antenna number must be >= 1")
-        for name in ("field_size", "min_bs_spacing", "serve_dist", "budget_dbm", "noise_dbm"):
+        for name in ("n_tx", "n_rx", "n_antennas"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("field_size", "min_bs_spacing", "serve_dist_min", "serve_dist_max",
+                     "budget_dbm", "noise_dbm"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        lo, hi = self.serve_dist
-        if not (0 < lo <= hi <= self.field_size):
-            raise ValueError("serve_dist range must satisfy 0 < min <= max <= field_size")
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "serve_dist" in d:
-            d["serve_dist"] = tuple(d["serve_dist"])
-        return cls(**d)
+        if not (0 < self.serve_dist_min <= self.serve_dist_max <= self.field_size):
+            raise ValueError("serve distances must satisfy 0 < serve_dist_min <= "
+                             "serve_dist_max <= field_size")
 
 
 @dataclass
@@ -170,7 +169,7 @@ def _draw_geometry(cfg, rng, n_bs, anchor_bs):
         bs.append((cx, cy))
         stalled = 0
 
-    lo, hi = cfg.serve_dist
+    lo, hi = cfg.serve_dist_min, cfg.serve_dist_max
     radius, angle = [], []
     for j, b in enumerate(anchor_bs):
         r = math.sqrt(rng.uniform(lo * lo, hi * hi))
@@ -296,10 +295,10 @@ def sample_instances(kind, cfg, seeds):
                             tx_cell=anchor, rx_cell=anchor.copy(), gains=gains)
 
 
-def build_instance(kind, cfg, seed=None):
-    """One instance (seed None: cfg.seed) and its graph: element 0 of a
+def build_instance(kind, cfg, seed):
+    """The instance of one seed and its graph: element 0 of a
     `sample_instances` stack of one. Returns (instance, graph_of(instance))."""
-    batch = sample_instances(kind, cfg, [cfg.seed if seed is None else seed])
+    batch = sample_instances(kind, cfg, [seed])
     shared = ("kind", "serving", "tx_cell", "rx_cell")
     inst = replace(batch, **{f.name: getattr(batch, f.name)[0] for f in fields(batch)
                              if f.name not in shared and getattr(batch, f.name) is not None})

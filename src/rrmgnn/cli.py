@@ -54,28 +54,29 @@ def build_parser():
 
 def _train_cfg(args):
     cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, geometry=replace(cfg.geometry, seed=args.seed))
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _restore(args):
+    """(net, params, scenario, geometry, eval seed) for eval and sweep: the
+    scenario, geometry and seed come from --config, else from the checkpoint's
+    `train` config; --seed replaces the seed."""
     net, params, meta = engnn.load_checkpoint(args.checkpoint)
     if args.config is not None:
         cfg = harness.load_config(args.config)
-        scenario, geometry = cfg.scenario, cfg.geometry
+        scenario, geometry, seed = cfg.scenario, cfg.geometry, cfg.seed
     else:
         path, train_meta = args.checkpoint, meta.get("train")
         if not train_meta:
             raise ValueError(f"{path}: checkpoint has no embedded 'train' config; "
                              f"pass --config")
         try:
-            scenario = train_meta["scenario"]
-            geometry = chansim.GeometryConfig.from_dict(train_meta["geometry"])
+            scenario, seed = train_meta["scenario"], train_meta["seed"]
+            geometry = chansim.GeometryConfig(**train_meta["geometry"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad 'train' config in checkpoint ({exc!r}); "
                              f"pass --config") from exc
-    return net, params, scenario, geometry
+    return net, params, scenario, geometry, seed if args.seed is None else args.seed
 
 
 def main(argv=None):
@@ -92,15 +93,13 @@ def main(argv=None):
                                    for r in rows])
             print(f"checkpoint written to {cfg.checkpoint_path}")
         elif args.command == "eval":
-            net, params, scenario, geometry = _restore(args)
-            seed = args.seed if args.seed is not None else geometry.seed
+            net, params, scenario, geometry, seed = _restore(args)
             row, _ = harness.evaluate(net, params, scenario, geometry,
                                       args.samples, seed, out_csv=args.out)
             print(f"mean sum rate {row.mean_sum_rate:.6f} bits/s/Hz over "
                   f"{args.samples} samples (max residual {row.residual_max:.2e})")
         elif args.command == "sweep":
-            net, params, scenario, geometry = _restore(args)
-            seed = args.seed if args.seed is not None else geometry.seed
+            net, params, scenario, geometry, seed = _restore(args)
             values = [float(v) for v in args.values.split(",") if v]
             train_cfg = harness.load_config(args.config) if args.config else None
             harness.sweep(net, params, scenario, geometry, args.axis, values,

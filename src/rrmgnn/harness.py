@@ -319,11 +319,10 @@ def parse_config_text(text):
     """Parse `key = value` lines ('#' comments) into a TrainConfig.
 
     Every field of TrainConfig and of GeometryConfig is a key of the same
-    name, parsed with the type of the field's default, except four spellings:
-    `checkpoint` sets checkpoint_path, `seed` sets both seeds, `n_pairs` sets
-    n_tx and n_rx, and `serve_dist_min`/`serve_dist_max` set the two ends of
-    serve_dist. A key given twice, `n_pairs` next to `n_tx` or `n_rx`, and
-    `n_pairs` outside the ic scenario raise ConfigError.
+    name, parsed with the type of the field's default, except two spellings:
+    `checkpoint` sets checkpoint_path and `n_pairs` sets n_tx and n_rx. A key
+    given twice, `n_pairs` next to `n_tx` or `n_rx`, and `n_pairs` outside
+    the ic scenario raise ConfigError.
     """
     values = {}   # key -> (line number, value text)
     for ln, raw_line in enumerate(text.splitlines(), 1):
@@ -346,33 +345,23 @@ def parse_config_text(text):
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
 
-    geo_defaults = {f.name: f.default for f in fields(GeometryConfig)}
-    geo_keys = {name: type(default) for name, default in geo_defaults.items()
-                if name not in ("serve_dist", "seed")}
+    geo_keys = {f.name: type(f.default) for f in fields(GeometryConfig)}
     train_keys = {f.name: type(f.default) for f in fields(TrainConfig)
-                  if f.name not in ("geometry", "checkpoint_path", "seed")}
+                  if f.name not in ("geometry", "checkpoint_path")}
     geo_kwargs = {}
     train_kwargs = {}
-    serve = list(geo_defaults["serve_dist"])
     for key, (_, val) in values.items():
         if key == "checkpoint":
             train_kwargs["checkpoint_path"] = val
-        elif key == "seed":
-            train_kwargs["seed"] = geo_kwargs["seed"] = parse(key, val, int)
         elif key == "n_pairs":
             geo_kwargs["n_tx"] = geo_kwargs["n_rx"] = parse(key, val, int)
-        elif key == "serve_dist_min":
-            serve[0] = parse(key, val, float)
-        elif key == "serve_dist_max":
-            serve[1] = parse(key, val, float)
         elif key in geo_keys:
             geo_kwargs[key] = parse(key, val, geo_keys[key])
         elif key in train_keys:
             train_kwargs[key] = parse(key, val, train_keys[key])
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    geometry = GeometryConfig(serve_dist=tuple(serve), **geo_kwargs)
-    cfg = TrainConfig(geometry=geometry, **train_kwargs)
+    cfg = TrainConfig(geometry=GeometryConfig(**geo_kwargs), **train_kwargs)
     if "n_pairs" in values:
         _check_pairs_scenario(cfg.scenario)
     return cfg

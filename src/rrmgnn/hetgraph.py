@@ -89,15 +89,8 @@ class NodePermutation:
                 raise ValueError(f"{name} is not a bijection on 0..{p.size - 1}")
 
     @classmethod
-    def identity(cls, m, k):
-        return cls(np.arange(m), np.arange(k))
-
-    @classmethod
     def random(cls, m, k, rng):
         return cls(rng.permutation(m), rng.permutation(k))
-
-    def inverse(self):
-        return NodePermutation(np.argsort(self.pi_tx), np.argsort(self.pi_rx))
 
 
 def _relabel(a, *pis):

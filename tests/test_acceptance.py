@@ -94,8 +94,8 @@ def test_acceptance_3_gradient_correctness():
     t0 = time.perf_counter()
     checks = primitive_gradcheck_sweep(rtol=1e-6, points_per_op=100)
 
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=303)
-    inst, g = chansim.build_instance("ic", geo)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
+    inst, g = chansim.build_instance("ic", geo, 303)
     net = config_for_scenario("ic", 2, hidden=4, input_scale_e=1e6)
     params = init_params(net, seed=303)
 
@@ -157,7 +157,7 @@ def test_acceptance_5_closed_form_oracles():
     worst_ic = 0.0
     for trial in range(20):
         inst, _ = chansim.build_instance(
-            "ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4, seed=trial))
+            "ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4), trial)
         res = baselines.wmmse_ic(inst)
         h = inst.channels[0, 0]
         expect = np.log2(1 + inst.budgets[0] * np.linalg.norm(h) ** 2 / inst.noise[0])
@@ -167,7 +167,7 @@ def test_acceptance_5_closed_form_oracles():
     worst_gp = 0.0
     for trial in range(10):
         inst, _ = chansim.build_instance(
-            "coop", GeometryConfig(n_tx=3, n_rx=1, n_antennas=2, seed=trial))
+            "coop", GeometryConfig(n_tx=3, n_rx=1, n_antennas=2), trial)
         norms = np.linalg.norm(inst.channels[:, 0, :], axis=1)
         expect = np.log2(1 + (np.sqrt(inst.budgets) * norms).sum() ** 2 / inst.noise[0])
         res = baselines.gp_coop(inst)
@@ -254,14 +254,14 @@ def test_acceptance_7_feasibility_fuzz():
 
 def test_acceptance_8_desk_scale_training_quality(tmp_path):
     t0 = time.perf_counter()
-    geo = GeometryConfig(n_tx=4, n_rx=4, n_antennas=2, seed=0)
+    geo = GeometryConfig(n_tx=4, n_rx=4, n_antennas=2)
     cfg = harness.TrainConfig(scenario="ic", geometry=geo, seed=0,
                               checkpoint_path=str(tmp_path / "ic.bin"))
     params, net, _ = harness.train(cfg)
 
     ratios = {}
     for k in (4, 8):
-        geo_t = GeometryConfig(n_tx=k, n_rx=k, n_antennas=2, seed=0)
+        geo_t = GeometryConfig(n_tx=k, n_rx=k, n_antennas=2)
         row, _ = harness.evaluate(net, params, "ic", geo_t, 100, 777)
         wmmse = np.mean([
             baselines.wmmse_ic(chansim.build_instance("ic", geo_t,

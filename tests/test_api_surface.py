@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package must be used by the
-package itself or by the benchmark in `rrmbench/`, and every defaulted
+"""Every public top-level function and class of the package, and every public
+method and property of its public classes, must be used by the package itself
+or by the benchmark in `rrmbench/`, and every defaulted
 parameter of a top-level function, public or private, must be passed by one of
 their calls; API and options that only tests use are dead weight. Run with
 `python -m pytest tests/test_api_surface.py`.
@@ -15,9 +16,11 @@ PACKAGE = ROOT / "src" / "rrmgnn"
 ALLOWED = {
     "permute_graph": "the equivariance harness of acceptance 1, 2 and 10",
     "permute_instance": "the equivariance harness of acceptance 1, 2 and 10",
+    "NodePermutation": "the equivariance harness of acceptance 1, 2 and 10",
     "masked_max_aggregate": "tests/gradcheck_util.py calls it by name in acceptance 3's sweep",
     "dot": "a primitive in acceptance 3's gradient sweep",
     "exp": "a primitive in acceptance 3's gradient sweep",
+    "item": "Tensor.item: acceptance 3 and tests/gradcheck_util.py read scalar losses with it",
 }
 
 
@@ -70,20 +73,38 @@ def _all_uses():
     return set().union(*(_uses(p) for p in _files()))
 
 
-def test_every_public_name_is_used_outside_tests():
+def _methods():
+    """(module, class, name) of every public method and property of a public
+    top-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path.stem, node.name, item.name
+
+
+def _unused():
+    """(name, qualified name) of every public definition nothing outside the
+    tests uses. A method or property counts as used when the package or the
+    benchmark reads an attribute of its name, whatever the object."""
     used = _all_uses()
-    unused = [f"{mod}.{name}" for mod, name in _definitions()
-              if (mod, name) not in used and name not in ALLOWED]
+    attributes = {node.attr for p in _files() for node in ast.walk(ast.parse(p.read_text()))
+                  if isinstance(node, ast.Attribute)}
+    return ([(name, f"{mod}.{name}") for mod, name in _definitions() if (mod, name) not in used]
+            + [(name, f"{mod}.{cls}.{name}") for mod, cls, name in _methods()
+               if name not in attributes])
+
+
+def test_every_public_name_is_used_outside_tests():
+    unused = [qualified for name, qualified in _unused() if name not in ALLOWED]
     assert not unused, f"public API that only tests call: {unused}"
 
 
 def test_allowlist_names_exist_and_are_unused():
-    used = _all_uses()
-    defined = dict((name, mod) for mod, name in _definitions())
-    stale = [name for name in ALLOWED
-             if name not in defined or (defined[name], name) in used]
+    unused = {name for name, _ in _unused()}
+    stale = [name for name in ALLOWED if name not in unused]
     assert not stale, f"allowlist entries to remove: {stale}"
-
 
 
 # defaulted parameters that stay although no package or benchmark call passes them

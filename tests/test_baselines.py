@@ -58,14 +58,14 @@ def _ball_solve(a, b, pmax, power_tol):
     return best[0] if single else best
 
 
-def _eig_solve(quads, power_tol=1e-10):
+def _eig_solve(quads):
     """One batched _secular_solve call over (a, b, pmax) triples sharing a shape."""
     a = np.stack([q[0] for q in quads])
     b = np.stack([np.atleast_2d(q[1]) for q in quads])        # (R, K, N)
     pmax = np.array([q[2] for q in quads])
     lam, vecs = np.linalg.eigh(a)
     c = np.einsum("rni,rkn->rik", vecs.conj(), b)              # (R, N, K)
-    y = baselines._secular_solve(lam, c, pmax, power_tol, "test")
+    y = baselines._secular_solve(lam, c, pmax, "test")
     v = np.einsum("rni,rik->rkn", vecs, y)
     return [vi.reshape(np.shape(q[1])) for vi, q in zip(v, quads)]
 
@@ -111,24 +111,23 @@ def test_secular_solve_matches_bisection_oracle():
 
 def test_secular_solve_feasible_and_binding():
     rng = np.random.default_rng(23)
-    power_tol = 1e-10
     for _ in range(200):
         n = int(rng.integers(1, 5))
         rank = int(rng.integers(1, n + 1))
         quads = [_random_quad(rng, n, rank, 2, s) for s in rng.uniform(0.01, 2.0, 6)]
-        for (a, b, pmax), v in zip(quads, _eig_solve(quads, power_tol)):
+        for (a, b, pmax), v in zip(quads, _eig_solve(quads)):
             p = float((np.abs(v) ** 2).sum())
             assert p <= pmax
             unconstrained = float((np.abs(np.linalg.pinv(a) @ b.T) ** 2).sum())
             if unconstrained > pmax * (1 + 1e-9):   # the budget binds
-                assert p >= pmax * (1 - power_tol)
+                assert p >= pmax * (1 - baselines._POWER_TOL)
 
 
 def test_secular_solve_rejects_non_finite_rows():
     lam = np.array([[1.0, 2.0], [1.0, 2.0]])
     c = np.array([[3.0, 1.0], [np.nan, 1.0]])
     with pytest.raises(NumericalError, match="wmmse_ic"):
-        baselines._secular_solve(lam, c, np.ones(2), 1e-10, "wmmse_ic")
+        baselines._secular_solve(lam, c, np.ones(2), "wmmse_ic")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_secular_solve_rejects_non_finite_rows():
 
 
 def test_wmmse_ic_single_user_closed_form():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4, seed=0))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4), 0)
     res = wmmse_ic(inst)
     h = inst.channels[0, 0]
     p = inst.budgets[0]
@@ -170,7 +169,7 @@ def test_wmmse_ic_symmetric_instance_symmetric_beams():
 def test_wmmse_ic_monotone_and_beats_matched_filter():
     wins = 0
     for seed in range(100):
-        inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3, seed=seed))
+        inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3), seed)
         res = wmmse_ic(inst)
         assert_trace_monotone(res.trace)
         assert obj.constraint_residual(inst, res.variables) <= 1e-9
@@ -181,7 +180,7 @@ def test_wmmse_ic_monotone_and_beats_matched_filter():
 
 
 def test_wmmse_ic_nonconvergence_flag():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3, seed=7))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3), 7)
     res = wmmse_ic(inst, SolverConfig(max_iters=2, tol=1e-15))
     assert not res.converged and res.iterations == 2
 
@@ -191,7 +190,7 @@ def test_wmmse_ic_nonconvergence_flag():
 
 
 def test_wmmse_ibc_single_cell_single_ue_full_power():
-    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=1, n_rx=1, n_antennas=2, seed=2))
+    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=1, n_rx=1, n_antennas=2), 2)
     res = wmmse_ibc_power(inst)
     np.testing.assert_allclose(res.variables, inst.budgets, rtol=1e-9)
     assert res.converged
@@ -199,7 +198,7 @@ def test_wmmse_ibc_single_cell_single_ue_full_power():
 
 def test_wmmse_ibc_isolated_cells_separate():
     # zero inter-cell gains: the joint solve must match per-cell solves
-    base, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=3))
+    base, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 3)
     gains = base.gains.copy()
     cells_tx, cells_rx = base.tx_cell, base.rx_cell
     for m in range(4):
@@ -230,7 +229,7 @@ def test_wmmse_ibc_isolated_cells_separate():
 def test_wmmse_ibc_random_feasible_and_monotone():
     for seed in range(100):
         inst, _ = chansim.build_instance(
-            "ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=seed))
+            "ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), seed)
         res = wmmse_ibc_power(inst)
         assert_trace_monotone(res.trace)
         sums = np.bincount(inst.rx_cell, weights=res.variables)
@@ -243,7 +242,7 @@ def test_wmmse_ibc_random_feasible_and_monotone():
 
 
 def test_wmmse_coop_single_user_is_coherent_mrt():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=1, seed=4))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=1), 4)
     res = wmmse_coop(inst)
     norms = np.linalg.norm(inst.channels[:, 0, :], axis=1)
     expect = np.log2(1 + (np.sqrt(inst.budgets) * norms).sum() ** 2 / inst.noise[0])
@@ -257,9 +256,9 @@ def test_wmmse_coop_single_user_is_coherent_mrt():
 
 
 def test_wmmse_coop_single_pair_matches_ic():
-    geo = GeometryConfig(n_tx=1, n_rx=1, n_antennas=3, seed=5)
-    inst_c, _ = chansim.build_instance("coop", geo)
-    inst_i, _ = chansim.build_instance("ic", geo)
+    geo = GeometryConfig(n_tx=1, n_rx=1, n_antennas=3)
+    inst_c, _ = chansim.build_instance("coop", geo, 5)
+    inst_i, _ = chansim.build_instance("ic", geo, 5)
     np.testing.assert_allclose(inst_c.channels, inst_i.channels)  # same seed stream
     rc = wmmse_coop(inst_c)
     ri = wmmse_ic(inst_i)
@@ -272,7 +271,7 @@ def test_coop_vstep_feasible_and_never_raises_surrogate():
     rng = np.random.default_rng(31)
     bound = 0
     for seed in range(4):
-        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2, seed=seed))
+        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2), seed)
         work = baselines._scaled_copy(inst)
         m, k, n = work.channels.shape
         h = work.channels.transpose(1, 0, 2).reshape(k, m * n)
@@ -302,7 +301,7 @@ def test_coop_vstep_feasible_and_never_raises_surrogate():
 
 def test_wmmse_coop_monotone_feasible_and_at_least_gp():
     for seed in range(8):
-        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2, seed=seed))
+        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2), seed)
         res = wmmse_coop(inst, SolverConfig(max_iters=120))
         assert_trace_monotone(res.trace)
         assert obj.constraint_residual(inst, res.variables) <= 1e-9
@@ -315,7 +314,7 @@ def test_wmmse_coop_monotone_feasible_and_at_least_gp():
 
 
 def test_gp_single_user_hits_mrt_closed_form():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=1, seed=7))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=1), 7)
     norms = np.linalg.norm(inst.channels[:, 0, :], axis=1)
     expect = np.log2(1 + (np.sqrt(inst.budgets) * norms).sum() ** 2 / inst.noise[0])
     res = gp_coop(inst)
@@ -329,7 +328,7 @@ def test_gp_single_user_hits_mrt_closed_form():
 
 def test_gp_trace_ascends_and_iterates_feasible():
     for seed in range(5):
-        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2, seed=seed))
+        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2), seed)
         res = gp_coop(inst, SolverConfig(max_iters=150))
         assert np.all(np.diff(res.trace) > 0)
         assert obj.constraint_residual(inst, res.variables) <= 1e-12
@@ -341,20 +340,19 @@ def test_gp_trace_ascends_and_iterates_feasible():
 
 def test_baselines_permutation_consistent():
     rng = np.random.default_rng(8)
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3, seed=9))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3), 9)
     p = NodePermutation.random(3, 3, rng)
     r1 = wmmse_ic(inst).report.sum_rate
     r2 = wmmse_ic(permute_instance(inst, p)).report.sum_rate
     assert abs(r1 - r2) <= 1e-6 * max(1.0, r1)
 
-    inst_b, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4,
-                                                             seed=10))
+    inst_b, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 10)
     pb = NodePermutation.random(4, 4, rng)
     r1 = wmmse_ibc_power(inst_b).report.sum_rate
     r2 = wmmse_ibc_power(permute_instance(inst_b, pb)).report.sum_rate
     assert abs(r1 - r2) <= 1e-6 * max(1.0, r1)
 
-    inst_c, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, seed=11))
+    inst_c, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2), 11)
     pc = NodePermutation.random(2, 2, rng)
     r1 = wmmse_coop(inst_c).report.sum_rate
     r2 = wmmse_coop(permute_instance(inst_c, pc)).report.sum_rate

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_graph_of_commutes_with_permutation():
 
 def test_graph_of_widths_match_declared_widths():
     for kind, geo in GEOMETRIES.items():
-        inst, _ = build_instance(kind, geo)
+        inst, _ = build_instance(kind, geo, 0)
         assert graph_of(inst).widths == instance_feature_widths(kind, geo.n_antennas)
 
 
@@ -125,17 +126,26 @@ def test_geometry_serving_distance_annulus():
         anchor = inst.rx_cell if kind == "ibc" else inst.serving   # UE k's BS
         bs, ue = _positions(cfg, range(100), anchor)
         d = np.linalg.norm(bs[:, anchor] - ue, axis=-1)
-        assert np.all(d >= cfg.serve_dist[0] - 1e-9)
-        assert np.all(d <= cfg.serve_dist[1] + 1e-9)
+        assert np.all(d >= cfg.serve_dist_min - 1e-9)
+        assert np.all(d <= cfg.serve_dist_max + 1e-9)
         assert ue.min() >= 0 and ue.max() <= cfg.field_size
 
 
 @pytest.mark.parametrize("field,value", [
-    ("field_size", np.inf), ("min_bs_spacing", np.nan), ("serve_dist", (np.nan, 250.0)),
-    ("serve_dist", (50.0, np.inf)), ("budget_dbm", np.inf), ("noise_dbm", np.nan)],
+    ("field_size", np.inf), ("min_bs_spacing", np.nan), ("serve_dist_min", np.nan),
+    ("serve_dist_max", np.inf), ("budget_dbm", np.inf), ("noise_dbm", np.nan)],
     ids=lambda v: str(v).replace(" ", ""))
 def test_geometry_config_refuses_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GeometryConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_tx", 4.0), ("n_antennas", 2.5), ("n_tx", True), ("n_rx", 0)],
+    ids=lambda v: str(v))
+def test_geometry_config_refuses_non_integral_counts(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer >= 1, "
+                                                   f"got {value!r}")):
         GeometryConfig(**{field: value})
 
 
@@ -146,8 +156,8 @@ def test_geometry_infeasible_spacing_raises():
 
 
 def test_ic_instance_structure():
-    cfg = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=5)
-    inst, g = build_instance("ic", cfg)
+    cfg = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
+    inst, g = build_instance("ic", cfg, 5)
     n = cfg.n_antennas
     assert g.e.shape == (3, 3, 4 * n)  # 2N complex one-hot -> 4N reals
     # direct-edge fibers nonzero exactly on the serving bijection
@@ -165,8 +175,8 @@ def test_ic_instance_structure():
 
 
 def test_ic_single_pair_one_hot():
-    cfg = GeometryConfig(n_tx=1, n_rx=1, n_antennas=3, seed=1)
-    inst, g = build_instance("ic", cfg)
+    cfg = GeometryConfig(n_tx=1, n_rx=1, n_antennas=3)
+    inst, g = build_instance("ic", cfg, 1)
     fiber = merge_complex(g.e[0, 0])
     assert np.all(fiber[3:] == 0)
     assert np.any(fiber[:3] != 0)
@@ -174,13 +184,13 @@ def test_ic_single_pair_one_hot():
 
 def test_ic_requires_square():
     with pytest.raises(ValueError):
-        build_instance("ic", GeometryConfig(n_tx=2, n_rx=3))
+        build_instance("ic", GeometryConfig(n_tx=2, n_rx=3), 0)
 
 
 def test_ic_reproducible_bit_exact():
-    cfg = GeometryConfig(n_tx=4, n_rx=4, seed=9)
-    a_inst, a_graph = build_instance("ic", cfg)
-    b_inst, b_graph = build_instance("ic", cfg)
+    cfg = GeometryConfig(n_tx=4, n_rx=4)
+    a_inst, a_graph = build_instance("ic", cfg, 9)
+    b_inst, b_graph = build_instance("ic", cfg, 9)
     assert a_graph.e.tobytes() == b_graph.e.tobytes()
     assert a_inst.channels.tobytes() == b_inst.channels.tobytes()
 
@@ -215,8 +225,8 @@ def test_zero_forcing_rank_deficient_raises():
 
 
 def test_ibc_instance_structure_and_zf_property():
-    cfg = GeometryConfig(n_tx=2, n_rx=2, n_antennas=16, seed=6)
-    inst, g = build_instance("ibc", cfg)
+    cfg = GeometryConfig(n_tx=2, n_rx=2, n_antennas=16)
+    inst, g = build_instance("ibc", cfg, 6)
     k = 4
     assert inst.gains.shape == (k, k)
     assert g.e.shape == (k, k, 3)
@@ -239,26 +249,26 @@ def test_ibc_instance_structure_and_zf_property():
 
 
 def test_ibc_single_ue_per_cell_has_no_intra_slot():
-    cfg = GeometryConfig(n_tx=3, n_rx=1, n_antennas=2, seed=7)
-    inst, g = build_instance("ibc", cfg)
+    cfg = GeometryConfig(n_tx=3, n_rx=1, n_antennas=2)
+    inst, g = build_instance("ibc", cfg, 7)
     assert np.all(g.e[:, :, 1] == 0)
     assert inst.n_tx_entities == 3 and inst.n_ue == 3
 
 
 def test_ibc_counts_equivalent_entities():
-    cfg = GeometryConfig(n_tx=2, n_rx=3, n_antennas=4, seed=8)
-    inst, g = build_instance("ibc", cfg)
+    cfg = GeometryConfig(n_tx=2, n_rx=3, n_antennas=4)
+    inst, g = build_instance("ibc", cfg, 8)
     assert g.m == 6 and g.k == 6  # K = B*Q equivalent TX-nodes and K RX-nodes
 
 
 def test_ibc_requires_enough_antennas():
     with pytest.raises(ValueError):
-        build_instance("ibc", GeometryConfig(n_tx=2, n_rx=3, n_antennas=2))
+        build_instance("ibc", GeometryConfig(n_tx=2, n_rx=3, n_antennas=2), 0)
 
 
 def test_coop_instance_structure():
-    cfg = GeometryConfig(n_tx=3, n_rx=2, n_antennas=2, seed=10)
-    inst, g = build_instance("coop", cfg)
+    cfg = GeometryConfig(n_tx=3, n_rx=2, n_antennas=2)
+    inst, g = build_instance("coop", cfg, 10)
     assert g.e.shape == (3, 2, 4)  # raw split channel, width 2N, no one-hot
     assert g.edge_mask.all()
     for m in range(3):
@@ -269,7 +279,7 @@ def test_coop_instance_structure():
 def _stack_fields(kind, drop=(), **edits):
     """The array fields of a 3-instance `sample_instances` stack, minus `drop`,
     with each of `edits` (name -> function of the field) applied."""
-    stack = sample_instances(kind, GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=11),
+    stack = sample_instances(kind, GeometryConfig(n_tx=2, n_rx=2, n_antennas=2),
                              [chansim.sample_seed(11, i) for i in range(3)])
     arrays = {f.name: getattr(stack, f.name) for f in fields(stack)
               if f.name != "kind" and f.name not in drop}
@@ -319,7 +329,7 @@ def _oracle_geometry(cfg, rng, n_bs, anchor_bs):
         bs[placed] = cand
         placed += 1
         stalled = 0
-    lo, hi = cfg.serve_dist
+    lo, hi = cfg.serve_dist_min, cfg.serve_dist_max
     ue = np.empty((len(anchor_bs), 2))
     for j, b in enumerate(anchor_bs):
         r = np.sqrt(rng.uniform(lo * lo, hi * hi))
@@ -412,7 +422,8 @@ def test_sample_instances_matches_per_seed_oracle(kind, geo):
 def test_sample_instances_generation_errors_match_oracle():
     crowded = GeometryConfig(n_tx=4, n_rx=4, field_size=600.0, min_bs_spacing=500.0)
     # seed 0 cannot keep its UE inside the field; seed 1 can
-    tight = GeometryConfig(n_tx=1, n_rx=1, field_size=100.0, serve_dist=(99.0, 100.0))
+    tight = GeometryConfig(n_tx=1, n_rx=1, field_size=100.0, serve_dist_min=99.0,
+                           serve_dist_max=100.0)
     for geo, seeds in ((crowded, [0]), (tight, [1, 0])):
         with pytest.raises(GenerationError) as want:
             _oracle_instance("ic", geo, seeds[-1])

@@ -215,8 +215,7 @@ def test_forward_permutation_equivariance(kind, geo):
     cfg = config_for_scenario(kind, geo.n_antennas, hidden=6, layers=2)
     params = init_params(cfg, seed=11)
     for seed in range(10):
-        geo.seed = seed
-        inst, g = chansim.build_instance(kind, geo)
+        inst, g = chansim.build_instance(kind, geo, seed)
         p = NodePermutation.random(g.m, g.k, rng)
         base = forward(g, cfg, params).xi.data
         permuted = forward(permute_graph(g, p), cfg, params).xi.data
@@ -230,8 +229,7 @@ def test_forward_equivariance_node_heads():
         cfg = config_for_scenario("ic", 2, hidden=6, output_head=head)
         params = init_params(cfg, seed=29)
         for seed in range(10):
-            geo.seed = seed
-            _, g = chansim.build_instance("ic", geo)
+            _, g = chansim.build_instance("ic", geo, seed)
             p = NodePermutation.random(g.m, g.k, rng)
             base = forward(g, cfg, params)
             permuted = forward(permute_graph(g, p), cfg, params)
@@ -244,8 +242,8 @@ def test_forward_equivariance_node_heads():
 
 
 def test_ibc_node_head_variable_path():
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=31)
-    inst, g = chansim.build_instance("ibc", geo)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)
+    inst, g = chansim.build_instance("ibc", geo, 31)
     cfg = config_for_scenario("ibc", 4, hidden=4, output_head="rx_node")
     params = init_params(cfg, seed=31)
     raw = forward(g, cfg, params)
@@ -256,12 +254,13 @@ def test_ibc_node_head_variable_path():
 
 
 def test_forward_identity_permutation_identical():
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
-    inst, g = chansim.build_instance("ic", geo)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
+    inst, g = chansim.build_instance("ic", geo, 3)
     cfg = config_for_scenario("ic", 2, hidden=4)
     params = init_params(cfg, seed=12)
     a = forward(g, cfg, params).xi.data
-    b = forward(permute_graph(g, NodePermutation.identity(2, 2)), cfg, params).xi.data
+    same = NodePermutation(np.arange(2), np.arange(2))
+    b = forward(permute_graph(g, same), cfg, params).xi.data
     np.testing.assert_array_equal(a, b)
 
 
@@ -269,17 +268,16 @@ def test_forward_runs_across_sizes_with_same_params():
     cfg = config_for_scenario("coop", 2, hidden=4)
     params = init_params(cfg, seed=13)
     for m, k in ((3, 2), (5, 7), (1, 1), (1, 4), (4, 1)):
-        geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, seed=m * 10 + k,
-                             min_bs_spacing=100.0)
-        inst, g = chansim.build_instance("coop", geo)
+        geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, min_bs_spacing=100.0)
+        inst, g = chansim.build_instance("coop", geo, m * 10 + k)
         out = forward(g, cfg, params).xi
         assert out.data.shape == (m, k, 2 * 2)
         assert np.isfinite(out.data).all()
 
 
 def test_forward_node_heads():
-    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=5)
-    inst, g = chansim.build_instance("ic", geo)
+    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
+    inst, g = chansim.build_instance("ic", geo, 5)
     for head in ("rx_node", "tx_node"):
         cfg = config_for_scenario("ic", 2, hidden=4, output_head=head)
         params = init_params(cfg, seed=14)
@@ -315,8 +313,8 @@ def test_layer_synchrony_sequential_update_differs():
 def test_degenerate_graphs_forward_backward_and_pe():
     rng = np.random.default_rng(16)
     for m, k in ((1, 1), (1, 3), (3, 1)):
-        geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, seed=17, min_bs_spacing=100.0)
-        inst, g = chansim.build_instance("coop", geo)
+        geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, min_bs_spacing=100.0)
+        inst, g = chansim.build_instance("coop", geo, 17)
         cfg = config_for_scenario("coop", 2, hidden=4)
         params = init_params(cfg, seed=17)
         raw = forward(g, cfg, params)
@@ -336,15 +334,15 @@ def test_degenerate_graphs_forward_backward_and_pe():
 def test_parameter_shapes_do_not_depend_on_graph_size(tmp_path):
     cfg = config_for_scenario("ic", 2, hidden=4)
     params = init_params(cfg, seed=18)
-    geo_small = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=1)
-    _, g_small = chansim.build_instance("ic", geo_small)
+    geo_small = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
+    _, g_small = chansim.build_instance("ic", geo_small, 1)
     forward(g_small, cfg, params)
 
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, cfg, params)
     cfg2, params2, _ = load_checkpoint(path)
-    geo_big = GeometryConfig(n_tx=8, n_rx=8, n_antennas=2, seed=2, min_bs_spacing=300.0)
-    _, g_big = chansim.build_instance("ic", geo_big)
+    geo_big = GeometryConfig(n_tx=8, n_rx=8, n_antennas=2, min_bs_spacing=300.0)
+    _, g_big = chansim.build_instance("ic", geo_big, 2)
     out = forward(g_big, cfg2, params2).xi
     assert out.data.shape == (8, 8, 4)
 
@@ -483,8 +481,7 @@ def test_config_refuses_nets_no_scenario_uses():
 def test_extract_variables_refuses_another_kind():
     # an ic net at N=1 and a coop graph at N=2 both have edge width 4, so only
     # the kind tells them apart
-    inst, g = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2,
-                                                            seed=24))
+    inst, g = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2), 24)
     cfg = config_for_scenario("ic", 1, hidden=4)
     raw = forward(g, cfg, init_params(cfg, seed=24))
     with pytest.raises(ConfigError, match="ic network cannot serve a coop instance"):
@@ -496,8 +493,8 @@ def test_extract_variables_refuses_another_kind():
 
 
 def test_param_gradients_match_finite_differences():
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=21)
-    inst, g = chansim.build_instance("ic", geo)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
+    inst, g = chansim.build_instance("ic", geo, 21)
     cfg = config_for_scenario("ic", 2, hidden=3, input_scale_e=1e6)
     params = init_params(cfg, seed=21)
 

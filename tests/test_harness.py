@@ -15,7 +15,7 @@ from rrmgnn.harness import MetricsRow, TrainConfig, parse_config_text
 
 def tiny_cfg(tmp_path, **kw):
     base = dict(scenario="ic",
-                geometry=GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3),
+                geometry=GeometryConfig(n_tx=2, n_rx=2, n_antennas=2),
                 epochs=1, minibatches=2, batch_size=4, learning_rate=1e-3,
                 seed=3, checkpoint_path=str(tmp_path / "ckpt.bin"), hidden=4)
     base.update(kw)
@@ -45,7 +45,7 @@ def test_fixed_seed_training_is_bit_identical(tmp_path):
 def test_training_matches_pinned_sum_rates(tmp_path):
     # recorded with the per-sample generator that sample_instances replaced;
     # the batched sampler must reproduce every instance, so training is unchanged
-    cfg = tiny_cfg(tmp_path, geometry=GeometryConfig(n_tx=3, n_rx=3, n_antennas=2, seed=29),
+    cfg = tiny_cfg(tmp_path, geometry=GeometryConfig(n_tx=3, n_rx=3, n_antennas=2),
                    seed=29, epochs=2, minibatches=3)
     _, net, rows = harness.train(cfg)
     assert (net.input_scale_tx, net.input_scale_rx, net.input_scale_e) == (
@@ -53,8 +53,8 @@ def test_training_matches_pinned_sum_rates(tmp_path):
     assert [r.mean_sum_rate for r in rows] == [10.916704536685993, 12.198710332365385]
     # every scenario and output head, and a second layer: each one
     # runs its own ops' gradients through the tape, so a wrong VJP moves a rate
-    ibc = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=29)
-    coop = GeometryConfig(n_tx=2, n_rx=3, n_antennas=2, seed=29)
+    ibc = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
+    coop = GeometryConfig(n_tx=2, n_rx=3, n_antennas=2)
     for kw, rates in (
             (dict(scenario="ibc", geometry=ibc), [20.307866879881885, 20.030865364075567]),
             (dict(scenario="coop", geometry=coop), [1.7120057950760712, 1.6828173067981878]),
@@ -122,7 +122,7 @@ def test_evaluate_rejects_nan_in_first_layer_with_sample_seed():
     net = engnn.config_for_scenario("ic", 2, hidden=4, layers=1)
     params = engnn.init_params(net, seed=0)
     dict(params.named_tensors())["pre_tx.w"].data[...] = np.nan
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     with pytest.raises(NumericalError, match=r"sample seed \[11, 0\]"):
         harness.evaluate(net, params, "ic", geo, 3, 11)
 
@@ -131,7 +131,7 @@ def test_evaluate_rejects_non_finite_output_with_sample_seed():
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
     dict(params.named_tensors())["post.w"].data[...] = np.nan   # the output head
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=3)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     with pytest.raises(NumericalError, match=r"sample seed \[11, 0\]"):
         harness.evaluate(net, params, "ic", geo, 3, 11)
 
@@ -192,7 +192,7 @@ def test_sweep_single_value_matches_evaluate(tmp_path):
 def test_sweep_runs_untrained_across_sizes(tmp_path):
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     rows = harness.sweep(net, params, "ic", geo, "n_pairs", [2, 3, 5], 3, 41)
     assert len(rows) == 3
     assert all(np.isfinite(r["engnn_mean_sum_rate"]) for r in rows)
@@ -230,7 +230,7 @@ def test_sweep_baseline_column_matches_standalone(tmp_path, monkeypatch):
 def test_sweep_axis_scenario_validation(tmp_path):
     net = engnn.config_for_scenario("coop", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     with pytest.raises(ConfigError):
         harness.sweep(net, params, "coop", geo, "n_pairs", [2], 2, 0)
 
@@ -253,7 +253,7 @@ def test_sweep_train_samples_axis_retrains(tmp_path):
 def test_empty_sets_are_rejected():
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     for n in (0, -2):
         with pytest.raises(ConfigError, match="at least one sample"):
             harness.evaluate(net, params, "ic", geo, n, 11)
@@ -266,7 +266,7 @@ def test_empty_sets_are_rejected():
 def test_empty_sweep_is_rejected_before_any_work(tmp_path, monkeypatch):
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     calls = []
     monkeypatch.setattr(engnn, "forward", lambda *a: calls.append("forward"))
     monkeypatch.setattr(harness, "train", lambda *a: calls.append("train"))
@@ -287,7 +287,7 @@ def test_empty_sweep_is_rejected_before_any_work(tmp_path, monkeypatch):
 def test_bad_baseline_fails_before_any_work(monkeypatch):
     net = engnn.config_for_scenario("ic", 2, hidden=4)
     params = engnn.init_params(net, seed=0)
-    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=5)
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     calls = []
     forward, build = engnn.forward, chansim.build_instance
     monkeypatch.setattr(engnn, "forward", lambda *a: calls.append("forward") or forward(*a))
@@ -304,8 +304,8 @@ def test_bad_baseline_fails_before_any_work(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario,geo", [
-    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=9)),
-    ("coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2, seed=9)),
+    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)),
+    ("coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)),
 ])
 def test_training_smoke_other_scenarios(tmp_path, scenario, geo):
     cfg = TrainConfig(scenario=scenario, geometry=geo, epochs=2, minibatches=2,
@@ -345,7 +345,7 @@ def test_parse_config_text():
     cfg = parse_config_text(CONFIG_TEXT)
     assert cfg.scenario == "ic"
     assert cfg.geometry.n_tx == cfg.geometry.n_rx == 4
-    assert cfg.geometry.seed == 7 and cfg.seed == 7
+    assert cfg.seed == 7
     assert cfg.epochs == 3 and cfg.checkpoint_path == "out.bin"
 
 
@@ -359,11 +359,11 @@ CONFIG_KEY_VALUES = {
     "n_antennas": ("4", {"geometry.n_antennas": 4}),
     "field_size": ("1500", {"geometry.field_size": 1500.0}),
     "min_bs_spacing": ("400", {"geometry.min_bs_spacing": 400.0}),
-    "serve_dist_min": ("60", {"geometry.serve_dist": (60.0, 250.0)}),
-    "serve_dist_max": ("200", {"geometry.serve_dist": (50.0, 200.0)}),
+    "serve_dist_min": ("60", {"geometry.serve_dist_min": 60.0}),
+    "serve_dist_max": ("200", {"geometry.serve_dist_max": 200.0}),
     "budget_dbm": ("30", {"geometry.budget_dbm": 30.0}),
     "noise_dbm": ("-100", {"geometry.noise_dbm": -100.0}),
-    "seed": ("7", {"seed": 7, "geometry.seed": 7}),
+    "seed": ("7", {"seed": 7}),
     "epochs": ("3", {"epochs": 3}),
     "minibatches": ("2", {"minibatches": 2}),
     "batch_size": ("16", {"batch_size": 16}),
@@ -386,6 +386,13 @@ def _readme_config_keys():
 def test_readme_config_table_lists_every_key_once():
     keys = _readme_config_keys()
     assert sorted(keys) == sorted(CONFIG_KEY_VALUES)
+
+
+def test_config_keys_are_field_names():
+    # one key per field, but for the two spellings `checkpoint` and `n_pairs`
+    names = {f.name for f in fields(GeometryConfig)} | {f.name for f in fields(TrainConfig)}
+    assert sorted(_readme_config_keys()) == sorted(
+        names - {"geometry", "checkpoint_path"} | {"checkpoint", "n_pairs"})
 
 
 @pytest.mark.parametrize("key", _readme_config_keys())
@@ -509,6 +516,17 @@ def test_cli_eval_deterministic_output_hash(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_cli_eval_defaults_to_training_seed(tmp_path, capsys):
+    # without --seed, eval draws the set of the checkpoint's training seed
+    cfg = tiny_cfg(tmp_path, geometry=GeometryConfig(), seed=5, epochs=0)
+    params, net, _ = harness.train(cfg)
+    for seed, argv in ((5, []), (6, ["--seed", "6"])):
+        row, _ = harness.evaluate(net, params, "ic", cfg.geometry, 3, seed)
+        assert cli.main(["eval", "--checkpoint", cfg.checkpoint_path, "--samples", "3",
+                         *argv]) == 0
+        assert f"mean sum rate {row.mean_sum_rate:.6f} " in capsys.readouterr().out, seed
+
+
 def test_cli_eval_restores_checkpoint_with_older_train_keys(tmp_path, capsys):
     # `train` metadata with keys TrainConfig lacks (older checkpoints hold the
     # RMSProp `rho` and `epsilon`) restores without --config
@@ -575,7 +593,12 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
             ("no_scenario.bin", "'scenario'",
              {"train": {k: v for k, v in train.items() if k != "scenario"}}),
             ("bad_geometry.bin", "'wibble'",
-             {"train": {**train, "geometry": {**train["geometry"], "wibble": 1}}})):
+             {"train": {**train, "geometry": {**train["geometry"], "wibble": 1}}}),
+            ("float_count.bin", "n_tx must be an integer >= 1, got 4.0",
+             {"train": {**train, "geometry": {**train["geometry"], "n_tx": 4.0}}}),
+            # a geometry written before GeometryConfig lost its seed
+            ("old_geometry.bin", "'seed'",
+             {"train": {**train, "geometry": {**train["geometry"], "seed": 0}}})):
         engnn.save_checkpoint(tmp_path / name, net, params, extra_meta=extra_meta)
         bad_ckpts[str(tmp_path / name)] = key
     capsys.readouterr()
@@ -595,4 +618,5 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
         if argv[2] in bad_ckpts:
             assert err.startswith(f"error: {argv[2]}: ") and bad_ckpts[argv[2]] in err, err
+            assert "pass --config" in err, err
     assert not (tmp_path / "sweep.csv").exists()

@@ -74,7 +74,7 @@ def feasible_ibc_powers(inst, rng, fill=0.5):
 
 
 def test_ic_single_user_matched_filter():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4, seed=0))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=4), 0)
     h = inst.channels[0, 0]
     p = inst.budgets[0]
     v = (np.sqrt(p) * h / np.linalg.norm(h))[None, :]
@@ -84,7 +84,7 @@ def test_ic_single_user_matched_filter():
 
 
 def test_ic_zero_beams_zero_rate():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2, seed=1))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2), 1)
     rep = obj.sinr_ic(inst, np.zeros((2, 2), dtype=complex))
     np.testing.assert_array_equal(rep.sinr, [0.0, 0.0])
     assert rep.sum_rate == 0.0
@@ -93,29 +93,29 @@ def test_ic_zero_beams_zero_rate():
 def test_ic_matches_oracle():
     rng = np.random.default_rng(2)
     for seed in range(100):
-        inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2, seed=seed))
+        inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2), seed)
         v = feasible_ic_beams(inst, rng)
         rep = obj.sinr_ic(inst, v)
         assert abs(rep.sum_rate - oracle_ic(inst, v)) <= 1e-12 * max(1.0, abs(rep.sum_rate))
 
 
 def _ic_beam_over_budget():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, seed=3))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1), 3)
     return inst, np.ones((1, 2), dtype=complex) * np.sqrt(inst.budgets[0])
 
 
 def _ibc_negative_power():
-    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=3))
+    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 3)
     return inst, np.array([0.1, -1e-6, 0.1, 0.1]) * inst.budgets[0]
 
 
 def _ibc_cell_over_budget():
-    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=3))
+    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 3)
     return inst, np.array([0.1, 0.1, 0.6, 0.5]) * inst.budgets[0]
 
 
 def _coop_bs_over_budget():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, seed=3))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2), 3)
     v = feasible_coop_beams(inst, np.random.default_rng(3), fill=0.5)
     v[1] *= np.sqrt(2.1)
     return inst, v
@@ -132,13 +132,13 @@ def test_infeasible_variables_raise(case):
 
 
 def test_ibc_zero_powers():
-    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=4))
+    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 4)
     rep = obj.sinr_ibc(inst, np.zeros(4))
     np.testing.assert_array_equal(rep.sinr, np.zeros(4))
 
 
 def test_ibc_single_cell_single_ue():
-    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=1, n_rx=1, n_antennas=2, seed=5))
+    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=1, n_rx=1, n_antennas=2), 5)
     p = np.array([inst.budgets[0]])
     rep = obj.sinr_ibc(inst, p)
     expect = inst.gains[0, 0] ** 2 * p[0] / inst.noise[0]
@@ -149,7 +149,7 @@ def test_ibc_matches_oracle_and_zf_kills_intra():
     rng = np.random.default_rng(6)
     for seed in range(100):
         inst, _ = chansim.build_instance(
-            "ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=seed))
+            "ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), seed)
         p = feasible_ibc_powers(inst, rng)
         rep = obj.sinr_ibc(inst, p)
         assert abs(rep.sum_rate - oracle_ibc(inst, p)) <= 1e-12 * max(1.0, abs(rep.sum_rate))
@@ -164,7 +164,7 @@ def test_ibc_matches_oracle_and_zf_kills_intra():
 
 
 def test_coop_single_bs_reduces_to_ic_form():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=1, n_rx=3, seed=7))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=1, n_rx=3), 7)
     rng = np.random.default_rng(7)
     v = feasible_coop_beams(inst, rng)
     rep = obj.sinr_coop(inst, v)
@@ -181,7 +181,7 @@ def test_coop_single_bs_reduces_to_ic_form():
 
 
 def test_coop_inactive_bs_equals_single_bs():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, seed=8))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2), 8)
     rng = np.random.default_rng(8)
     v = feasible_coop_beams(inst, rng)
     v[1] = 0.0
@@ -192,7 +192,7 @@ def test_coop_inactive_bs_equals_single_bs():
 
 
 def test_coop_two_bs_single_ue_coherent_sum():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=1, seed=9))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=1), 9)
     rng = np.random.default_rng(9)
     v = feasible_coop_beams(inst, rng)
     a = np.vdot(inst.channels[0, 0], v[0, 0])
@@ -204,7 +204,7 @@ def test_coop_two_bs_single_ue_coherent_sum():
 def test_coop_matches_oracle():
     rng = np.random.default_rng(10)
     for seed in range(100):
-        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2, seed=seed))
+        inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2), seed)
         v = feasible_coop_beams(inst, rng)
         rep = obj.sinr_coop(inst, v)
         assert abs(rep.sum_rate - oracle_coop(inst, v)) <= 1e-12 * max(1.0, abs(rep.sum_rate))
@@ -238,8 +238,7 @@ def permute_variables(kind, v, p):
 def test_objective_permutation_invariant(kind, cfg):
     rng = np.random.default_rng(11)
     for seed in range(25):
-        cfg.seed = seed
-        inst, _ = chansim.build_instance(kind, cfg)
+        inst, _ = chansim.build_instance(kind, cfg, seed)
         if kind == "ic":
             v = feasible_ic_beams(inst, rng)
         elif kind == "ibc":
@@ -274,7 +273,7 @@ def fd_scalar(f, x, h=1e-6):
 def test_sum_rate_gradients_match_fd():
     rng = np.random.default_rng(12)
 
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2, seed=0))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2), 0)
     x0 = split_complex(feasible_ic_beams(inst, rng, fill=0.25))
 
     def f_ic(x):
@@ -285,7 +284,7 @@ def test_sum_rate_gradients_match_fd():
     fd = fd_scalar(f_ic, x0.copy())
     assert np.max(np.abs(t.grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
-    inst_b, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=1))
+    inst_b, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 1)
     p0 = feasible_ibc_powers(inst_b, rng, fill=0.25)
 
     def f_ibc(x):
@@ -296,7 +295,7 @@ def test_sum_rate_gradients_match_fd():
     fd = fd_scalar(f_ibc, p0.copy(), h=1e-6)
     assert np.max(np.abs(t.grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
-    inst_c, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, seed=2))
+    inst_c, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2), 2)
     v0 = split_complex(feasible_coop_beams(inst_c, rng, fill=0.25))
 
     def f_coop(x):
@@ -309,7 +308,7 @@ def test_sum_rate_gradients_match_fd():
 
 
 def test_ic_single_user_rate_increases_along_matched_filter():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, seed=13))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1), 13)
     h = inst.channels[0, 0]
     mf = h / np.linalg.norm(h)
     last = -1.0
@@ -325,7 +324,7 @@ def test_ic_single_user_rate_increases_along_matched_filter():
 
 
 def test_normalize_ic_feasible_unchanged_and_ball_projection():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2, seed=14))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2), 14)
     rng = np.random.default_rng(14)
     inside = split_complex(feasible_ic_beams(inst, rng, fill=0.5))
     np.testing.assert_array_equal(obj.normalize_ic(nk.constant(inside), inst).data, inside)
@@ -340,7 +339,7 @@ def test_normalize_ic_feasible_unchanged_and_ball_projection():
 
 def test_normalize_ic_random_feasibility():
     rng = np.random.default_rng(15)
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3, seed=15))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3), 15)
     for _ in range(50):
         raw = rng.normal(size=(3, 4)) * rng.uniform(0, 5)
         out = obj.normalize_ic(nk.constant(raw), inst).data
@@ -349,7 +348,7 @@ def test_normalize_ic_random_feasibility():
 
 
 def test_normalize_ibc_midpoint_and_rescale():
-    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4, seed=16))
+    inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 16)
     p_b = inst.budgets[0]
     out = obj.normalize_ibc(nk.constant(np.zeros(4)), inst).data
     # logistic midpoint gives P_b/2 per UE; cells of 2 then rescale to the budget
@@ -364,7 +363,7 @@ def test_normalize_ibc_midpoint_and_rescale():
 
 
 def test_normalize_coop_row_scaling():
-    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2, seed=17))
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2), 17)
     rng = np.random.default_rng(17)
     ok = split_complex(feasible_coop_beams(inst, rng, fill=0.9))
     np.testing.assert_array_equal(obj.normalize_coop(nk.constant(ok), inst).data, ok)
@@ -380,7 +379,7 @@ def test_normalize_coop_row_scaling():
 
 
 def test_constraint_residual_reports_violation():
-    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2, seed=18))
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2), 18)
     rng = np.random.default_rng(18)
     v = feasible_ic_beams(inst, rng, fill=0.5)
     assert obj.constraint_residual(inst, v) == 0.0
