@@ -148,12 +148,23 @@ def _draw_geometry(cfg, rng, n_bs, anchor_bs):
     re-drawn (radius kept) until the UE lands inside the field. The rejection
     tests run on Python floats; the spacing math.sqrt(dx*dx + dy*dy) is the
     two-term sum np.linalg.norm takes. `_ue_positions` places the kept UEs.
+
+    The uniforms come in blocks of `rng.random` doubles, each mapped as
+    `Generator.uniform(low, high)` maps its double, low + (high - low) * u; a
+    used-up block is followed by one as long as all drawn so far. At the end
+    the generator is moved back over the doubles left unused, so it stands
+    where one scalar `rng.uniform` call per draw would have left it.
     """
     size, spacing = cfg.field_size, cfg.min_bs_spacing
+    u = rng.random(2 * n_bs + 2 * len(anchor_bs) + 8).tolist()
+    i = 0                      # doubles of u consumed
     bs = []
     attempts = stalled = 0
     while len(bs) < n_bs:
-        cx, cy = rng.uniform(0, size, size=2).tolist()
+        if i + 2 > len(u):
+            u += rng.random(len(u)).tolist()
+        cx, cy = size * u[i], size * u[i + 1]
+        i += 2
         attempts += 1
         if attempts > MAX_REJECTION_ATTEMPTS:
             raise GenerationError(
@@ -169,13 +180,20 @@ def _draw_geometry(cfg, rng, n_bs, anchor_bs):
         bs.append((cx, cy))
         stalled = 0
 
-    lo, hi = cfg.serve_dist_min, cfg.serve_dist_max
+    lo2 = cfg.serve_dist_min * cfg.serve_dist_min
+    span2, turn = cfg.serve_dist_max * cfg.serve_dist_max - lo2, 2 * math.pi
     radius, angle = [], []
     for j, b in enumerate(anchor_bs):
-        r = math.sqrt(rng.uniform(lo * lo, hi * hi))
+        if i == len(u):
+            u += rng.random(len(u)).tolist()
+        r = math.sqrt(lo2 + span2 * u[i])
+        i += 1
         bx, by = bs[b]
         for _ in range(MAX_REJECTION_ATTEMPTS):
-            theta = rng.uniform(0, 2 * math.pi)
+            if i == len(u):
+                u += rng.random(len(u)).tolist()
+            theta = turn * u[i]
+            i += 1
             x, y = bx + r * math.cos(theta), by + r * math.sin(theta)
             if 0 <= x <= size and 0 <= y <= size:
                 break
@@ -184,6 +202,7 @@ def _draw_geometry(cfg, rng, n_bs, anchor_bs):
                 f"could not keep UE {j} at distance {r:.1f} m from its BS inside the field")
         radius.append(r)
         angle.append(theta)
+    rng.bit_generator.advance(i - len(u))     # PCG64 wraps a negative advance
     return bs, radius, angle
 
 

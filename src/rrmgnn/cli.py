@@ -2,6 +2,7 @@
 standalone baseline runs."""
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 
@@ -37,7 +38,8 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
     p.add_argument("--values", required=True,
-                   help="comma-separated axis values, e.g. 4,6,8")
+                   help="comma-separated axis values, e.g. 4,6,8; negative lists "
+                        "work too, e.g. --values -99,-90")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--baseline", choices=("wmmse", "gp", "none"), default="none")
     p.add_argument("--out", default=None)
@@ -50,6 +52,17 @@ def build_parser():
     p.add_argument("--out", default=None)
     _add_common(p)
     return parser
+
+
+def _join_values(argv):
+    """argv with `--values -99,-90` joined as `--values=-99,-90`: argparse reads
+    a word that starts with a minus and is not one number as an option."""
+    argv = list(argv)
+    for i in range(len(argv) - 1):
+        if argv[i] == "--values" and re.match(r"-\.?\d", argv[i + 1]):
+            argv[i:i + 2] = [f"--values={argv[i + 1]}"]
+            break
+    return argv
 
 
 def _train_cfg(args):
@@ -80,7 +93,7 @@ def _restore(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "train":
             cfg = _train_cfg(args)
@@ -101,7 +114,7 @@ def main(argv=None):
         elif args.command == "sweep":
             net, params, scenario, geometry, seed = _restore(args)
             values = [float(v) for v in args.values.split(",") if v]
-            train_cfg = harness.load_config(args.config) if args.config else None
+            train_cfg = _train_cfg(args) if args.config else None
             harness.sweep(net, params, scenario, geometry, args.axis, values,
                           args.samples, seed, baseline=args.baseline,
                           train_cfg=train_cfg, out_csv=args.out, log=print)

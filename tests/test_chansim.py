@@ -432,6 +432,55 @@ def test_sample_instances_generation_errors_match_oracle():
         assert str(got.value) == str(want.value)
 
 
+class _RecordingRng:
+    """Passes `uniform` calls through to a generator and keeps their results."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def uniform(self, *args, **kwargs):
+        self.draws.append(self.rng.uniform(*args, **kwargs))
+        return self.draws[-1]
+
+
+# a crowded field (BS placement restarts), a field whose edge rejects most
+# angles, and one with both
+REWIND_GEOMETRIES = (GeometryConfig(n_tx=14, n_rx=14),
+                     GeometryConfig(n_tx=1, n_rx=1, field_size=100.0, serve_dist_min=99.0,
+                                    serve_dist_max=100.0),
+                     GeometryConfig(n_tx=6, n_rx=6, field_size=1300.0))
+
+
+def test_draw_geometry_rewinds_to_the_scalar_stream():
+    seen = set()
+    for geo in REWIND_GEOMETRIES:
+        anchor = np.arange(geo.n_rx) % geo.n_tx
+        for seed in range(8):
+            want_rng = _RecordingRng(np.random.default_rng(seed))
+            got_rng = np.random.default_rng(seed)
+            try:
+                bs_want, ue_want = _oracle_geometry(geo, want_rng, geo.n_tx, anchor)
+            except GenerationError as want:
+                with pytest.raises(GenerationError, match=re.escape(str(want))):
+                    chansim._draw_geometry(geo, got_rng, geo.n_tx, anchor)
+                continue
+            bs, radius, angle = chansim._draw_geometry(geo, got_rng, geo.n_tx, anchor)
+            bs = np.array(bs)
+            assert bs.tobytes() == bs_want.tobytes()
+            assert chansim._ue_positions(bs, anchor, radius, angle).tobytes() == \
+                ue_want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.rng.bit_generator.state
+
+            candidates = [d for d in want_rng.draws if np.ndim(d)]     # BS draws, size 2
+            if not np.array_equal(bs_want[0], candidates[0]):
+                seen.add("bs restart")
+            if len(want_rng.draws) - len(candidates) > 2 * len(anchor):
+                seen.add("angle rejection")
+            if sum(np.size(d) for d in want_rng.draws) > 2 * geo.n_tx + 2 * len(anchor) + 8:
+                seen.add("past the first block")
+    assert seen == {"bs restart", "angle rejection", "past the first block"}
+
+
 def test_sample_instances_rejects_rank_deficient_cell(monkeypatch):
     faded = chansim._faded
 

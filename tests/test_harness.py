@@ -527,6 +527,39 @@ def test_cli_eval_defaults_to_training_seed(tmp_path, capsys):
         assert f"mean sum rate {row.mean_sum_rate:.6f} " in capsys.readouterr().out, seed
 
 
+def test_cli_sweep_retrains_with_the_seed_option(tmp_path, capsys):
+    # --seed replaces the config's seed for the n_train_samples retrain too
+    assert cli.main(["train", "--config", str(write_cfg(tmp_path, epochs=0))]) == 0
+    rows = []
+    for seed in (5, 6):
+        cfg_path = write_cfg(tmp_path, seed=seed)
+        out = tmp_path / f"sweep{seed}.csv"
+        assert cli.main(["sweep", "--checkpoint", str(tmp_path / "cli_ckpt.bin"),
+                         "--config", str(cfg_path), "--axis", "n_train_samples",
+                         "--values", "2,4", "--samples", "3", "--seed", "9",
+                         "--out", str(out)]) == 0
+        rows.append(out.read_text())
+    assert rows[0] == rows[1]
+
+
+def test_cli_sweep_takes_negative_values(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(write_cfg(tmp_path, epochs=0))]) == 0
+    ckpt = str(tmp_path / "cli_ckpt.bin")
+    outs = []
+    for values in (["--values", "-99,-90"], ["--values=-99,-90"]):
+        out = tmp_path / f"sweep{len(outs)}.csv"
+        assert cli.main(["sweep", "--checkpoint", ckpt, "--axis", "noise_dbm", *values,
+                         "--samples", "2", "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert [r.split(",")[1] for r in outs[0].splitlines()[1:]] == ["-99.0", "-90.0"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    assert "negative lists work too, e.g. --values -99,-90" in \
+        " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_eval_restores_checkpoint_with_older_train_keys(tmp_path, capsys):
     # `train` metadata with keys TrainConfig lacks (older checkpoints hold the
     # RMSProp `rho` and `epsilon`) restores without --config
