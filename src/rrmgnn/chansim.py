@@ -314,14 +314,21 @@ def sample_instances(kind, cfg, seeds):
                             tx_cell=anchor, rx_cell=anchor.copy(), gains=gains)
 
 
-def build_instance(kind, cfg, seed):
-    """The instance of one seed and its graph: element 0 of a
-    `sample_instances` stack of one. Returns (instance, graph_of(instance))."""
-    batch = sample_instances(kind, cfg, [seed])
+def stack_element(stack, graph, i):
+    """Element i of a `sample_instances` stack and of its graph, as views into
+    the stacked arrays: (instance i, graph i). Element i of graph_of(stack) is
+    graph_of(instance i) bit for bit, since graph_of works per element."""
     shared = ("kind", "serving", "tx_cell", "rx_cell")
-    inst = replace(batch, **{f.name: getattr(batch, f.name)[0] for f in fields(batch)
-                             if f.name not in shared and getattr(batch, f.name) is not None})
-    return inst, graph_of(inst)
+    inst = replace(stack, **{f.name: getattr(stack, f.name)[i] for f in fields(stack)
+                             if f.name not in shared and getattr(stack, f.name) is not None})
+    return inst, HetGraph(graph.f_tx[i], graph.f_rx[i], graph.e[i], graph.edge_mask[i])
+
+
+def build_instance(kind, cfg, seed):
+    """The instance of one seed and its graph: `stack_element` 0 of a
+    `sample_instances` stack of one. Returns (instance, graph_of(instance))."""
+    stack = sample_instances(kind, cfg, [seed])
+    return stack_element(stack, graph_of(stack), 0)
 
 
 def permute_instance(inst, p):

@@ -5,9 +5,10 @@ Training draws every minibatch as one fresh stack of random instances
 (`chansim.sample_instances`), pushes the stack through one forward -> head
 extraction -> feasibility projection -> sum rate, and ascends the batch mean
 with RMSProp after one backward. Evaluation, sweeps and baseline runs share
-one seeded set (`_seeded_set`: instance i from sample_seed(seed, i)), and
-`solve_set` is the one baseline loop over it. Everything is deterministic
-given (config, seed).
+one seeded set (`_seeded_set`: instance i from sample_seed(seed, i)), drawn
+one chunk of at most _CHUNK_EDGES edges per `sample_instances` call and
+handed out one instance at a time, and `solve_set` is the one baseline loop
+over it. Everything is deterministic given (config, seed).
 """
 
 import csv
@@ -30,6 +31,7 @@ SWEEP_AXES = ("n_pairs", "n_ues", "n_bss", "noise_dbm", "field_size", "budget_db
               "n_train_samples")
 _COUNT_AXES = ("n_pairs", "n_ues", "n_bss", "n_train_samples")
 _N_PROBE = 8   # instances in the batch that calibrates the input scalings
+_CHUNK_EDGES = 2048   # edges per drawn chunk of the seeded set: bounds its memory
 
 
 @dataclass
@@ -153,19 +155,41 @@ def train(cfg, log=None):
 
 def _seeded_set(scenario, geometry, n_samples, seed):
     """The seeded set: (sample seed, instance, graph) for sample i, built from
-    sample_seed(seed, i) alone, one at a time. Raises ConfigError on an empty set."""
+    sample_seed(seed, i) alone. Seeds are drawn in chunks, each one
+    `sample_instances` stack and one `graph_of`, and the items are
+    `stack_element` views of their chunk, so the set is never drawn whole: a
+    chunk holds _CHUNK_EDGES // (TX entities x UEs) instances, at least one.
+    Raises ConfigError on an empty set."""
     if n_samples < 1:
         raise ConfigError(f"a seeded set needs at least one sample, got {n_samples}")
-    for i in range(n_samples):
-        sample_seed = chansim.sample_seed(seed, i)
-        yield (sample_seed, *chansim.build_instance(scenario, geometry, sample_seed))
+    edges = geometry.n_tx * geometry.n_rx
+    if scenario == chansim.IBC:
+        edges *= edges          # one TX entity and one UE per cell-UE pair
+    size = max(1, _CHUNK_EDGES // edges)
+    for start in range(0, n_samples, size):
+        seeds = [chansim.sample_seed(seed, i)
+                 for i in range(start, min(start + size, n_samples))]
+        stack = chansim.sample_instances(scenario, geometry, seeds)
+        graph = chansim.graph_of(stack)
+        for i, sample_seed in enumerate(seeds):
+            yield (sample_seed, *chansim.stack_element(stack, graph, i))
+
+
+def _check_net(kind, n_antennas, scenario, geometry):
+    """Refuse a net of another scenario or antenna count than the set's."""
+    if (kind, n_antennas) != (scenario, geometry.n_antennas):
+        raise ConfigError(f"the net is for {kind} with {n_antennas} antennas, but the set "
+                          f"is {scenario} with {geometry.n_antennas} antennas")
 
 
 def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
     """Deterministic test set; returns (MetricsRow, per-sample row dicts).
 
-    Raises NumericalError naming the sample seed on a non-finite output.
+    Raises ConfigError before drawing anything if the net is for another
+    scenario or antenna count, and NumericalError naming the sample seed on a
+    non-finite output.
     """
+    _check_net(net.kind, net.n_antennas, scenario, geometry)
     samples = []
     t_start = time.perf_counter()
     for i, (sample_seed, inst, graph) in enumerate(
@@ -278,6 +302,10 @@ def sweep(net, params, scenario, geometry, axis, values, n_samples, seed,
         raise ConfigError(f"{axis} is a count and takes whole numbers >= 1, got {list(values)}")
     geos = [train_cfg.geometry if axis == "n_train_samples"
             else _apply_axis(geometry, scenario, axis, value) for value in values]
+    if axis == "n_train_samples":
+        _check_net(train_cfg.scenario, train_cfg.geometry.n_antennas, scenario, geos[0])
+    else:   # no axis changes the antenna count
+        _check_net(net.kind, net.n_antennas, scenario, geos[0])
     rows = []
     for value, geo_v in zip(values, geos):
         params_v, net_v = params, net

@@ -1,13 +1,14 @@
 import csv
 import hashlib
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rrmgnn import baselines, chansim, cli, engnn, harness, objectives
+from rrmgnn import baselines, chansim, cli, engnn, harness, numkernel as nk, objectives
 from rrmgnn.chansim import GeometryConfig, NumericalError
 from rrmgnn.engnn import ConfigError
 from rrmgnn.harness import MetricsRow, TrainConfig, parse_config_text
@@ -181,6 +182,100 @@ def test_evaluate_single_sample_matches_manual_forward(tmp_path):
     assert samples[0]["sum_rate"] == pytest.approx(expect, rel=1e-12)
 
 
+SEEDED_SET_GEOMETRIES = {"ic": GeometryConfig(n_tx=3, n_rx=3, n_antennas=2),
+                         "ibc": GeometryConfig(n_tx=2, n_rx=2, n_antennas=4),
+                         "coop": GeometryConfig(n_tx=2, n_rx=3, n_antennas=2)}
+
+
+def _assert_same_item(got, want):
+    """Two (instance, graph) pairs agree in every field, byte for byte."""
+    (inst, graph), (ref, ref_graph) = got, want
+    for f in fields(ref):
+        a, b = getattr(inst, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+    for f in fields(ref_graph):
+        a, b = getattr(graph, f.name), getattr(ref_graph, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@pytest.mark.parametrize("kind", ["ic", "ibc", "coop"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_seeded_set_matches_per_seed_build_instance(monkeypatch, kind, n):
+    """The chunked set, chunks of 3 (n = 5 ends in a partial chunk), against
+    one build_instance per seed: instances, graphs, evaluate rows and
+    solve_set's columns and results."""
+    geo = SEEDED_SET_GEOMETRIES[kind]
+    edges = chansim.sample_instances(kind, geo, [0]).channels[0, ..., 0].size
+    monkeypatch.setattr(harness, "_CHUNK_EDGES", 3 * edges)
+    seeds = [chansim.sample_seed(17, i) for i in range(n)]
+    singles = [chansim.build_instance(kind, geo, s) for s in seeds]
+    items = list(harness._seeded_set(kind, geo, n, 17))
+    assert [s for s, _, _ in items] == seeds
+    for (_, inst, graph), want in zip(items, singles, strict=True):
+        _assert_same_item((inst, graph), want)
+
+    net = engnn.config_for_scenario(kind, geo.n_antennas, hidden=4)
+    params = engnn.init_params(net, seed=0)
+    _, rows = harness.evaluate(net, params, kind, geo, n, 17)
+    for i, (row, (inst, graph)) in enumerate(zip(rows, singles, strict=True)):
+        with nk.no_grad():
+            raw = engnn.forward(graph, net, params)
+            v = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
+        report = objectives.evaluate(inst, v)
+        assert {k: row[k] for k in ("sample", "sum_rate", "residual")} == {
+            "sample": i, "sum_rate": report.sum_rate_value(), "residual": report.residual}
+
+    columns, results = harness.solve_set(kind, geo, n, 17, "wmmse")
+    want = [harness.run_baseline(kind, inst, "wmmse") for inst, _ in singles]
+    assert columns == {
+        "wmmse_mean_sum_rate": float(np.mean([r.report.sum_rate_value() for r in want])),
+        "wmmse_unconverged": sum(not r.converged for r in want),
+        "wmmse_iterations": float(np.mean([r.iterations for r in want])),
+        "wmmse_extrapolations": float(np.mean([r.extrapolations for r in want]))}
+    for got, ref in zip(results, want, strict=True):
+        assert got.trace.tobytes() == ref.trace.tobytes()
+        assert np.asarray(got.variables).tobytes() == np.asarray(ref.variables).tobytes()
+
+
+def test_seeded_set_chunks_by_edge_budget(monkeypatch):
+    """At the module's budget a 1024-edge shape draws _CHUNK_EDGES // 1024
+    instances per `sample_instances` call, and the last chunk may be partial."""
+    geo = GeometryConfig(n_tx=32, n_rx=32, n_antennas=2, field_size=2000.0 * 8 ** 0.5)
+    draw, sizes = chansim.sample_instances, []
+    monkeypatch.setattr(chansim, "sample_instances", lambda kind, cfg, seeds:
+                        sizes.append(len(seeds)) or draw(kind, cfg, seeds))
+    items = list(harness._seeded_set("ic", geo, 3, 5))
+    size = max(1, harness._CHUNK_EDGES // 1024)
+    assert sizes == [min(size, 3 - start) for start in range(0, 3, size)]
+    monkeypatch.setattr(chansim, "sample_instances", draw)
+    for s, inst, graph in items:
+        _assert_same_item((inst, graph), chansim.build_instance("ic", geo, s))
+
+
+def test_seeded_set_holds_one_chunk_at_a_time():
+    """Iterating 4 chunks of ic 32x32 peaks within 1.5x of 1 chunk: the set is
+    drawn chunk by chunk, never whole (drawing it whole raised the benchmark's
+    peak RSS by 37-44%)."""
+    geo = GeometryConfig(n_tx=32, n_rx=32, n_antennas=2, field_size=2000.0 * 8 ** 0.5)
+    size = max(1, harness._CHUNK_EDGES // 1024)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            for _ in harness._seeded_set("ic", geo, n, 3):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(size)   # warm-up: first-call allocations are not the set's
+    one, four = peak(size), peak(4 * size)
+    assert four <= 1.5 * one, (one, four)
+
+
 def test_sweep_single_value_matches_evaluate(tmp_path):
     cfg = tiny_cfg(tmp_path)
     params, net, _ = harness.train(cfg)
@@ -289,9 +384,9 @@ def test_bad_baseline_fails_before_any_work(monkeypatch):
     params = engnn.init_params(net, seed=0)
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
     calls = []
-    forward, build = engnn.forward, chansim.build_instance
+    forward, build = engnn.forward, chansim.sample_instances
     monkeypatch.setattr(engnn, "forward", lambda *a: calls.append("forward") or forward(*a))
-    monkeypatch.setattr(chansim, "build_instance",
+    monkeypatch.setattr(chansim, "sample_instances",
                         lambda *a: calls.append("build") or build(*a))
     with pytest.raises(ConfigError, match="cooperative scenario only"):
         harness.sweep(net, params, "ic", geo, "noise_dbm", [-99.0], 3, 11, baseline="gp")
@@ -653,3 +748,44 @@ def test_cli_empty_sets_report_one_error_line(tmp_path, capsys):
             assert err.startswith(f"error: {argv[2]}: ") and bad_ckpts[argv[2]] in err, err
             assert "pass --config" in err, err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_mismatched_net_fails_before_drawing(tmp_path, capsys, monkeypatch):
+    """A net of another scenario or antenna count than the set's is refused
+    with one error line naming both, before any instance is drawn."""
+    cfg_path = write_cfg(tmp_path, n_antennas=4)      # ic, 4 antennas
+    nets = {"coop4": ("coop", 4), "ibc4": ("ibc", 4), "ic2": ("ic", 2)}
+    for name, (kind, n) in nets.items():
+        net = engnn.config_for_scenario(kind, n, hidden=4)
+        engnn.save_checkpoint(tmp_path / f"{name}.bin", net, engnn.init_params(net, seed=0))
+    draws = []
+
+    def refuse(*a):
+        draws.append(a)
+        raise AssertionError("drew instances for a mismatched net")
+
+    monkeypatch.setattr(chansim, "sample_instances", refuse)
+    capsys.readouterr()
+    for name, (kind, n) in nets.items():
+        ckpt = str(tmp_path / f"{name}.bin")
+        for argv in (["eval", "--checkpoint", ckpt, "--config", str(cfg_path)],
+                     ["sweep", "--checkpoint", ckpt, "--config", str(cfg_path),
+                      "--axis", "noise_dbm", "--values", "-99", "--baseline", "wmmse"]):
+            assert cli.main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1, (argv, err)
+            assert err == (f"error: the net is for {kind} with {n} antennas, but the set "
+                           f"is ic with 4 antennas\n"), (argv, err)
+    assert draws == []
+
+
+def test_sweep_refuses_a_training_config_of_another_scenario(tmp_path, monkeypatch):
+    net = engnn.config_for_scenario("coop", 2, hidden=4)
+    params = engnn.init_params(net, seed=0)
+    calls = []
+    monkeypatch.setattr(harness, "train", lambda *a: calls.append("train"))
+    with pytest.raises(ConfigError, match="the net is for ic with 2 antennas, but the "
+                                          "set is coop with 2 antennas"):
+        harness.sweep(net, params, "coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2),
+                      "n_train_samples", [8], 3, 61, train_cfg=tiny_cfg(tmp_path))
+    assert calls == []
