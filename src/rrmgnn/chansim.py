@@ -251,8 +251,7 @@ def graph_of(inst):
         fibers = np.where(slot[:, :, None] == np.arange(3), inst.gains[..., None], 0.0)
     else:
         fibers = split_complex(inst.channels)
-    return HetGraph(f_tx[..., None], np.sqrt(inst.noise)[..., None], fibers,
-                    np.ones(inst.batch_shape + (m, k), bool))
+    return HetGraph(f_tx[..., None], np.sqrt(inst.noise)[..., None], fibers)
 
 
 def zero_forcing(h_cell):
@@ -321,7 +320,7 @@ def stack_element(stack, graph, i):
     shared = ("kind", "serving", "tx_cell", "rx_cell")
     inst = replace(stack, **{f.name: getattr(stack, f.name)[i] for f in fields(stack)
                              if f.name not in shared and getattr(stack, f.name) is not None})
-    return inst, HetGraph(graph.f_tx[i], graph.f_rx[i], graph.e[i], graph.edge_mask[i])
+    return inst, HetGraph(graph.f_tx[i], graph.f_rx[i], graph.e[i])
 
 
 def build_instance(kind, cfg, seed):

@@ -1,11 +1,12 @@
 """The edge-node GNN: a preprocessing layer, L synchronous updating layers
 with TX-, RX-, and edge-update mechanisms, and an affine postprocessing head.
 
-All updates in layer l read only layer l-1 representations. Aggregations are
-masked element-wise max; the edge update aggregates both transformed neighbor
-families jointly. Every representation has the one hidden width h, so each of
-the seven layer MLPs maps 2h -> h -> h -> h. Parameter shapes are independent
-of the graph size.
+All updates in layer l read only layer l-1 representations. Every graph is
+complete bipartite, so a node's neighbors are all nodes of the other kind.
+Aggregations are element-wise max; the edge update aggregates both transformed
+neighbor families jointly. Every representation has the one hidden width h, so
+each of the seven layer MLPs maps 2h -> h -> h -> h. Parameter shapes are
+independent of the graph size.
 """
 
 import math
@@ -123,14 +124,13 @@ def init_params(cfg, seed=0):
 
 
 def preprocess(graph, cfg, params):
-    """Shared affine + ReLU per family; absent-edge fibers stay zero-masked."""
+    """Shared affine + ReLU per family, after scaling each by its input scale."""
     widths = instance_feature_widths(cfg.kind, cfg.n_antennas)
     if graph.widths != widths:
         raise ConfigError(f"graph widths {graph.widths} do not match config {widths}")
-    mask_f = nk.constant(graph.edge_mask[..., None].astype(np.float64))
     f_tx = nk.relu(nk.linear(nk.constant(graph.f_tx * cfg.input_scale_tx), *params.pre_tx))
     f_rx = nk.relu(nk.linear(nk.constant(graph.f_rx * cfg.input_scale_rx), *params.pre_rx))
-    e0 = nk.relu(nk.linear(nk.constant(graph.e * cfg.input_scale_e), *params.pre_e)) * mask_f
+    e0 = nk.relu(nk.linear(nk.constant(graph.e * cfg.input_scale_e), *params.pre_e))
     return f_tx, f_rx, e0
 
 
@@ -143,33 +143,32 @@ def _on_edges(f, axis, n):
     return nk.broadcast_to(f, tuple(shape))
 
 
-def tx_update(layer, f_tx, f_rx, e, mask):
+def tx_update(layer, f_tx, f_rx, e):
     """New TX representations from layer l-1 RX and edge representations:
     mlp1 forms the RX+edge messages, mlp2 the update."""
-    rx_b = _on_edges(f_rx, -3, mask.shape[-2])
+    rx_b = _on_edges(f_rx, -3, e.shape[-3])
     msgs = nk.mlp_forward(nk.concat([rx_b, e], axis=-1), layer["mlp1"])
-    agg = nk.masked_agg_axis(msgs, mask, axis=1)
+    agg = nk.max_agg_axis(msgs, axis=1)
     return nk.mlp_forward(nk.concat([f_tx, agg], axis=-1), layer["mlp2"])
 
 
-def rx_update(layer, f_tx, f_rx, e, mask):
+def rx_update(layer, f_tx, f_rx, e):
     """Mirror of tx_update with the node roles reversed (mlp3, mlp4)."""
-    tx_b = _on_edges(f_tx, -2, mask.shape[-1])
+    tx_b = _on_edges(f_tx, -2, e.shape[-2])
     msgs = nk.mlp_forward(nk.concat([tx_b, e], axis=-1), layer["mlp3"])
-    agg = nk.masked_agg_axis(msgs, mask, axis=0)
+    agg = nk.max_agg_axis(msgs, axis=0)
     return nk.mlp_forward(nk.concat([f_rx, agg], axis=-1), layer["mlp4"])
 
 
-def edge_update(layer, f_tx, f_rx, e, mask):
+def edge_update(layer, f_tx, f_rx, e):
     """New edge fibers from both neighbor families, aggregated jointly: mlp5
     transforms the same-TX family, mlp6 the same-RX family, mlp7 updates."""
-    tx_b = _on_edges(f_tx, -2, mask.shape[-1])
-    rx_b = _on_edges(f_rx, -3, mask.shape[-2])
+    tx_b = _on_edges(f_tx, -2, e.shape[-2])
+    rx_b = _on_edges(f_rx, -3, e.shape[-3])
     t_row = nk.mlp_forward(nk.concat([e, tx_b], axis=-1), layer["mlp5"])
     t_col = nk.mlp_forward(nk.concat([e, rx_b], axis=-1), layer["mlp6"])
-    agg = nk.pair_excl_agg(t_row, t_col, mask)
-    mask_f = nk.constant(mask[..., None].astype(np.float64))
-    return nk.mlp_forward(nk.concat([e, agg], axis=-1), layer["mlp7"]) * mask_f
+    agg = nk.pair_excl_agg(t_row, t_col)
+    return nk.mlp_forward(nk.concat([e, agg], axis=-1), layer["mlp7"])
 
 
 @dataclass
@@ -187,17 +186,15 @@ def forward(graph, cfg, params):
     A graph with a leading batch axis runs as one pass; every output then
     carries that axis too.
     """
-    mask = graph.edge_mask
     f_tx, f_rx, e = preprocess(graph, cfg, params)
     for layer in params.layers:
-        new_tx = tx_update(layer, f_tx, f_rx, e, mask)
-        new_rx = rx_update(layer, f_tx, f_rx, e, mask)
-        new_e = edge_update(layer, f_tx, f_rx, e, mask)
+        new_tx = tx_update(layer, f_tx, f_rx, e)
+        new_rx = rx_update(layer, f_tx, f_rx, e)
+        new_e = edge_update(layer, f_tx, f_rx, e)
         f_tx, f_rx, e = new_tx, new_rx, new_e
     w, b = params.post
     if cfg.output_head == "edge":
-        mask_f = nk.constant(mask[..., None].astype(np.float64))
-        return RawOutputs(xi=nk.linear(e, w, b) * mask_f)
+        return RawOutputs(xi=nk.linear(e, w, b))
     if cfg.output_head == "tx_node":
         return RawOutputs(s_tx=nk.linear(f_tx, w, b))
     return RawOutputs(s_rx=nk.linear(f_rx, w, b))

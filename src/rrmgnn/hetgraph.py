@@ -1,8 +1,8 @@
 """Bipartite TX/RX graph data model and permutation machinery.
 
-Edges are stored densely as M x K feature tensors plus a boolean mask; all
-three supported scenarios are complete bipartite, and dense storage keeps the
-aggregations vectorizable. Sparse edge sets are still supported via the mask.
+Edges are stored densely as M x K feature tensors: all three supported
+scenarios are complete bipartite, since every TX reaches every UE through a
+channel, and dense storage keeps the aggregations vectorizable.
 Complex features are split into real/imag halves before they enter the graph,
 so every array here is real float64.
 """
@@ -29,37 +29,31 @@ def merge_complex(x):
 
 @dataclass(frozen=True)
 class HetGraph:
-    """Heterogeneous bipartite graph: M TX-nodes, K RX-nodes, dense edge fibers.
+    """Complete heterogeneous bipartite graph: M TX-nodes, K RX-nodes, an edge
+    fiber on every (TX, RX) pair.
 
-    f_tx: (M, d_tx), f_rx: (K, d_rx), e: (M, K, d_e), edge_mask: (M, K) bool.
-    A stack of equally shaped graphs carries one more leading axis B on all
-    four. Fibers on absent edges must be all-zero.
+    f_tx: (M, d_tx), f_rx: (K, d_rx), e: (M, K, d_e). A stack of equally
+    shaped graphs carries one more leading axis B on all three.
     """
 
     f_tx: np.ndarray
     f_rx: np.ndarray
     e: np.ndarray
-    edge_mask: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "f_tx", np.ascontiguousarray(self.f_tx, dtype=np.float64))
         object.__setattr__(self, "f_rx", np.ascontiguousarray(self.f_rx, dtype=np.float64))
         object.__setattr__(self, "e", np.ascontiguousarray(self.e, dtype=np.float64))
-        object.__setattr__(self, "edge_mask", np.ascontiguousarray(self.edge_mask, dtype=bool))
         if self.f_tx.ndim not in (2, 3) or self.f_rx.ndim != self.f_tx.ndim \
                 or self.e.ndim != self.f_tx.ndim + 1:
             raise ValueError("f_tx/f_rx must be 2-D and e must be 3-D, plus an "
                              "optional leading batch axis on all of them")
         m, k = self.m, self.k
-        if m < 1 or k < 1:
+        if m < 1 or k < 1:   # so that no max aggregation slice is empty
             raise ValueError("graph needs at least one TX-node and one RX-node")
         batch = self.f_tx.shape[:-2]
-        if self.f_rx.shape[:-2] != batch or self.e.shape[:-1] != batch + (m, k) \
-                or self.edge_mask.shape != batch + (m, k):
-            raise ValueError(f"edge arrays must be shaped {batch + (m, k)} (+ fiber width)")
-        absent = ~self.edge_mask
-        if absent.any() and np.any(self.e[absent] != 0.0):
-            raise ValueError("edge fibers must be all-zero where the edge is absent")
+        if self.f_rx.shape[:-2] != batch or self.e.shape[:-1] != batch + (m, k):
+            raise ValueError(f"edge fibers must be shaped {batch + (m, k)} (+ fiber width)")
 
     @property
     def m(self):
@@ -68,6 +62,11 @@ class HetGraph:
     @property
     def k(self):
         return self.f_rx.shape[-2]
+
+    @property
+    def edge_mask(self):
+        """Which (TX, RX) pairs are edges: all of them."""
+        return np.ones(self.e.shape[:-1], bool)
 
     @property
     def widths(self):
@@ -110,6 +109,5 @@ def permute_graph(g, p):
     if p.pi_tx.size != g.m or p.pi_rx.size != g.k:
         raise ValueError(f"permutation sizes ({p.pi_tx.size}, {p.pi_rx.size}) do not "
                          f"match graph ({g.m}, {g.k})")
-    both = (p.pi_tx, p.pi_rx)
     return HetGraph(_relabel(g.f_tx, p.pi_tx), _relabel(g.f_rx, p.pi_rx),
-                    _relabel(g.e, *both), _relabel(g.edge_mask, *both))
+                    _relabel(g.e, p.pi_tx, p.pi_rx))

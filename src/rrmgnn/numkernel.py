@@ -1,9 +1,9 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff and an RMSProp optimizer.
 
 Everything is float64 and CPU/numpy. The op set is sized for small MLPs,
-masked max aggregations, and the rate objectives built on top of them; it is
-not a general-purpose framework (no GPU, no conv, only the broadcasting the
-ops below need).
+max aggregations over complete bipartite graphs, and the rate objectives built
+on top of them; it is not a general-purpose framework (no GPU, no conv, only
+the broadcasting the ops below need).
 
 An op is its value plus one VJP (vector-Jacobian product) per parent:
 `vjp(g, y, *parents)` maps the output gradient g, the output tensor y and the
@@ -13,11 +13,11 @@ back to its parent's shape and accumulates it, for the parents that require
 grad. So a forward computes values only; whatever only a gradient needs, such
 as the max aggregations' argmax routes, is worked out inside the VJP.
 
-Graph tensors count their axes from the end: edge tensors are (..., M, K, d)
-with an (..., M, K) mask, node tensors (..., M, d) or (..., K, d). Any leading
-axes (a minibatch axis B) ride along, so one graph and a stack of equally
-shaped graphs run the same code. `axis=0/1` of the aggregations names the M
-or the K axis, wherever they sit.
+Graph tensors count their axes from the end: edge tensors are (..., M, K, d),
+node tensors (..., M, d) or (..., K, d). Any leading axes (a minibatch axis B)
+ride along, so one graph and a stack of equally shaped graphs run the same
+code. `axis=0/1` of the aggregations names the M or the K axis, wherever they
+sit.
 """
 
 import numpy as np
@@ -60,13 +60,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -74,38 +67,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
 
 
 def as_tensor(x):
@@ -148,13 +120,12 @@ def _flip(g, y, *parents):
     return -g
 
 
-_ADD, _SUB, _NEG, _BROADCAST_TO = (_pass, _pass), (_pass, _flip), (_flip,), (_pass,)
+_ADD, _SUB, _BROADCAST_TO = (_pass, _pass), (_pass, _flip), (_pass,)
 _MUL = (lambda g, y, a, b: g * b.data, lambda g, y, a, b: g * a.data)
 _DIV = (lambda g, y, a, b: g / b.data,
         lambda g, y, a, b: -g * a.data / (b.data * b.data))
 _SQUARE = (lambda g, y, a: 2.0 * a.data * g,)
 _SQRT = (lambda g, y, a: 0.5 * g / y.data,)
-_EXP = (lambda g, y, a: g * y.data,)
 _LOG1P = (lambda g, y, a: g / (1.0 + a.data),)
 _SIGMOID = (lambda g, y, a: g * y.data * (1.0 - y.data),)
 _RELU = (lambda g, y, a: g * (a.data > 0),)
@@ -193,11 +164,6 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), _DIV)
 
 
-def neg(a):
-    a = as_tensor(a)
-    return _make(-a.data, (a,), _NEG)
-
-
 def square(a):
     a = as_tensor(a)
     return _make(a.data * a.data, (a,), _SQUARE)
@@ -206,11 +172,6 @@ def square(a):
 def sqrt(a):
     a = as_tensor(a)
     return _make(np.sqrt(a.data), (a,), _SQRT)
-
-
-def exp(a):
-    a = as_tensor(a)
-    return _make(np.exp(a.data), (a,), _EXP)
 
 
 def log1p(a):
@@ -289,13 +250,6 @@ def tsum(a, axis=None):
     return _make(a.data.sum(axis=axis), (a,), (vjp,))
 
 
-def dot(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ValueError(f"dot expects equal-length 1-D tensors, got {a.shape} and {b.shape}")
-    return _make(a.data @ b.data, (a, b), _MUL)
-
-
 def matmul(a, b):
     """Matrix product of two (..., n, k) and (..., k, p) stacks; leading axes
     broadcast as in numpy."""
@@ -333,129 +287,86 @@ def mlp_forward(x, layers):
 
 
 # ---------------------------------------------------------------------------
-# masked aggregation primitives
+# max aggregation primitives
 
 
-def masked_max_aggregate(items, present):
-    """Elementwise max over the rows of `items` (n, d) where `present` is true.
-
-    The empty set aggregates to the zero vector. The subgradient routes to one
-    argmax per element, ties broken by the lowest row index.
-    """
-    items = as_tensor(items)
-    if items.data.ndim != 2:
-        raise ValueError(f"masked_max_aggregate expects (n, d) items, got {items.shape}")
-    present = np.asarray(present, dtype=bool)
-    if present.shape != (items.data.shape[0],):
-        raise ValueError("present mask length does not match item count")
-    d = items.data.shape[1]
-    arg = None
-    if present.any():
-        masked = np.where(present[:, None], items.data, -np.inf)
-        arg = np.argmax(masked, axis=0)  # first occurrence = lowest index
-        out_data = masked[arg, np.arange(d)]
-    else:
-        out_data = np.zeros(d)
-
-    def vjp(g, y, a):
-        buf = np.zeros_like(a.data)
-        if arg is not None:
-            np.add.at(buf, (arg, np.arange(d)), g)
-        return buf
-
-    return _make(out_data, (items,), (vjp,))
+def _graph_shape(name, x):
+    if x.data.ndim < 3:
+        raise ValueError(f"{name} expects an (..., M, K, d) tensor, got {x.shape}")
 
 
-def _graph_shapes(name, x, mask):
-    if x.data.ndim < 3 or mask.shape != x.data.shape[:-1]:
-        raise ValueError(f"{name} expects (..., M, K, d) with an (..., M, K) mask, got "
-                         f"{x.shape} and {mask.shape}")
-
-
-def masked_agg_axis(x, mask, axis):
+def max_agg_axis(x, axis):
     """Element-wise maximum of an (..., M, K, d) tensor over its M (axis=0) or
-    K (axis=1) axis under an (..., M, K) mask, with lowest-index tie routing.
+    K (axis=1) axis, with lowest-index tie routing.
 
-    Empty slices aggregate to zeros. A NaN among the present items makes the
-    aggregate NaN. The forward takes the value alone; its VJP finds the argmax.
-    The two agree byte for byte except on the sign of a zero when -0.0 and 0.0
-    tie for the top.
+    A NaN in a slice makes its aggregate NaN. The forward takes the value
+    alone; its VJP finds the argmax. The two agree byte for byte except on the
+    sign of a zero when -0.0 and 0.0 tie for the top.
     """
     x = as_tensor(x)
-    mask = np.asarray(mask, dtype=bool)
-    _graph_shapes("masked_agg_axis", x, mask)
+    _graph_shape("max_agg_axis", x)
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     ax = axis - 3                       # M = -3, K = -2 on (..., M, K, d)
-    counts = mask.sum(axis=axis - 2)    # (..., K) for axis=0, (..., M) for axis=1
-    masked = np.where(mask[..., None], x.data, -np.inf)
-    out_data = masked.max(axis=ax)
-    out_data[counts == 0] = 0.0
 
     def vjp(g, y, a):
-        arg = np.expand_dims(np.argmax(masked, axis=ax), ax)  # first = lowest index
+        arg = np.expand_dims(np.argmax(a.data, axis=ax), ax)  # first = lowest index
         buf = np.zeros_like(a.data)
-        g_eff = np.where((counts > 0)[..., None], g, 0.0)
-        np.put_along_axis(buf, arg, np.expand_dims(g_eff, ax), ax)
+        np.put_along_axis(buf, arg, np.expand_dims(g, ax), ax)
         return buf
 
-    return _make(out_data, (x,), (vjp,))
+    return _make(x.data.max(axis=ax), (x,), (vjp,))
 
 
-def _excl_max(masked, axis):
+def _excl_max(x, axis):
     """Per-slice max along `axis` (-3 or -2) excluding each own entry: the
-    runner-up where the entry is the top (a NaN counts as the top), else the top."""
-    top = np.sort(masked, axis=axis)  # NaNs sort last
+    runner-up where the entry is the top (a NaN counts as the top), else the
+    top; -inf where the slice holds the entry alone."""
+    top = np.sort(x, axis=axis)  # NaNs sort last
     t1 = np.take(top, [-1], axis)
     t2 = np.take(top, [-2], axis) if top.shape[axis] > 1 else np.full_like(t1, -np.inf)
-    return np.where((masked == t1) | (np.isnan(masked) & np.isnan(t1)), t2, t1)
+    return np.where((x == t1) | (np.isnan(x) & np.isnan(t1)), t2, t1)
 
 
-def _excl_max_routes(masked, axis):
+def _excl_max_routes(x, axis):
     """Where each entry's _excl_max value sits, as an offset along `axis`: the
     slice's first argmax a1, or for the entry at a1, the first argmax of the rest."""
-    a1 = np.expand_dims(np.argmax(masked, axis=axis), axis)
-    pos = np.arange(masked.shape[axis]).reshape((-1,) + (1,) * (-1 - axis))
+    a1 = np.expand_dims(np.argmax(x, axis=axis), axis)
+    pos = np.arange(x.shape[axis]).reshape((-1,) + (1,) * (-1 - axis))
     at_a1 = pos == a1
-    a2 = np.expand_dims(np.argmax(np.where(at_a1, -np.inf, masked), axis=axis), axis)
+    a2 = np.expand_dims(np.argmax(np.where(at_a1, -np.inf, x), axis=axis), axis)
     return np.where(at_a1, a2, a1) - pos
 
 
-def pair_excl_agg(t_row, t_col, mask):
-    """Joint neighborhood aggregation for edge updates on a bipartite graph.
+def pair_excl_agg(t_row, t_col):
+    """Joint neighborhood aggregation for edge updates on a complete bipartite
+    graph.
 
-    For each present edge (m, k) the candidate set is the union of
-    t_row[m, k1] over present k1 != k (same-TX family, listed first) and
-    t_col[m1, k] over present m1 != m (same-RX family). The result is the
-    element-wise maximum with ties routed to the earliest candidate in that
-    order, and a NaN candidate makes it NaN. An empty union yields the zero
-    vector. Output fibers on absent edges are zero. Tensors are (..., M, K, d)
-    with an (..., M, K) mask. The forward takes each family's values from one
-    sort; each family's VJP finds its routes. The two agree byte for byte
+    For each edge (m, k) the candidate set is the union of t_row[m, k1] over
+    k1 != k (same-TX family, listed first) and t_col[m1, k] over m1 != m
+    (same-RX family). The result is the element-wise maximum with ties routed
+    to the earliest candidate in that order, and a NaN candidate makes it NaN.
+    A 1 x 1 graph, whose one edge has no candidate, yields the zero vector.
+    Tensors are (..., M, K, d). The forward takes each family's values from
+    one sort; each family's VJP finds its routes. The two agree byte for byte
     except on the sign of a zero when -0.0 and 0.0 tie for the top.
     """
     t_row, t_col = as_tensor(t_row), as_tensor(t_col)
-    mask = np.asarray(mask, dtype=bool)
     if t_row.data.shape != t_col.data.shape:
         raise ValueError("pair_excl_agg expects two tensors of equal shape")
-    _graph_shapes("pair_excl_agg", t_row, mask)
-    mask3 = mask[..., None]
-    row_cnt = mask.sum(axis=-1, keepdims=True) - mask  # neighbors excluding self
-    col_cnt = mask.sum(axis=-2, keepdims=True) - mask
-    row_m = np.where(mask3, t_row.data, -np.inf)
-    col_m = np.where(mask3, t_col.data, -np.inf)
-    row_vals, col_vals = _excl_max(row_m, -2), _excl_max(col_m, -3)
+    _graph_shape("pair_excl_agg", t_row)
+    row_vals, col_vals = _excl_max(t_row.data, -2), _excl_max(t_col.data, -3)
     # tie -> same-TX family (listed first); a NaN in either family wins
     use_row = (row_vals >= col_vals) | np.isnan(row_vals)
-    live = mask3 & (row_cnt + col_cnt > 0)[..., None]
+    live = t_row.data.shape[-3] + t_row.data.shape[-2] > 2   # False only for 1 x 1
     out_data = np.where(live, np.where(use_row, row_vals, col_vals), 0.0)
 
     def family(axis):
         # the winning family's argmax along `axis` takes the gradient
         def vjp(g, y, *parents):
-            masked, pick = (row_m, use_row) if axis == -2 else (col_m, ~use_row)
+            x, pick = (t_row.data, use_row) if axis == -2 else (t_col.data, ~use_row)
             step = int(np.prod(g.shape[axis + 1:]))  # flat-index stride of `axis`
-            to = np.arange(g.size) + (_excl_max_routes(masked, axis) * step).ravel()
+            to = np.arange(g.size) + (_excl_max_routes(x, axis) * step).ravel()
             buf = np.zeros(g.size)
             np.add.at(buf, to, np.where(pick & live, g, 0.0).ravel())
             return buf.reshape(g.shape)

@@ -117,10 +117,10 @@ def test_acceptance_3_gradient_correctness():
             h = 1e-6 * max(1.0, abs(orig))
             flat[i] = orig + h
             with nk.no_grad():
-                fp = loss_value().item()
+                fp = float(loss_value().data)
             flat[i] = orig - h
             with nk.no_grad():
-                fm = loss_value().item()
+                fm = float(loss_value().data)
             flat[i] = orig
             fd = (fp - fm) / (2 * h)
             worst = max(worst, abs(gflat[i] - fd) / max(1.0, abs(fd)))

@@ -35,7 +35,7 @@ def _pass(inst, net, params):
     raw = engnn.forward(chansim.graph_of(inst), net, params)
     variables = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
     rates = objectives.evaluate(inst, variables).sum_rate
-    nk.backward(nk.tsum(rates) * (1.0 / rates.size))
+    nk.backward(nk.tsum(rates) * (1.0 / rates.data.size))
     grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
              for t in params.tensors()]
     return variables.data, rates.data, grads
@@ -76,7 +76,7 @@ def test_stacked_forward_is_equivariant_per_element(kind, geo, head):
 
     def stack(gs):
         return HetGraph(*(np.stack([getattr(g, f) for g in gs])
-                          for f in ("f_tx", "f_rx", "e", "edge_mask")))
+                          for f in ("f_tx", "f_rx", "e")))
 
     base = engnn.forward(stack(graphs), net, params).xi.data
     moved = engnn.forward(stack([permute_graph(g, p) for g, p in zip(graphs, perms)]),
@@ -89,7 +89,7 @@ def test_graph_of_stack_is_stack_of_graphs():
     for kind, geo, _ in CASES:
         graphs = [chansim.build_instance(kind, geo, [13, i])[1] for i in range(B)]
         g = chansim.graph_of(chansim.sample_instances(kind, geo, [[13, i] for i in range(B)]))
-        for f in ("f_tx", "f_rx", "e", "edge_mask"):
+        for f in ("f_tx", "f_rx", "e"):
             assert np.array_equal(getattr(g, f), np.stack([getattr(h, f) for h in graphs]))
 
 
@@ -97,15 +97,13 @@ def test_gradcheck_masked_agg_axis_batched():
     rng = np.random.default_rng(19)
     for _ in range(5):
         x = rng.normal(size=(3, 4, 5, 2)) * 2.0
-        mask = rng.random((3, 4, 5)) < 0.7               # a mask per element
         for axis in (0, 1):
             cc = rng.normal(size=(3, 5, 2) if axis == 0 else (3, 4, 2))
             check_op(lambda t, axis=axis, cc=cc: nk.tsum(
-                nk.masked_agg_axis(t, mask, axis) * nk.constant(cc)), x)
-            got = nk.masked_agg_axis(nk.constant(x), mask, axis).data
+                nk.max_agg_axis(t, axis) * nk.constant(cc)), x)
+            got = nk.max_agg_axis(nk.constant(x), axis).data
             for b in range(3):
-                assert np.array_equal(
-                    got[b], nk.masked_agg_axis(nk.constant(x[b]), mask[b], axis).data)
+                assert np.array_equal(got[b], nk.max_agg_axis(nk.constant(x[b]), axis).data)
 
 
 def test_gradcheck_pair_excl_agg_batched():
@@ -113,13 +111,12 @@ def test_gradcheck_pair_excl_agg_batched():
     for _ in range(5):
         t5 = rng.normal(size=(3, 4, 3, 2)) * 2.0
         t6 = rng.normal(size=(3, 4, 3, 2)) * 2.0
-        mask = rng.random((3, 4, 3)) < 0.8
         c = rng.normal(size=t5.shape)
         check_op(lambda t: nk.tsum(
-            nk.pair_excl_agg(t, nk.constant(t6), mask) * nk.constant(c)), t5)
+            nk.pair_excl_agg(t, nk.constant(t6)) * nk.constant(c)), t5)
         check_op(lambda t: nk.tsum(
-            nk.pair_excl_agg(nk.constant(t5), t, mask) * nk.constant(c)), t6)
-        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6), mask).data
+            nk.pair_excl_agg(nk.constant(t5), t) * nk.constant(c)), t6)
+        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6)).data
         for b in range(3):
             assert np.array_equal(got[b], nk.pair_excl_agg(
-                nk.constant(t5[b]), nk.constant(t6[b]), mask[b]).data)
+                nk.constant(t5[b]), nk.constant(t6[b])).data)

@@ -11,13 +11,9 @@ from rrmgnn.engnn import (ConfigError, ENGNNConfig, config_for_scenario, edge_up
 from rrmgnn.hetgraph import HetGraph, NodePermutation, permute_graph
 
 
-def random_graph(rng, m, k, widths=(1, 1, 4), p_edge=1.0):
-    mask = rng.random((m, k)) < p_edge
-    if not mask.any():
-        mask[0, 0] = True
-    e = rng.normal(size=(m, k, widths[2])) * mask[:, :, None]
+def random_graph(rng, m, k, widths=(1, 1, 4)):
     return HetGraph(rng.normal(size=(m, widths[0])), rng.normal(size=(k, widths[1])),
-                    e, mask)
+                    rng.normal(size=(m, k, widths[2])))
 
 
 def small_config(hidden=5, layers=1, **kw):
@@ -41,8 +37,7 @@ def test_preprocess_zero_features_zero_bias():
     params = init_params(cfg, seed=0)
     for pre in (params.pre_tx, params.pre_rx, params.pre_e):
         pre[1].data[...] = 0.0
-    g = HetGraph(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 3, 4)),
-                 np.ones((2, 3), bool))
+    g = HetGraph(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 3, 4)))
     f_tx, f_rx, e0 = preprocess(g, cfg, params)
     assert np.all(f_tx.data == 0) and np.all(f_rx.data == 0) and np.all(e0.data == 0)
 
@@ -50,8 +45,7 @@ def test_preprocess_zero_features_zero_bias():
 def test_preprocess_width_mismatch():
     cfg = small_config()
     params = init_params(cfg, seed=0)
-    g = HetGraph(np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 3, 4)),
-                 np.ones((2, 3), bool))
+    g = HetGraph(np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 3, 4)))
     with pytest.raises(ValueError):
         preprocess(g, cfg, params)
 
@@ -61,7 +55,7 @@ def test_preprocess_commutes_with_permutation():
     cfg = small_config()
     params = init_params(cfg, seed=1)
     for _ in range(10):
-        g = random_graph(rng, 3, 4, p_edge=0.7)
+        g = random_graph(rng, 3, 4)
         p = NodePermutation.random(3, 4, rng)
         a_tx, a_rx, a_e = preprocess(permute_graph(g, p), cfg, params)
         b_tx, b_rx, b_e = preprocess(g, cfg, params)
@@ -70,33 +64,8 @@ def test_preprocess_commutes_with_permutation():
         np.testing.assert_allclose(a_e.data[np.ix_(p.pi_tx, p.pi_rx)], b_e.data, atol=1e-12)
 
 
-def test_preprocess_masks_absent_fibers():
-    rng = np.random.default_rng(2)
-    cfg = small_config()
-    params = init_params(cfg, seed=2)  # random biases: unmasked output would be nonzero
-    g = random_graph(rng, 3, 3, p_edge=0.5)
-    _, _, e0 = preprocess(g, cfg, params)
-    assert np.all(e0.data[~g.edge_mask] == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # update mechanisms
-
-
-def test_tx_update_empty_neighborhood_uses_zero_aggregate():
-    rng = np.random.default_rng(3)
-    cfg = small_config(hidden=4)
-    params = init_params(cfg, seed=3)
-    layer = params.layers[0]
-    f_tx = rng.normal(size=(2, 4))
-    f_rx = rng.normal(size=(3, 4))
-    e = rng.normal(size=(2, 3, 4))
-    mask = np.zeros((2, 3), bool)
-    mask[1, 0] = True
-    e = e * mask[:, :, None]
-    out = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e), mask)
-    expect_row0 = mlp_apply(layer["mlp2"], np.concatenate([f_tx[0], np.zeros(4)]))
-    np.testing.assert_allclose(out.data[0], expect_row0, atol=1e-12)
 
 
 def test_tx_update_singleton_neighbor_is_plain_message():
@@ -107,8 +76,7 @@ def test_tx_update_singleton_neighbor_is_plain_message():
     f_tx = rng.normal(size=(1, 4))
     f_rx = rng.normal(size=(1, 4))
     e = rng.normal(size=(1, 1, 4))
-    out = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e),
-                    np.ones((1, 1), bool))
+    out = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e))
     msg = mlp_apply(layer["mlp1"], np.concatenate([f_rx[0], e[0, 0]]))
     expect = mlp_apply(layer["mlp2"], np.concatenate([f_tx[0], msg]))
     np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
@@ -122,12 +90,10 @@ def test_tx_update_duplicate_rx_is_invariant():
     f_tx = rng.normal(size=(2, 4))
     f_rx = rng.normal(size=(2, 4))
     e = rng.normal(size=(2, 2, 4))
-    base = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e),
-                     np.ones((2, 2), bool)).data
+    base = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e)).data
     f_rx_dup = np.vstack([f_rx, f_rx[1]])
     e_dup = np.concatenate([e, e[:, 1:2]], axis=1)
-    dup = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx_dup), nk.constant(e_dup),
-                    np.ones((2, 3), bool)).data
+    dup = tx_update(layer, nk.constant(f_tx), nk.constant(f_rx_dup), nk.constant(e_dup)).data
     np.testing.assert_allclose(dup, base, atol=1e-12)
 
 
@@ -139,8 +105,7 @@ def test_rx_update_mirrors_tx_update():
     f_tx = rng.normal(size=(1, 4))
     f_rx = rng.normal(size=(1, 4))
     e = rng.normal(size=(1, 1, 4))
-    out = rx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e),
-                    np.ones((1, 1), bool))
+    out = rx_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e))
     msg = mlp_apply(layer["mlp3"], np.concatenate([f_tx[0], e[0, 0]]))
     expect = mlp_apply(layer["mlp4"], np.concatenate([f_rx[0], msg]))
     np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
@@ -154,8 +119,7 @@ def test_edge_update_degenerate_graph_uses_zero_aggregate():
     f_tx = rng.normal(size=(1, 4))
     f_rx = rng.normal(size=(1, 4))
     e = rng.normal(size=(1, 1, 4))
-    out = edge_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e),
-                      np.ones((1, 1), bool))
+    out = edge_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e))
     expect = mlp_apply(layer["mlp7"], np.concatenate([e[0, 0], np.zeros(4)]))
     np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-12)
 
@@ -170,8 +134,7 @@ def test_edge_update_two_families_hand_assembled():
     f_tx = rng.normal(size=(2, 4))
     f_rx = rng.normal(size=(3, 4))
     e = rng.normal(size=(2, 3, 4))
-    out = edge_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e),
-                      np.ones((2, 3), bool))
+    out = edge_update(layer, nk.constant(f_tx), nk.constant(f_rx), nk.constant(e))
     fam_tx = [mlp_apply(layer["mlp5"], np.concatenate([e[0, k1], f_tx[0]]))
               for k1 in (1, 2)]
     fam_rx = [mlp_apply(layer["mlp6"], np.concatenate([e[1, 0], f_rx[0]]))]
@@ -187,13 +150,13 @@ def test_edge_update_permutation_equivariant():
     layer = params.layers[0]
     for _ in range(10):
         m, k = 3, 4
-        g = random_graph(rng, m, k, widths=(4, 4, 4), p_edge=0.8)
+        g = random_graph(rng, m, k, widths=(4, 4, 4))
         p = NodePermutation.random(m, k, rng)
         pg = permute_graph(g, p)
         base = edge_update(layer, nk.constant(g.f_tx), nk.constant(g.f_rx),
-                           nk.constant(g.e), g.edge_mask).data
+                           nk.constant(g.e)).data
         permuted = edge_update(layer, nk.constant(pg.f_tx), nk.constant(pg.f_rx),
-                               nk.constant(pg.e), pg.edge_mask).data
+                               nk.constant(pg.e)).data
         np.testing.assert_allclose(permuted[np.ix_(p.pi_tx, p.pi_rx)], base, atol=1e-12)
 
 
@@ -295,12 +258,12 @@ def test_layer_synchrony_sequential_update_differs():
     params = init_params(cfg, seed=15)
     f_tx, f_rx, e = preprocess(g, cfg, params)
     layer = params.layers[0]
-    sync_tx = tx_update(layer, f_tx, f_rx, e, g.edge_mask)
-    sync_rx = rx_update(layer, f_tx, f_rx, e, g.edge_mask)
-    sync_e = edge_update(layer, f_tx, f_rx, e, g.edge_mask)
+    sync_tx = tx_update(layer, f_tx, f_rx, e)
+    sync_rx = rx_update(layer, f_tx, f_rx, e)
+    sync_e = edge_update(layer, f_tx, f_rx, e)
 
-    seq_rx = rx_update(layer, sync_tx, f_rx, e, g.edge_mask)
-    seq_e = edge_update(layer, sync_tx, seq_rx, e, g.edge_mask)
+    seq_rx = rx_update(layer, sync_tx, f_rx, e)
+    seq_e = edge_update(layer, sync_tx, seq_rx, e)
     assert np.max(np.abs(seq_rx.data - sync_rx.data)) > 1e-8
     assert np.max(np.abs(seq_e.data - sync_e.data)) > 1e-8
 
@@ -517,10 +480,10 @@ def test_param_gradients_match_finite_differences():
             h = 1e-6 * max(1.0, abs(orig))
             flat[i] = orig + h
             with nk.no_grad():
-                fp = loss_fn().item()
+                fp = float(loss_fn().data)
             flat[i] = orig - h
             with nk.no_grad():
-                fm = loss_fn().item()
+                fm = float(loss_fn().data)
             flat[i] = orig
             fd = (fp - fm) / (2 * h)
             assert abs(grad.reshape(-1)[i] - fd) <= 1e-5 * max(1.0, abs(fd)), name

@@ -5,27 +5,19 @@ from rrmgnn.hetgraph import (HetGraph, NodePermutation, merge_complex, permute_g
                              split_complex)
 
 
-def random_graph(rng, m, k, d_tx=2, d_rx=3, d_e=4, p_edge=1.0):
-    mask = rng.random((m, k)) < p_edge
-    e = rng.normal(size=(m, k, d_e)) * mask[:, :, None]
-    return HetGraph(rng.normal(size=(m, d_tx)), rng.normal(size=(k, d_rx)), e, mask)
+def random_graph(rng, m, k, d_tx=2, d_rx=3, d_e=4):
+    return HetGraph(rng.normal(size=(m, d_tx)), rng.normal(size=(k, d_rx)),
+                    rng.normal(size=(m, k, d_e)))
 
 
 def graphs_equal(a, b):
     return (np.array_equal(a.f_tx, b.f_tx) and np.array_equal(a.f_rx, b.f_rx)
-            and np.array_equal(a.e, b.e) and np.array_equal(a.edge_mask, b.edge_mask))
-
-
-def test_construction_validates_zero_fibers():
-    mask = np.array([[True, False]])
-    bad = np.ones((1, 2, 3))
-    with pytest.raises(ValueError):
-        HetGraph(np.ones((1, 1)), np.ones((2, 1)), bad, mask)
+            and np.array_equal(a.e, b.e))
 
 
 def test_construction_requires_nodes():
     with pytest.raises(ValueError):
-        HetGraph(np.ones((0, 1)), np.ones((1, 1)), np.zeros((0, 1, 1)), np.zeros((0, 1), bool))
+        HetGraph(np.ones((0, 1)), np.ones((1, 1)), np.zeros((0, 1, 1)))
 
 
 def test_split_merge_complex_roundtrip():
@@ -55,7 +47,7 @@ def test_permute_swap_moves_fiber():
 def test_permute_then_inverse_roundtrip_exact():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        g = random_graph(rng, 3, 4, p_edge=0.7)
+        g = random_graph(rng, 3, 4)
         p = NodePermutation.random(3, 4, rng)
         back = permute_graph(permute_graph(g, p),
                              NodePermutation(np.argsort(p.pi_tx), np.argsort(p.pi_rx)))
@@ -63,17 +55,10 @@ def test_permute_then_inverse_roundtrip_exact():
 
 
 def test_neighbor_sets_commute_with_permutation():
-    # the mask lands where the permutation sends each edge
+    # each edge fiber lands where the permutation sends its edge
     rng = np.random.default_rng(6)
     for _ in range(10):
-        g = random_graph(rng, 4, 3, p_edge=0.6)
+        g = random_graph(rng, 4, 3)
         p = NodePermutation.random(4, 3, rng)
         pg = permute_graph(g, p)
-        np.testing.assert_array_equal(pg.edge_mask[np.ix_(p.pi_tx, p.pi_rx)], g.edge_mask)
-
-
-def test_mask_zero_fiber_consistency_after_permutation():
-    rng = np.random.default_rng(7)
-    g = random_graph(rng, 5, 4, p_edge=0.5)
-    pg = permute_graph(g, NodePermutation.random(5, 4, rng))
-    assert np.all(pg.e[~pg.edge_mask] == 0.0)
+        np.testing.assert_array_equal(pg.e[np.ix_(p.pi_tx, p.pi_rx)], g.e)

@@ -1,6 +1,7 @@
 """Kernel tests: hand-computed forwards, finite-difference gradient oracles,
-and loop-reference cross-checks for the masked aggregation primitives."""
+and loop-reference cross-checks for the max aggregation primitives."""
 
+import functools
 from contextlib import nullcontext
 
 import numpy as np
@@ -58,45 +59,49 @@ def test_mlp_batched_rows_match_single():
 
 
 # ---------------------------------------------------------------------------
-# masked_max_aggregate
+# max_agg_axis, and pair_excl_agg on a graph without neighbors
 
 
 def test_masked_max_basic():
-    out = nk.masked_max_aggregate(nk.constant([[1.0, 5.0], [3.0, 2.0]]), [True, True])
-    np.testing.assert_array_equal(out.data, [3.0, 5.0])
+    out = nk.max_agg_axis(nk.constant([[[1.0, 5.0]], [[3.0, 2.0]]]), 0)
+    np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
 
 def test_masked_max_singleton():
-    out = nk.masked_max_aggregate(nk.constant([[-1.0, -2.0]]), [True])
-    np.testing.assert_array_equal(out.data, [-1.0, -2.0])
+    out = nk.max_agg_axis(nk.constant([[[-1.0, -2.0]]]), 1)
+    np.testing.assert_array_equal(out.data, [[-1.0, -2.0]])
 
 
 def test_masked_max_empty_set_is_zero():
-    items = nk.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    out = nk.masked_max_aggregate(items, [False, False])
-    np.testing.assert_array_equal(out.data, [0.0, 0.0])
-    nk.backward(nk.tsum(out))
-    np.testing.assert_array_equal(items.grad, np.zeros((2, 2)))
+    # the one edge of a 1 x 1 graph has no candidate: zeros out, no gradient
+    for shape in ((1, 1, 2), (3, 1, 1, 2)):
+        t_row = nk.Tensor(np.ones(shape), requires_grad=True)
+        t_col = nk.Tensor(np.full(shape, 2.0), requires_grad=True)
+        out = nk.pair_excl_agg(t_row, t_col)
+        np.testing.assert_array_equal(out.data, np.zeros(shape))
+        nk.backward(nk.tsum(out))
+        np.testing.assert_array_equal(t_row.grad, np.zeros(shape))
+        np.testing.assert_array_equal(t_col.grad, np.zeros(shape))
 
 
 def test_masked_max_permutation_invariant():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        n, d = rng.integers(1, 8), rng.integers(1, 6)
-        items = rng.normal(size=(n, d))
-        present = rng.random(n) < 0.7
-        base = nk.masked_max_aggregate(nk.constant(items), present).data
-        perm = rng.permutation(n)
-        permuted = nk.masked_max_aggregate(nk.constant(items[perm]), present[perm]).data
-        np.testing.assert_array_equal(base, permuted)
+        m, k, d = rng.integers(1, 8), rng.integers(1, 8), rng.integers(1, 6)
+        x = rng.normal(size=(m, k, d))
+        for axis in (0, 1):
+            perm = rng.permutation(x.shape[axis])
+            np.testing.assert_array_equal(nk.max_agg_axis(nk.constant(x), axis).data,
+                                          nk.max_agg_axis(nk.constant(np.take(x, perm, axis)),
+                                                          axis).data)
 
 
 def test_masked_max_tie_routes_to_lowest_index():
-    items = nk.Tensor([[2.0, 0.0], [2.0, 1.0], [1.0, 1.0]], requires_grad=True)
-    out = nk.masked_max_aggregate(items, [True, True, True])
+    items = nk.Tensor([[[2.0, 0.0]], [[2.0, 1.0]], [[1.0, 1.0]]], requires_grad=True)
+    out = nk.max_agg_axis(items, 0)
     nk.backward(nk.tsum(out))
     # column 0 ties between rows 0 and 1 -> row 0; column 1 ties rows 1, 2 -> row 1
-    np.testing.assert_array_equal(items.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(items.grad, [[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 0.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +116,7 @@ def test_backward_sum_is_ones():
 
 def test_backward_quadratic():
     x = nk.Tensor([1.0, -2.0], requires_grad=True)
-    nk.backward(nk.dot(x, x))
+    nk.backward(nk.tsum(x * x))
     np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
 
@@ -146,13 +151,12 @@ def _away_from_kinks(rng, shape, lo=0.2):
     return x * rng.choice([-1.0, 1.0], size=shape)
 
 
+# fixed ids, so that a case keeps its name when the list changes
 UNARY_CASES = [
-    ("neg", nk.neg, (-3, 3)),
-    ("square", nk.square, (-3, 3)),
-    ("sqrt", nk.sqrt, (0.2, 4)),
-    ("exp", nk.exp, (-2, 2)),
-    ("log1p", nk.log1p, (-0.5, 3)),
-    ("sigmoid", nk.sigmoid, (-4, 4)),
+    pytest.param("square", nk.square, (-3, 3), id="square-square-rng_range1"),
+    pytest.param("sqrt", nk.sqrt, (0.2, 4), id="sqrt-sqrt-rng_range2"),
+    pytest.param("log1p", nk.log1p, (-0.5, 3), id="log1p-log1p-rng_range4"),
+    pytest.param("sigmoid", nk.sigmoid, (-4, 4), id="sigmoid-sigmoid-rng_range5"),
 ]
 
 
@@ -264,14 +268,6 @@ def test_gradcheck_matmul_linear_dot():
 
         check_op(build_mm, m)
 
-        v = rng.normal(size=3)
-        cv = rng.normal(size=3)
-
-        def build_dot(t):
-            return nk.dot(t, nk.constant(cv))
-
-        check_op(build_dot, v)
-
 
 def test_gradcheck_reshape_take_concat_sum_axis():
     rng = np.random.default_rng(19)
@@ -319,23 +315,12 @@ def test_gradcheck_reshape_take_concat_sum_axis():
 def test_gradcheck_masked_aggregates():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        items = _away_from_kinks(rng, (5, 3)) * rng.uniform(0.5, 2.0)
-        present = rng.random(5) < 0.7
-        c = rng.normal(size=3)
-
-        def build(t):
-            return nk.tsum(nk.masked_max_aggregate(t, present) * nk.constant(c))
-
-        check_op(build, items)
-
-    for _ in range(10):
         x = rng.normal(size=(4, 5, 3)) * 2.0
-        mask = rng.random((4, 5)) < 0.8
         for axis in (0, 1):
             cc = rng.normal(size=(5, 3) if axis == 0 else (4, 3))
 
             def build_axis(t, axis=axis, cc=cc):
-                return nk.tsum(nk.masked_agg_axis(t, mask, axis) * nk.constant(cc))
+                return nk.tsum(nk.max_agg_axis(t, axis) * nk.constant(cc))
 
             check_op(build_axis, x)
 
@@ -346,16 +331,15 @@ def test_gradcheck_pair_excl_agg():
         m, k, d = 4, 3, 2
         t5 = rng.normal(size=(m, k, d)) * 2.0
         t6 = rng.normal(size=(m, k, d)) * 2.0
-        mask = rng.random((m, k)) < 0.8
         c = rng.normal(size=(m, k, d))
 
         def build5(t):
-            return nk.tsum(nk.pair_excl_agg(t, nk.constant(t6), mask) * nk.constant(c))
+            return nk.tsum(nk.pair_excl_agg(t, nk.constant(t6)) * nk.constant(c))
 
         check_op(build5, t5)
 
         def build6(t):
-            return nk.tsum(nk.pair_excl_agg(nk.constant(t5), t, mask) * nk.constant(c))
+            return nk.tsum(nk.pair_excl_agg(nk.constant(t5), t) * nk.constant(c))
 
         check_op(build6, t6)
 
@@ -364,37 +348,34 @@ def test_gradcheck_pair_excl_agg():
 # vectorized aggregations against the per-set reference
 
 
-def reference_agg_axis(x, mask, axis):
-    m, k = x.shape[:2]
-    out_n = k if axis == 0 else m
-    rows = []
-    for i in range(out_n):
-        items = x[:, i, :] if axis == 0 else x[i, :, :]
-        present = mask[:, i] if axis == 0 else mask[i, :]
-        rows.append(nk.masked_max_aggregate(nk.constant(items), present).data)
-    return np.stack(rows)
+def max_rows(items, d):
+    """Elementwise max over the rows of (n, d) items, one argmax per element
+    (a NaN counts as the top); the empty set gives the zero vector."""
+    items = np.asarray(items, dtype=np.float64).reshape(-1, d)
+    if not len(items):
+        return np.zeros(d)
+    return items[np.argmax(items, axis=0), np.arange(d)]
 
 
-def reference_pair_excl(t5, t6, mask):
+def reference_agg_axis(x, axis):
+    m, k, d = x.shape
+    return np.stack([max_rows(x[:, i] if axis == 0 else x[i], d)
+                     for i in range(k if axis == 0 else m)])
+
+
+def _candidates(t5, t6, mi, ki):
+    """The candidate set of edge (mi, ki) in order: same-TX family, then same-RX."""
     m, k = t5.shape[:2]
+    return ([t5[mi, k1] for k1 in range(k) if k1 != ki]
+            + [t6[m1, ki] for m1 in range(m) if m1 != mi])
+
+
+def reference_pair_excl(t5, t6):
+    m, k, d = t5.shape
     out = np.zeros_like(t5)
     for mi in range(m):
         for ki in range(k):
-            if not mask[mi, ki]:
-                continue
-            cands, present = [], []
-            for k1 in range(k):
-                if k1 != ki:
-                    cands.append(t5[mi, k1])
-                    present.append(mask[mi, k1])
-            for m1 in range(m):
-                if m1 != mi:
-                    cands.append(t6[m1, ki])
-                    present.append(mask[m1, ki])
-            if not cands:
-                continue
-            out[mi, ki] = nk.masked_max_aggregate(nk.constant(np.stack(cands)),
-                                                  np.array(present)).data
+            out[mi, ki] = max_rows(_candidates(t5, t6, mi, ki), d)
     return out
 
 
@@ -403,11 +384,9 @@ def test_agg_axis_matches_reference():
     for _ in range(25):
         m, k, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 5)
         x = rng.normal(size=(m, k, d))
-        mask = rng.random((m, k)) < 0.7
         for axis in (0, 1):
-            got = nk.masked_agg_axis(nk.constant(x), mask, axis).data
-            np.testing.assert_allclose(got, reference_agg_axis(x, mask, axis),
-                                       rtol=0, atol=1e-15)
+            got = nk.max_agg_axis(nk.constant(x), axis).data
+            np.testing.assert_allclose(got, reference_agg_axis(x, axis), rtol=0, atol=1e-15)
 
 
 def test_pair_excl_agg_matches_reference():
@@ -416,23 +395,22 @@ def test_pair_excl_agg_matches_reference():
         m, k, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 5)
         t5 = rng.normal(size=(m, k, d))
         t6 = rng.normal(size=(m, k, d))
-        mask = rng.random((m, k)) < 0.7
-        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6), mask).data
-        np.testing.assert_allclose(got, reference_pair_excl(t5, t6, mask),
-                                   rtol=0, atol=1e-15)
+        got = nk.pair_excl_agg(nk.constant(t5), nk.constant(t6)).data
+        np.testing.assert_allclose(got, reference_pair_excl(t5, t6), rtol=0, atol=1e-15)
 
 
 def test_pair_excl_agg_gradient_matches_reference_with_ties():
-    # duplicated values force ties; both routes must pick the same candidate
+    # duplicated values force ties; both routes must pick the same candidate.
+    # The reference chains nk.maximum over the candidates in order: its ties
+    # route to its first argument, so to the earliest candidate
     rng = np.random.default_rng(41)
     for _ in range(10):
         m, k, d = 3, 4, 2
         base = rng.integers(0, 3, size=(m, k, d)).astype(float)
         t5 = nk.Tensor(base, requires_grad=True)
         t6 = nk.Tensor(base[::-1].copy(), requires_grad=True)
-        mask = rng.random((m, k)) < 0.85
         c = rng.normal(size=(m, k, d))
-        nk.backward(nk.tsum(nk.pair_excl_agg(t5, t6, mask) * nk.constant(c)))
+        nk.backward(nk.tsum(nk.pair_excl_agg(t5, t6) * nk.constant(c)))
         got5, got6 = t5.grad.copy(), t6.grad.copy()
 
         r5 = nk.Tensor(base, requires_grad=True)
@@ -440,24 +418,9 @@ def test_pair_excl_agg_gradient_matches_reference_with_ties():
         total = None
         for mi in range(m):
             for ki in range(k):
-                if not mask[mi, ki]:
-                    continue
-                cands, present = [], []
-                for k1 in range(k):
-                    if k1 != ki:
-                        cands.append(nk.reshape(nk.take(r5, (mi, k1)), (1, d)))
-                        present.append(mask[mi, k1])
-                for m1 in range(m):
-                    if m1 != mi:
-                        cands.append(nk.reshape(nk.take(r6, (m1, ki)), (1, d)))
-                        present.append(mask[m1, ki])
-                if not cands:
-                    continue
-                agg = nk.masked_max_aggregate(nk.concat(cands, axis=0), np.array(present))
+                agg = functools.reduce(nk.maximum, _candidates(r5, r6, mi, ki))
                 term = nk.tsum(agg * nk.constant(c[mi, ki]))
                 total = term if total is None else total + term
-        if total is None:
-            continue
         nk.backward(total)
         np.testing.assert_array_equal(got5, r5.grad)
         np.testing.assert_array_equal(got6, r6.grad)
@@ -465,38 +428,36 @@ def test_pair_excl_agg_gradient_matches_reference_with_ties():
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_max_aggregations_propagate_nan(batch):
-    # one family all NaN, the other all ones, on a full 2x2 mask: every
-    # present edge has a NaN candidate, so every output is NaN; on the
-    # inference path and on the taped one
-    mask = np.ones(batch + (2, 2), bool)
+    # one family all NaN, the other all ones, on a 2x2 graph: every edge has
+    # a NaN candidate, so every output is NaN; on the inference path and on
+    # the taped one
     nan, ones = np.full(batch + (2, 2, 1), np.nan), np.ones(batch + (2, 2, 1))
     for mode in (nk.no_grad, nullcontext):
         with mode():
             for t_row, t_col in ((nan, ones), (ones, nan)):
                 out = nk.pair_excl_agg(nk.Tensor(t_row, requires_grad=True),
-                                       nk.Tensor(t_col, requires_grad=True), mask).data
+                                       nk.Tensor(t_col, requires_grad=True)).data
                 assert np.isnan(out).all()
             for axis in (0, 1):
-                agg = nk.masked_agg_axis(nk.Tensor(nan, requires_grad=True), mask, axis)
+                agg = nk.max_agg_axis(nk.Tensor(nan, requires_grad=True), axis)
                 assert np.isnan(agg.data).all()
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_max_aggregations_single_nan(batch):
-    # one NaN at edge (0, 0) of the same-TX family on a full 2x3 mask, every
+    # one NaN at edge (0, 0) of the same-TX family on a 2x3 graph, every
     # same-RX entry 2: edge (0, 0) excludes its own entry, so its output is
     # finite; the other edges of TX row 0 see the NaN, those of row 1 do not
-    mask = np.ones(batch + (2, 3), bool)
     t_row, t_col = np.ones(batch + (2, 3, 1)), np.full(batch + (2, 3, 1), 2.0)
     t_row[..., 0, 0, :] = np.nan
     sees_nan = np.array([[False, True, True], [False, False, False]])
     for mode in (nk.no_grad, nullcontext):
         with mode():
             out = nk.pair_excl_agg(nk.Tensor(t_row, requires_grad=True),
-                                   nk.Tensor(t_col, requires_grad=True), mask).data
+                                   nk.Tensor(t_col, requires_grad=True)).data
             x = nk.Tensor(t_row, requires_grad=True)
-            by_tx = nk.masked_agg_axis(x, mask, 1).data[..., 0]   # over K, per TX
-            by_rx = nk.masked_agg_axis(x, mask, 0).data[..., 0]   # over M, per RX
+            by_tx = nk.max_agg_axis(x, 1).data[..., 0]   # over K, per TX
+            by_rx = nk.max_agg_axis(x, 0).data[..., 0]   # over M, per RX
         assert (np.isnan(out[..., 0]) == sees_nan).all()
         assert (out[..., 0][..., ~sees_nan] == 2.0).all()
         assert (np.isnan(by_tx) == [True, False]).all()
@@ -525,20 +486,15 @@ def _routed_values(op, inputs):
 
 
 def _tie_heavy_cases(rng):
-    """Small integers (many ties) on (2, 3, 4, 2) stacks: batch 0 has TX row 2
-    masked out, batch 1 an isolated edge (0, 0) with no neighbor at all, and
-    single NaNs at a present edge of either family."""
-    for case in range(6):
-        mask = rng.random((2, 3, 4)) < 0.75
-        mask[0, 2, :] = False
-        mask[1, 0, :], mask[1, :, 0] = False, False
-        mask[1, 0, 0] = True
-        t_row = rng.integers(0, 3, size=(2, 3, 4, 2)).astype(float)
-        t_col = rng.integers(0, 3, size=(2, 3, 4, 2)).astype(float)
+    """Small integers (many ties) on stacks of two graphs: 3 x 4, then graphs
+    where one family is empty (3 x 1, 1 x 4) or both are (1 x 1), with single
+    NaNs in either family."""
+    for case, (m, k) in enumerate([(3, 4), (3, 4), (3, 4), (3, 1), (1, 4), (1, 1)]):
+        t_row = rng.integers(0, 3, size=(2, m, k, 2)).astype(float)
+        t_col = rng.integers(0, 3, size=(2, m, k, 2)).astype(float)
         if case % 3:
-            b, m, k = np.argwhere(mask)[rng.integers(mask.sum())]
-            (t_row if case % 3 == 1 else t_col)[b, m, k, rng.integers(2)] = np.nan
-        yield t_row, t_col, mask
+            (t_row if case % 3 == 1 else t_col)[tuple(rng.integers(t_row.shape))] = np.nan
+        yield t_row, t_col
 
 
 def test_value_only_forwards_match_their_gradient_routes():
@@ -547,17 +503,15 @@ def test_value_only_forwards_match_their_gradient_routes():
     # allowed difference, the sign of a zero among -0.0/0.0 ties, needs -0.0
     # inputs, which these are not)
     rng = np.random.default_rng(47)
-    for t_row, t_col, mask in _tie_heavy_cases(rng):
+    for t_row, t_col in _tie_heavy_cases(rng):
         with nk.no_grad():
-            out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col), mask).data
-        routed = _routed_values(lambda a, b: nk.pair_excl_agg(a, b, mask),
-                                [t_row, t_col])
+            out = nk.pair_excl_agg(nk.constant(t_row), nk.constant(t_col)).data
+        routed = _routed_values(nk.pair_excl_agg, [t_row, t_col])
         assert out.tobytes() == routed.tobytes()
         for axis in (0, 1):
             with nk.no_grad():
-                agg = nk.masked_agg_axis(nk.constant(t_row), mask, axis).data
-            routed = _routed_values(lambda a: nk.masked_agg_axis(a, mask, axis),
-                                    [t_row])
+                agg = nk.max_agg_axis(nk.constant(t_row), axis).data
+            routed = _routed_values(lambda a: nk.max_agg_axis(a, axis), [t_row])
             assert agg.tobytes() == routed.tobytes()
 
 
