@@ -1,7 +1,8 @@
 """The edge-node GNN: a preprocessing layer, L synchronous updating layers
-with TX-, RX-, and edge-update mechanisms, and an affine postprocessing head.
+with TX-, RX-, and edge-update mechanisms, and an affine head on the edges.
 
-All updates in layer l read only layer l-1 representations. Every graph is
+All updates in layer l read only layer l-1 representations. The head reads
+only edges, so the last layer runs only its edge update. Every graph is
 complete bipartite, so a node's neighbors are all nodes of the other kind.
 Aggregations are element-wise max; the edge update aggregates both transformed
 neighbor families jointly. Every representation has the one hidden width h, so
@@ -19,9 +20,7 @@ from . import container
 from . import numkernel as nk
 from .chansim import COOP, IBC, KINDS, instance_feature_widths
 
-HEADS = ("edge", "tx_node", "rx_node")
-
-CHECKPOINT_VERSION = 3   # 2 stored the aggregator too, 1 the derived widths
+CHECKPOINT_VERSION = 4   # 3 stored the output head too, 2 the aggregator, 1 the widths
 
 
 class ConfigError(ValueError):
@@ -31,11 +30,11 @@ class ConfigError(ValueError):
 @dataclass
 class ENGNNConfig:
     """The network a caller chooses: the scenario `kind`, its antenna count N,
-    the hidden width h, the depth and the head.
+    the hidden width h and the depth.
 
     The rest follows from these: the graph widths are
-    `chansim.instance_feature_widths(kind, N)`, and the head maps h to 2N
-    reals (a complex beam) or, for ibc powers, to 1. input_scale_* are fixed
+    `chansim.instance_feature_widths(kind, N)`, and the edge head maps h to
+    2N reals (a complex beam) or, for ibc powers, to 1. input_scale_* are fixed
     constants folded into the preprocessing affine maps so raw physical
     features arrive at trainable scale.
     """
@@ -44,7 +43,6 @@ class ENGNNConfig:
     n_antennas: int
     hidden: int = 8
     layers: int = 1
-    output_head: str = "edge"
     input_scale_tx: float = 1.0
     input_scale_rx: float = 1.0
     input_scale_e: float = 1.0
@@ -62,10 +60,6 @@ class ENGNNConfig:
             if not isinstance(value, numbers.Real) or isinstance(value, bool) \
                     or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
-        if self.output_head not in HEADS:
-            raise ConfigError(f"output_head must be one of {HEADS}")
-        if self.kind == COOP and self.output_head != "edge":
-            raise ConfigError("cooperative variables live on edges; use the edge head")
 
 
 @dataclass
@@ -103,7 +97,9 @@ def _init_affine(rng, d_out, d_in):
 def _build_params(cfg, affine):
     """ENGNNParams with each affine map from `affine(d_out, d_in)`, in order:
     the three input maps, then per layer mlp1..mlp7 (2h -> h -> h -> h), then
-    the head. The one place that knows the parameter layout."""
+    the head. The one place that knows the parameter layout. The last layer's
+    mlp1..mlp4 are built although `forward` never reads them, so that every
+    depth draws the same init stream and stores the same tensors."""
     h = cfg.hidden
     pre_tx, pre_rx, pre_e = [affine(h, d)
                              for d in instance_feature_widths(cfg.kind, cfg.n_antennas)]
@@ -171,56 +167,34 @@ def edge_update(layer, f_tx, f_rx, e):
     return nk.mlp_forward(nk.concat([e, agg], axis=-1), layer["mlp7"])
 
 
-@dataclass
-class RawOutputs:
-    """Pre-normalization head outputs; inactive heads are None."""
-
-    s_tx: object = None
-    s_rx: object = None
-    xi: object = None
-
-
 def forward(graph, cfg, params):
-    """Full pass: preprocess, L synchronous updating layers, affine head.
+    """Full pass: preprocess, L synchronous updating layers, affine edge head;
+    returns the head's (..., M, K, out) tensor.
 
-    A graph with a leading batch axis runs as one pass; every output then
+    Only edges reach the head, so the last layer runs only its edge update.
+    A graph with a leading batch axis runs as one pass; the output then
     carries that axis too.
     """
     f_tx, f_rx, e = preprocess(graph, cfg, params)
-    for layer in params.layers:
-        new_tx = tx_update(layer, f_tx, f_rx, e)
-        new_rx = rx_update(layer, f_tx, f_rx, e)
-        new_e = edge_update(layer, f_tx, f_rx, e)
-        f_tx, f_rx, e = new_tx, new_rx, new_e
-    w, b = params.post
-    if cfg.output_head == "edge":
-        return RawOutputs(xi=nk.linear(e, w, b))
-    if cfg.output_head == "tx_node":
-        return RawOutputs(s_tx=nk.linear(f_tx, w, b))
-    return RawOutputs(s_rx=nk.linear(f_rx, w, b))
+    *hidden, last = params.layers
+    for layer in hidden:
+        f_tx, f_rx, e = (tx_update(layer, f_tx, f_rx, e), rx_update(layer, f_tx, f_rx, e),
+                         edge_update(layer, f_tx, f_rx, e))
+    return nk.linear(edge_update(last, f_tx, f_rx, e), *params.post)
 
 
-def extract_variables(raw, instance, cfg):
-    """Pull the scenario-shaped variable tensor out of the active head.
-
-    Cooperative variables are the whole edge head. For pair scenarios the edge
-    head reads the serving-link fibers; node heads read the serving TX row
-    (tx_node) or the UE row (rx_node).
-    """
+def extract_variables(xi, instance, cfg):
+    """The scenario-shaped variables in the edge head's output `xi`: every
+    link's for coop, each UE's serving link's for the pair scenarios."""
     if instance.kind != cfg.kind:
         raise ConfigError(f"a {cfg.kind} network cannot serve a {instance.kind} instance")
-    if cfg.output_head == "edge":
-        return raw.xi if cfg.kind == COOP else \
-            raw.xi[..., instance.serving, np.arange(instance.n_ue), :]
-    if cfg.output_head == "tx_node":
-        return raw.s_tx[..., instance.serving, :]
-    return raw.s_rx
+    return xi if cfg.kind == COOP else xi[..., instance.serving, np.arange(instance.n_ue), :]
 
 
-def config_for_scenario(kind, n_antennas, hidden=8, layers=1, output_head="edge", **scales):
+def config_for_scenario(kind, n_antennas, hidden=8, layers=1, **scales):
     """The network for `kind` at N antennas: beams are complex length-N, powers
     real scalars."""
-    return ENGNNConfig(kind, n_antennas, hidden, layers, output_head, **scales)
+    return ENGNNConfig(kind, n_antennas, hidden, layers, **scales)
 
 
 # ---------------------------------------------------------------------------

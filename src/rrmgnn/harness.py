@@ -48,7 +48,6 @@ class TrainConfig:
     checkpoint_path: str = "checkpoint.bin"
     hidden: int = 8
     layers: int = 1
-    output_head: str = "edge"
 
     def __post_init__(self):
         if self.scenario not in chansim.KINDS:
@@ -101,12 +100,12 @@ def train(cfg, log=None):
 
     A checkpoint lands at cfg.checkpoint_path before the first epoch (the
     initialization) and after every epoch; its "epoch" is the number of
-    epochs completed.
+    epochs completed, and its "train" is cfg without checkpoint_path, so a
+    run writes the same bytes wherever it writes them.
     """
     s_tx, s_rx, s_e = _calibrate_scales(cfg.scenario, cfg.geometry, cfg.seed)
     net = engnn.config_for_scenario(cfg.scenario, cfg.geometry.n_antennas,
                                     hidden=cfg.hidden, layers=cfg.layers,
-                                    output_head=cfg.output_head,
                                     input_scale_tx=s_tx, input_scale_rx=s_rx,
                                     input_scale_e=s_e)
     params = engnn.init_params(net, seed=cfg.seed)
@@ -114,8 +113,10 @@ def train(cfg, log=None):
     state = nk.RMSPropState(cfg.learning_rate)
     rows = []
     run_id = f"{cfg.scenario}-seed{cfg.seed}"
+    train_meta = asdict(cfg)
+    del train_meta["checkpoint_path"]
     engnn.save_checkpoint(cfg.checkpoint_path, net, params,
-                          extra_meta={"train": asdict(cfg), "epoch": 0})
+                          extra_meta={"train": train_meta, "epoch": 0})
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
         t_epoch = time.perf_counter()
@@ -124,8 +125,8 @@ def train(cfg, log=None):
         for mb in range(cfg.minibatches):
             seeds = [batch_seed(cfg.seed, epoch, mb, i) for i in range(cfg.batch_size)]
             inst = chansim.sample_instances(cfg.scenario, cfg.geometry, seeds)
-            raw = engnn.forward(chansim.graph_of(inst), net, params)
-            variables = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
+            xi = engnn.forward(chansim.graph_of(inst), net, params)
+            variables = objectives.normalize(engnn.extract_variables(xi, inst, net), inst)
             report = objectives.evaluate(inst, variables)
             rates = report.sum_rate                                     # (B,)
             bad = ~np.isfinite(rates.data)
@@ -149,7 +150,7 @@ def train(cfg, log=None):
             log(f"epoch {epoch}: train mean sum rate {row.mean_sum_rate:.4f} "
                 f"(residual {row.residual_max:.2e}, {row.samples_per_s:.0f} samples/s)")
         engnn.save_checkpoint(cfg.checkpoint_path, net, params,
-                              extra_meta={"train": asdict(cfg), "epoch": epoch + 1})
+                              extra_meta={"train": train_meta, "epoch": epoch + 1})
     return params, net, rows
 
 
@@ -196,9 +197,8 @@ def evaluate(net, params, scenario, geometry, n_samples, seed, out_csv=None):
             _seeded_set(scenario, geometry, n_samples, seed)):
         t0 = time.perf_counter()
         with nk.no_grad():
-            raw = engnn.forward(graph, net, params)
-            head = engnn.extract_variables(raw, inst, net)
-            variables = objectives.normalize(head, inst)
+            xi = engnn.forward(graph, net, params)
+            variables = objectives.normalize(engnn.extract_variables(xi, inst, net), inst)
         infer_s = time.perf_counter() - t0
         if not np.all(np.isfinite(variables.data)):
             raise NumericalError(f"non-finite {scenario} output for sample seed "

@@ -62,8 +62,8 @@ def test_acceptance_1_forward_permutation_equivariance():
         for trial in range(50):
             inst, g = _instance(kind, geo, [101, trial])
             p = NodePermutation.random(g.m, g.k, rng)
-            base = forward(g, net, params).xi.data
-            permuted = forward(permute_graph(g, p), net, params).xi.data
+            base = forward(g, net, params).data
+            permuted = forward(permute_graph(g, p), net, params).data
             dev = float(np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - base)))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
@@ -322,9 +322,9 @@ def test_acceptance_10_degenerate_graphs():
         assert all(t.grad is None or np.isfinite(t.grad).all()
                    for t in params.tensors())
         p = NodePermutation.random(m, k, rng)
-        permuted = forward(permute_graph(g, p), net, params).xi.data
+        permuted = forward(permute_graph(g, p), net, params).data
         worst = max(worst, float(np.max(np.abs(
-            permuted[np.ix_(p.pi_tx, p.pi_rx)] - raw.xi.data))))
+            permuted[np.ix_(p.pi_tx, p.pi_rx)] - raw.data))))
     assert worst <= 1e-9
     print(f"\nACCEPTANCE 10 (degenerate graphs run and stay equivariant): PASS "
           f"(max dev {worst:.2e})")

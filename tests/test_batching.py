@@ -12,19 +12,26 @@ from rrmgnn.chansim import GeometryConfig
 from rrmgnn.hetgraph import HetGraph, NodePermutation, permute_graph
 
 B = 5
-CASES = [
-    ("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2), "edge"),
-    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), "edge"),
-    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), "tx_node"),
-    ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2), "edge"),
+CASES = [   # one per scenario
+    ("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)),
+    ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)),
+    ("coop", GeometryConfig(n_tx=3, n_rx=2, n_antennas=2)),
 ]
+# three cells of one UE: ibc's serving links in a stack of another shape
+IBC_ONE_UE = ("ibc", GeometryConfig(n_tx=3, n_rx=1, n_antennas=2))
 
 
-def _net(kind, geo, head):
+def _params(cases):
+    """pytest params named kind-geo<row>-edge: each net reads the edge head."""
+    return [pytest.param(kind, geo, id=f"{kind}-geo{i}-edge")
+            for i, (kind, geo) in enumerate(cases)]
+
+
+def _net(kind, geo):
     # input scales bring watts, noise deviations and channels to O(1), so the
     # outputs depend on the instance
     return engnn.config_for_scenario(
-        kind, geo.n_antennas, hidden=5, layers=2, output_head=head,
+        kind, geo.n_antennas, hidden=5, layers=2,
         input_scale_tx=1.0 / float(chansim.dbm_to_watts(geo.budget_dbm)),
         input_scale_rx=1.0 / np.sqrt(float(chansim.dbm_to_watts(geo.noise_dbm))),
         input_scale_e=1e6)
@@ -45,9 +52,9 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
-@pytest.mark.parametrize("kind,geo,head", CASES)
-def test_stacked_pass_matches_mean_of_single_passes(kind, geo, head):
-    net = _net(kind, geo, head)
+@pytest.mark.parametrize("kind,geo", _params(CASES[:2] + [IBC_ONE_UE] + CASES[2:]))
+def test_stacked_pass_matches_mean_of_single_passes(kind, geo):
+    net = _net(kind, geo)
     params = engnn.init_params(net, seed=7)
     singles = [_pass(chansim.build_instance(kind, geo, [7, i])[0], net, params)
                for i in range(B)]
@@ -66,10 +73,10 @@ def test_stacked_pass_matches_mean_of_single_passes(kind, geo, head):
             assert not np.any(g)
 
 
-@pytest.mark.parametrize("kind,geo,head", [c for c in CASES if c[2] == "edge"])
-def test_stacked_forward_is_equivariant_per_element(kind, geo, head):
+@pytest.mark.parametrize("kind,geo", _params(CASES))
+def test_stacked_forward_is_equivariant_per_element(kind, geo):
     rng = np.random.default_rng(11)
-    net = _net(kind, geo, head)
+    net = _net(kind, geo)
     params = engnn.init_params(net, seed=11)
     graphs = [chansim.build_instance(kind, geo, [11, i])[1] for i in range(B)]
     perms = [NodePermutation.random(graphs[0].m, graphs[0].k, rng) for _ in range(B)]
@@ -78,15 +85,15 @@ def test_stacked_forward_is_equivariant_per_element(kind, geo, head):
         return HetGraph(*(np.stack([getattr(g, f) for g in gs])
                           for f in ("f_tx", "f_rx", "e")))
 
-    base = engnn.forward(stack(graphs), net, params).xi.data
+    base = engnn.forward(stack(graphs), net, params).data
     moved = engnn.forward(stack([permute_graph(g, p) for g, p in zip(graphs, perms)]),
-                          net, params).xi.data
+                          net, params).data
     for b, p in enumerate(perms):
         assert np.max(np.abs(moved[b][np.ix_(p.pi_tx, p.pi_rx)] - base[b])) <= 1e-9
 
 
 def test_graph_of_stack_is_stack_of_graphs():
-    for kind, geo, _ in CASES:
+    for kind, geo in CASES:
         graphs = [chansim.build_instance(kind, geo, [13, i])[1] for i in range(B)]
         g = chansim.graph_of(chansim.sample_instances(kind, geo, [[13, i] for i in range(B)]))
         for f in ("f_tx", "f_rx", "e"):

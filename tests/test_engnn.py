@@ -180,34 +180,15 @@ def test_forward_permutation_equivariance(kind, geo):
     for seed in range(10):
         inst, g = chansim.build_instance(kind, geo, seed)
         p = NodePermutation.random(g.m, g.k, rng)
-        base = forward(g, cfg, params).xi.data
-        permuted = forward(permute_graph(g, p), cfg, params).xi.data
+        base = forward(g, cfg, params).data
+        permuted = forward(permute_graph(g, p), cfg, params).data
         assert np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - base)) <= 1e-9
 
 
-def test_forward_equivariance_node_heads():
-    rng = np.random.default_rng(29)
-    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
-    for head in ("rx_node", "tx_node"):
-        cfg = config_for_scenario("ic", 2, hidden=6, output_head=head)
-        params = init_params(cfg, seed=29)
-        for seed in range(10):
-            _, g = chansim.build_instance("ic", geo, seed)
-            p = NodePermutation.random(g.m, g.k, rng)
-            base = forward(g, cfg, params)
-            permuted = forward(permute_graph(g, p), cfg, params)
-            if head == "rx_node":
-                assert np.max(np.abs(permuted.s_rx.data[p.pi_rx]
-                                     - base.s_rx.data)) <= 1e-9
-            else:
-                assert np.max(np.abs(permuted.s_tx.data[p.pi_tx]
-                                     - base.s_tx.data)) <= 1e-9
-
-
-def test_ibc_node_head_variable_path():
+def test_ibc_edge_head_variable_path():
     geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)
     inst, g = chansim.build_instance("ibc", geo, 31)
-    cfg = config_for_scenario("ibc", 4, hidden=4, output_head="rx_node")
+    cfg = config_for_scenario("ibc", 4, hidden=4)
     params = init_params(cfg, seed=31)
     raw = forward(g, cfg, params)
     p = obj.normalize(engnn.extract_variables(raw, inst, cfg), inst)
@@ -221,9 +202,9 @@ def test_forward_identity_permutation_identical():
     inst, g = chansim.build_instance("ic", geo, 3)
     cfg = config_for_scenario("ic", 2, hidden=4)
     params = init_params(cfg, seed=12)
-    a = forward(g, cfg, params).xi.data
+    a = forward(g, cfg, params).data
     same = NodePermutation(np.arange(2), np.arange(2))
-    b = forward(permute_graph(g, same), cfg, params).xi.data
+    b = forward(permute_graph(g, same), cfg, params).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -233,20 +214,25 @@ def test_forward_runs_across_sizes_with_same_params():
     for m, k in ((3, 2), (5, 7), (1, 1), (1, 4), (4, 1)):
         geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=2, min_bs_spacing=100.0)
         inst, g = chansim.build_instance("coop", geo, m * 10 + k)
-        out = forward(g, cfg, params).xi
+        out = forward(g, cfg, params)
         assert out.data.shape == (m, k, 2 * 2)
         assert np.isfinite(out.data).all()
 
 
-def test_forward_node_heads():
-    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=2)
-    inst, g = chansim.build_instance("ic", geo, 5)
-    for head in ("rx_node", "tx_node"):
-        cfg = config_for_scenario("ic", 2, hidden=4, output_head=head)
-        params = init_params(cfg, seed=14)
-        raw = forward(g, cfg, params)
-        v = engnn.extract_variables(raw, inst, cfg)
-        assert v.data.shape == (3, 4)
+@pytest.mark.parametrize("layers", [1, 2])
+def test_forward_skips_the_last_layers_node_updates(monkeypatch, layers):
+    # the head reads only edges, so layer L runs its edge update alone
+    calls = []
+    for name in ("tx_update", "rx_update", "edge_update"):
+        def counted(*args, name=name, real=getattr(engnn, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(engnn, name, counted)
+    cfg = config_for_scenario("ic", 2, hidden=4, layers=layers)
+    _, g = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3, n_antennas=2), 14)
+    forward(g, cfg, init_params(cfg, seed=14))
+    assert [calls.count(name) for name in ("tx_update", "rx_update", "edge_update")] == [
+        layers - 1, layers - 1, layers]
 
 
 def test_layer_synchrony_sequential_update_differs():
@@ -286,8 +272,8 @@ def test_degenerate_graphs_forward_backward_and_pe():
         nk.backward(rep.sum_rate)
         assert all(t.grad is None or np.isfinite(t.grad).all() for t in params.tensors())
         p = NodePermutation.random(m, k, rng)
-        permuted = forward(permute_graph(g, p), cfg, params).xi.data
-        assert np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - raw.xi.data)) <= 1e-9
+        permuted = forward(permute_graph(g, p), cfg, params).data
+        assert np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - raw.data)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +292,7 @@ def test_parameter_shapes_do_not_depend_on_graph_size(tmp_path):
     cfg2, params2, _ = load_checkpoint(path)
     geo_big = GeometryConfig(n_tx=8, n_rx=8, n_antennas=2, min_bs_spacing=300.0)
     _, g_big = chansim.build_instance("ic", geo_big, 2)
-    out = forward(g_big, cfg2, params2).xi
+    out = forward(g_big, cfg2, params2)
     assert out.data.shape == (8, 8, 4)
 
 
@@ -376,6 +362,10 @@ def _version_2(meta, arrays):
     meta.update(checkpoint_version=2, config={**meta["config"], "aggregator": "max"})
 
 
+def _version_3(meta, arrays):
+    meta.update(checkpoint_version=3, config={**meta["config"], "output_head": "edge"})
+
+
 def _no_config(meta, arrays):
     del meta["config"]
 
@@ -402,6 +392,7 @@ def _config_value(name, value):
     pytest.param(_future, "version 99", id="future-version"),
     pytest.param(_version_1, "version 1 .*retrain", id="version-1"),
     pytest.param(_version_2, "version 2 .*retrain", id="version-2"),
+    pytest.param(_version_3, "version 3 .*retrain", id="version-3"),
     pytest.param(_no_config, "config None", id="no-config"),
     pytest.param(_unknown_field, "hidden_e", id="unknown-field"),
     pytest.param(_missing_field, "fields", id="missing-field"),
@@ -435,8 +426,6 @@ def test_checkpoint_version_mismatch_refused(tmp_path, edit, message):
 
 
 def test_config_refuses_nets_no_scenario_uses():
-    with pytest.raises(ConfigError, match="edge head"):
-        ENGNNConfig("coop", 2, output_head="tx_node")
     with pytest.raises(ConfigError, match="unknown scenario kind"):
         ENGNNConfig("mimo", 2)
 

@@ -2,6 +2,7 @@
 and loop-reference cross-checks for the max aggregation primitives."""
 
 import functools
+import zlib
 from contextlib import nullcontext
 
 import numpy as np
@@ -162,7 +163,7 @@ UNARY_CASES = [
 
 @pytest.mark.parametrize("name,op,rng_range", UNARY_CASES)
 def test_gradcheck_unary(name, op, rng_range):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))   # the same points every run
     for _ in range(20):
         x = rng.uniform(rng_range[0], rng_range[1], size=(5,))
         c = rng.normal(size=5)
