@@ -5,9 +5,13 @@ WMMSE alternates MMSE receivers u, rate weights w, and transmit variables. The
 transmit step minimizes convex quadratics under power budgets: each quadratic
 is eigendecomposed once, and its budget's multiplier mu >= 0 is the root of a
 scalar secular equation, found by safeguarded Newton for a batch of
-quadratics at a time. In coop the quadratic couples BSs that each have their
-own budget, so its step is one block-coordinate sweep, exact per BS, that
-lowers the weighted MSE without minimizing it. Every iterate is feasible and the sum-rate trace is
+quadratics at a time (`_secular_solve`). Newton starts from the previous
+step's multiplier of the same budget, clamped into the bracket [lo, total]
+around the root, and returns the new one: each solver's step keeps one mu per
+pair (ic), per cell (ibc) or per BS (coop), for the length of one run. In coop
+the quadratic couples BSs that each have their own budget, so its step is one
+block-coordinate sweep, exact per BS, that lowers the weighted MSE without
+minimizing it. Every iterate is feasible and the sum-rate trace is
 non-decreasing up to the power tolerance. The complex solvers (ic, coop)
 share the MMSE receiver and weight update (`_mmse`).
 
@@ -89,7 +93,7 @@ class SolverResult:
     extrapolations: int = 0   # accepted extrapolated steps (WMMSE only)
 
 
-def _secular_solve(lam, c, pmax, solver):
+def _secular_solve(lam, c, pmax, mu0, solver):
     """Power-capped minimizers of a batch of eigendecomposed quadratics.
 
     Row r minimizes sum_i lam[r, i] |y_i|^2 - 2 Re(conj(c[r, i]) y_i) subject
@@ -98,10 +102,15 @@ def _secular_solve(lam, c, pmax, solver):
     row's budget). The minimizer is y = c / (lam + mu), with mu = 0 if that is
     feasible, else the root of p(mu) = sum_i |c_i|^2 / (lam_i + mu)^2 = pmax.
     Newton runs on phi(mu) = p^(-1/2) - t^(-1/2), t = pmax (1 - _POWER_TOL/2),
-    which is concave and increasing (More & Sorensen): from a lower bound it
-    climbs to the root, so a binding row ends with power in
-    [pmax (1 - _POWER_TOL), pmax]. Directions with c = 0 contribute nothing,
-    also where lam = 0 (a rank-deficient quadratic). Returns y, shaped like c.
+    which is concave and increasing (More & Sorensen), from the start mu0[r]
+    clamped into [lo, total], the bounds that bracket the root. From below
+    the root Newton climbs to it; from above, the tangent lies over phi, so
+    the first step lands at or below the root and the climb follows. A
+    binding row ends with power in [pmax (1 - _POWER_TOL), pmax]. mu0 only
+    saves steps: a solver passes its previous step's multipliers for the
+    same rows. Directions with c = 0 contribute nothing, also where lam = 0
+    (a rank-deficient quadratic). Returns (y, mu): y shaped like c, and
+    each row's multiplier, 0 where the budget does not bind.
     """
     c2 = (np.abs(c) ** 2).reshape(lam.shape + (-1,)).sum(axis=-1)
     # eigh rounding can leave PSD eigenvalues below 0; directions without rhs
@@ -124,7 +133,7 @@ def _secular_solve(lam, c, pmax, solver):
         total = np.sqrt(c2.sum(axis=1) / target)
         lo = np.maximum(np.maximum(total - lam.max(axis=1),
                                    (np.sqrt(c2 / target[:, None]) - lam).max(axis=1)), 0.0)
-        mu = np.where(open_, lo, 0.0)
+        mu = np.where(open_, np.minimum(np.maximum(mu0, lo), total), 0.0)
         for _ in range(_NEWTON_STEPS):
             p, p3 = power(mu)
             open_ &= ~((p <= pmax) & (p >= pmax * (1.0 - _POWER_TOL)))
@@ -137,7 +146,7 @@ def _secular_solve(lam, c, pmax, solver):
     if open_.any() or not np.all(np.isfinite(mu) & (mu >= 0)):
         raise NumericalError(f"{solver}: no finite nonnegative power multiplier "
                              f"meets the budget")
-    return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2))
+    return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2)), mu
 
 
 def _ascend(instance, step, x, score, variables, cfg, project=None):
@@ -229,6 +238,8 @@ def wmmse_ic(instance, cfg=None):
     def score(v):
         return _rate(work, v, np.abs(gains(v)) ** 2)
 
+    mu = np.zeros(len(budgets))   # each pair's last multiplier, its next search's start
+
     def step(v, _):
         u, w = _mmse(gains(v), work.noise)
         # pair j's quadratic collects the interference v_j causes at every UE;
@@ -236,7 +247,8 @@ def wmmse_ic(instance, cfg=None):
         a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
         rhs = (w * u)[:, None] * h_own
         lam, q = np.linalg.eigh(a_mat)
-        y = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets, "wmmse_ic")
+        y, mu[:] = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets, mu,
+                                  "wmmse_ic")
         v = np.einsum("jni,ji->jn", q, y)
         return v, score(v)
 
@@ -265,13 +277,16 @@ def wmmse_ibc_power(instance, cfg=None):
         p = x ** 2
         return _rate(work, p, g2 * p[:, None])
 
+    mu = np.zeros(cell_budget.size)   # each cell's last multiplier
+
     def step(x, _):
         u = diag * x / (work.noise + g2.T @ (x ** 2))
         w = 1.0 / (1.0 - u * diag * x)
         lam, c = np.zeros(padded), np.zeros(padded)   # padding slots carry c = 0
         lam[cells, slot] = g2 @ (w * u ** 2)          # sum_k w_k u_k^2 g_{jk}^2
         c[cells, slot] = w * u * diag
-        x = _secular_solve(lam, c, cell_budget, "wmmse_ibc_power")[cells, slot]
+        y, mu[:] = _secular_solve(lam, c, cell_budget, mu, "wmmse_ibc_power")
+        x = y[cells, slot]
         return x, score(x)
 
     def project(x):   # nonnegative amplitudes, each cell's power into its budget
@@ -283,7 +298,7 @@ def wmmse_ibc_power(instance, cfg=None):
     return _ascend(instance, step, x, score, lambda x: x ** 2, cfg, project)
 
 
-def _coop_vstep(h, scale, beta, v_prev, budgets, m, n):
+def _coop_vstep(h, scale, beta, v_prev, budgets, mu, m, n):
     """Transmit step with per-BS budgets: one block-coordinate sweep.
 
     Lowers sum_j v_j^H A v_j - 2 Re(b_j^H v_j), with A = sum_k scale_k h_k h_k^H
@@ -293,8 +308,9 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n):
     held (one multiplier, in the eigenbasis of its diagonal block). No block
     move raises this weighted MSE, so one sweep keeps `_ascend`'s rate trace
     monotone; further sweeps would refine a surrogate that the next step's
-    fresh (u, w) replace. Every block stays feasible. Returns stacked beams
-    (K, MN).
+    fresh (u, w) replace. Every block stays feasible. mu (M,) holds each BS's
+    last multiplier: BS m's search starts from mu[m], and its solve writes
+    mu[m] back in place. Returns stacked beams (K, MN).
     """
     k_n = h.shape[0]
     hb = h.reshape(k_n, m, n)
@@ -307,8 +323,8 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, m, n):
         coupled = np.einsum("lab,klb->ka", a_blocks[bs], v)
         own = v[:, bs, :] @ a_blocks[bs, bs].T
         d = b[:, bs, :] - (coupled - own)
-        y = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
-                           budgets[bs:bs + 1], "wmmse_coop")
+        y, mu[bs:bs + 1] = _secular_solve(lam[bs:bs + 1], (d @ q[bs].conj()).T[None],
+                                          budgets[bs:bs + 1], mu[bs:bs + 1], "wmmse_coop")
         v[:, bs, :] = (q[bs] @ y[0]).T
     return v.reshape(k_n, m * n)
 
@@ -329,9 +345,11 @@ def wmmse_coop(instance, cfg=None):
     def score(v):
         return _rate(work, beams(v), np.abs(gains(v)) ** 2)
 
+    mu = np.zeros(m)   # each BS's last multiplier, updated by `_coop_vstep`
+
     def step(v, _):
         u, w = _mmse(gains(v), work.noise)
-        v = _coop_vstep(h, w * np.abs(u) ** 2, w * u, v, work.budgets, m, n)
+        v = _coop_vstep(h, w * np.abs(u) ** 2, w * u, v, work.budgets, mu, m, n)
         return v, score(v)
 
     def project(v):   # each BS's block of beams into its power ball

@@ -58,16 +58,22 @@ def _ball_solve(a, b, pmax, power_tol):
     return best[0] if single else best
 
 
-def _eig_solve(quads):
-    """One batched _secular_solve call over (a, b, pmax) triples sharing a shape."""
+def _eig_solve(quads, mu0):
+    """One batched _secular_solve call over (a, b, pmax) triples sharing a
+    shape, from start multipliers mu0; returns (solutions, multipliers)."""
     a = np.stack([q[0] for q in quads])
     b = np.stack([np.atleast_2d(q[1]) for q in quads])        # (R, K, N)
     pmax = np.array([q[2] for q in quads])
     lam, vecs = np.linalg.eigh(a)
     c = np.einsum("rni,rkn->rik", vecs.conj(), b)              # (R, N, K)
-    y = baselines._secular_solve(lam, c, pmax, "test")
+    y, mu = baselines._secular_solve(lam, c, pmax, mu0, "test")
     v = np.einsum("rni,rik->rkn", vecs, y)
-    return [vi.reshape(np.shape(q[1])) for vi, q in zip(v, quads)]
+    return [vi.reshape(np.shape(q[1])) for vi, q in zip(v, quads)], mu
+
+
+def _cold(quads):
+    """Solutions from the cold start mu0 = 0."""
+    return _eig_solve(quads, np.zeros(len(quads)))[0]
 
 
 def _random_quad(rng, n, rank, cols, budget_scale, zero_rhs=False):
@@ -82,9 +88,10 @@ def _random_quad(rng, n, rank, cols, budget_scale, zero_rhs=False):
     return a, b, budget_scale * max(unconstrained, 1e-3)
 
 
-def test_secular_solve_matches_bisection_oracle():
+def _oracle_batches():
+    """Batches of mixed rows sharing a shape, each row with its bisection
+    reference."""
     rng = np.random.default_rng(17)
-    worst = 0.0
     for n in (1, 2, 3, 4):
         quads = []
         for rank in range(1, n + 1):          # rank < n is a rank-deficient a
@@ -99,13 +106,53 @@ def test_secular_solve_matches_bisection_oracle():
         for q in quads:
             by_shape.setdefault(np.shape(q[1]), []).append(q)
         for group in by_shape.values():
-            batch = _eig_solve(group)         # a batch of mixed rows
-            for q, v in zip(group, batch):
-                ref = _ball_solve(*q, 1e-10)
-                scale = max(np.linalg.norm(ref), 1e-300)
-                worst = max(worst, np.linalg.norm(v - ref) / scale)
-                assert np.all(np.isfinite(v))
-                np.testing.assert_array_equal(_eig_solve([q])[0], v)   # a single row
+            yield group, [_ball_solve(*q, 1e-10) for q in group]
+
+
+def _deviation(v, ref):
+    return np.linalg.norm(v - ref) / max(np.linalg.norm(ref), 1e-300)
+
+
+def test_secular_solve_matches_bisection_oracle():
+    worst = 0.0
+    for group, refs in _oracle_batches():
+        batch = _cold(group)                  # a batch of mixed rows
+        for q, v, ref in zip(group, batch, refs):
+            worst = max(worst, _deviation(v, ref))
+            assert np.all(np.isfinite(v))
+            np.testing.assert_array_equal(_cold([q])[0], v)   # a single row
+    assert worst <= 1e-9, f"worst relative deviation from bisection {worst:.3e}"
+
+
+def test_secular_solve_warm_start_matches_bisection_oracle():
+    # any start gives the oracle's answer: Newton climbs from below the root
+    # and steps to or below it from above; starts outside [lo, total] clamp
+    worst, starts_tried = 0.0, 0
+    for group, refs in _oracle_batches():
+        pmax = np.array([q[2] for q in group])
+        b2 = np.array([(np.abs(q[1]) ** 2).sum() for q in group])
+        cold, mu_cold = _eig_solve(group, np.zeros(len(group)))
+        binding = mu_cold > 0
+        assert binding.any() and not binding.all()
+        above_total = 10.0 * np.sqrt(b2 / pmax) + 1.0   # total = |c| / sqrt(target)
+        for mu0 in (np.zeros(len(group)), mu_cold, 10.0 * mu_cold, -1.0 - mu_cold,
+                    above_total):
+            batch, mu = _eig_solve(group, mu0)
+            starts_tried += 1
+            for q, v, ref, bind in zip(group, batch, refs, binding):
+                worst = max(worst, _deviation(v, ref))
+                p = float((np.abs(v) ** 2).sum())
+                assert p <= q[2]
+                if bind:
+                    assert p >= q[2] * (1 - baselines._POWER_TOL)
+            # a budget that does not bind ignores the start: mu = 0, and y is
+            # the unconstrained minimizer
+            np.testing.assert_array_equal(mu[~binding], 0.0)
+            for v, c, bind in zip(batch, cold, binding):
+                if not bind:
+                    np.testing.assert_array_equal(v, c)
+            assert np.all(mu[binding] > 0)
+    assert starts_tried == 8 * 5                  # 4 sizes x 2 rhs shapes, 5 starts
     assert worst <= 1e-9, f"worst relative deviation from bisection {worst:.3e}"
 
 
@@ -115,7 +162,7 @@ def test_secular_solve_feasible_and_binding():
         n = int(rng.integers(1, 5))
         rank = int(rng.integers(1, n + 1))
         quads = [_random_quad(rng, n, rank, 2, s) for s in rng.uniform(0.01, 2.0, 6)]
-        for (a, b, pmax), v in zip(quads, _eig_solve(quads)):
+        for (a, b, pmax), v in zip(quads, _cold(quads)):
             p = float((np.abs(v) ** 2).sum())
             assert p <= pmax
             unconstrained = float((np.abs(np.linalg.pinv(a) @ b.T) ** 2).sum())
@@ -127,7 +174,7 @@ def test_secular_solve_rejects_non_finite_rows():
     lam = np.array([[1.0, 2.0], [1.0, 2.0]])
     c = np.array([[3.0, 1.0], [np.nan, 1.0]])
     with pytest.raises(NumericalError, match="wmmse_ic"):
-        baselines._secular_solve(lam, c, np.ones(2), "wmmse_ic")
+        baselines._secular_solve(lam, c, np.ones(2), np.zeros(2), "wmmse_ic")
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +316,7 @@ def test_coop_vstep_feasible_and_never_raises_surrogate():
     # one block sweep, from random feasible beams and repeated towards the
     # step's optimum, where rounding is what could raise the surrogate
     rng = np.random.default_rng(31)
-    bound = 0
+    bound = multipliers = 0
     for seed in range(4):
         inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2), seed)
         work = baselines._scaled_copy(inst)
@@ -288,15 +335,21 @@ def test_coop_vstep_feasible_and_never_raises_surrogate():
         v *= np.sqrt(work.budgets * rng.uniform(0, 1, m)
                      / (np.abs(v) ** 2).sum(axis=(0, 2)))[None, :, None]
         v = v.reshape(k, m * n)
+        mu = np.zeros(m)   # each BS's multiplier, kept across sweeps as the solver does
         for _ in range(20):
-            nxt = baselines._coop_vstep(h, scale, beta, v, work.budgets, m, n)
+            nxt = baselines._coop_vstep(h, scale, beta, v, work.budgets, mu, m, n)
             power = (np.abs(nxt.reshape(k, m, n)) ** 2).sum(axis=(0, 2))
             assert np.all(power <= work.budgets)
             bound += int(np.sum(power >= work.budgets * (1 - 1e-9)))
+            # each BS's slot holds its own block's multiplier, > 0 only where
+            # that block ends on its budget
+            live = mu > 0
+            assert np.all(power[live] >= work.budgets[live] * (1 - baselines._POWER_TOL))
+            multipliers += int(live.sum())
             before = surrogate(v)
             assert surrogate(nxt) <= before + 1e-9 * abs(before)
             v = nxt
-    assert bound > 0   # some steps end on a budget, not only inside it
+    assert bound > 0 and multipliers > 0   # some steps end on a budget, not only inside it
 
 
 def test_wmmse_coop_monotone_feasible_and_at_least_gp():
@@ -366,19 +419,20 @@ def test_baselines_permutation_consistent():
 # sample_seed(set seed, i): (iterations, converged, stagnated, sum rate).
 # The GP rows were recorded with the hand-written per-solver loops that
 # `_ascend` replaced, the WMMSE rows with `_ascend`'s safeguarded
-# extrapolation; a change meant to move the iterates updates these on purpose.
+# extrapolation and the warm-started multiplier search; a change meant to
+# move the iterates updates these on purpose.
 PINNED = {
     ("ic", (8, 8, 2), 777, "wmmse"): [
-        (63, True, False, 47.552151449936034), (114, True, False, 56.943602942357366),
-        (65, True, False, 52.14169646112207)],
+        (63, True, False, 47.55215144994055), (114, True, False, 56.9436029423768),
+        (65, True, False, 52.141696461126955)],
     ("ibc", (3, 2, 4), 777, "wmmse"): [
-        (54, True, False, 45.250095477559356), (14, True, False, 36.3966356478057),
-        (14, True, False, 41.45687975701123), (24, True, False, 41.935360331734486),
-        (28, True, False, 40.8899250298366), (198, True, False, 44.33345660792489),
-        (47, True, False, 39.398097167317154), (14, True, False, 40.119096539042225)],
+        (54, True, False, 45.25009547748696), (14, True, False, 36.39663564780747),
+        (14, True, False, 41.45687975701112), (24, True, False, 41.93536033167418),
+        (28, True, False, 40.88992502997269), (198, True, False, 44.33345660656626),
+        (47, True, False, 39.398097167337056), (14, True, False, 40.119096539041216)],
     ("coop", (5, 2, 2), 909, "wmmse"): [
-        (22, True, False, 23.449107315131243), (15, True, False, 14.305284929851016),
-        (16, True, False, 15.839661384722891), (27, True, False, 14.969272066874744)],
+        (22, True, False, 23.449107315112887), (15, True, False, 14.305284929850934),
+        (16, True, False, 15.839661384740173), (27, True, False, 14.96927206687429)],
     ("coop", (5, 2, 2), 909, "gp"): [
         (7, True, False, 23.448937151195537), (159, True, False, 14.294880378343692),
         (56, True, False, 15.800508424148356), (25, True, False, 14.968908683738395)],
@@ -412,6 +466,21 @@ def test_extrapolations_counted_on_fixed_set():
     # GP adapts its own step and never extrapolates
     for _, res in _fixed_set("coop", (5, 2, 2), 909, 2, "gp"):
         assert res.extrapolations == 0
+
+
+def test_no_multiplier_memory_outlives_a_run():
+    # A, then B of the same shape, then A again: each run's multiplier search
+    # starts cold, so A's second run repeats its first byte for byte
+    for kind, (m, k, n), seed, which in PINNED:
+        if which != "wmmse":
+            continue
+        geo = GeometryConfig(n_tx=m, n_rx=k, n_antennas=n)
+        a, b = (chansim.build_instance(kind, geo, chansim.sample_seed(seed, i))[0]
+                for i in (0, 1))
+        first, _, again = (harness.run_baseline(kind, inst, which) for inst in (a, b, a))
+        assert again.iterations == first.iterations, kind
+        assert again.trace.tobytes() == first.trace.tobytes(), kind
+        assert again.variables.tobytes() == first.variables.tobytes(), kind
 
 
 # ---------------------------------------------------------------------------
