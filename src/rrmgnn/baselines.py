@@ -17,10 +17,10 @@ share the MMSE receiver and weight update (`_mmse`).
 
 Every solver is its set-up plus one step; `_ascend` is the one loop that runs
 the steps, keeps the trace, applies the stopping rule and builds the result.
-For the WMMSE solvers it also extrapolates: after each plain step it tries a
-longer step along the last move, scaled back into the budgets, and keeps it
-only if it raises the sum rate (safeguarded as in Zhang, O'Donoghue & Boyd's
-type-I Anderson acceleration, SIAM J. Optim. 2020).
+For the WMMSE solvers it also accelerates: after each plain step it tries the
+type-II Anderson point of the run's last few (iterate, plain step) pairs,
+scaled back into the budgets, and keeps it only if it raises the sum rate
+(safeguarded as in Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
 
 Every scored point gets its sum rate in numpy (`_rate`) from its received-power
 table, [j, k] = power of stream j at UE k: for beams |h_k^H v_j|^2, the table
@@ -32,6 +32,7 @@ point raises as it would in `objectives`; the result's report is
 """
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,7 @@ _NEWTON_STEPS = 100
 _POWER_TOL = 1e-10        # relative power residual of a binding budget
 _GP_INIT_STEP = 1.0
 _GP_MIN_STEP = 1e-12
-_BETA_INIT = 1.0          # extrapolation: first step length, relative to the last move
-_BETA_GROW = 1.5          # after an accepted try
-_BETA_SHRINK = 0.5        # after a rejected one
-_BETA_MAX = 1e6
+_ANDERSON_MEMORY = 3      # moves an Anderson point mixes: the last 4 (iterate, step) pairs
 
 
 def _scaled_copy(instance):
@@ -90,7 +88,7 @@ class SolverResult:
     converged: bool
     iterations: int
     stagnated: bool = False
-    extrapolations: int = 0   # accepted extrapolated steps (WMMSE only)
+    extrapolations: int = 0   # accepted Anderson points (WMMSE only)
 
 
 def _secular_solve(lam, c, pmax, mu0, solver):
@@ -149,6 +147,26 @@ def _secular_solve(lam, c, pmax, mu0, solver):
     return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2)), mu
 
 
+def _real(x):
+    """An iterate as one real vector; a complex one as [Re; Im]."""
+    x = x.ravel()
+    return np.concatenate([x.real, x.imag]) if np.iscomplexobj(x) else x
+
+
+def _anderson(pairs, like):
+    """Type-II Anderson point of the (iterate, plain step) pairs (x_i, f_i),
+    oldest first: y = f_k - dF gamma, gamma = lstsq(dR, r_k), with r = f - x
+    and dR, dF the differences of consecutive residuals and steps. Shaped and
+    typed like `like`."""
+    x, f = (np.array(a) for a in zip(*pairs))
+    r = f - x
+    gamma = np.linalg.lstsq(np.diff(r, axis=0).T, r[-1], rcond=None)[0]
+    y = f[-1] - gamma @ np.diff(f, axis=0)
+    if np.iscomplexobj(like):
+        y = y[:like.size] + 1j * y[like.size:]
+    return y.reshape(like.shape)
+
+
 def _ascend(instance, step, x, score, variables, cfg, project=None):
     """The one ascent loop every solver runs, from iterate x.
 
@@ -159,32 +177,35 @@ def _ascend(instance, step, x, score, variables, cfg, project=None):
     otherwise stops after cfg.max_iters steps. variables(x) maps an iterate to
     the solver's output; the report scores that output on `instance`, unscaled.
 
-    With `project` (the WMMSE solvers), each plain step x -> x1 after the
-    first is followed by a try at y = project(x1 + beta (x1 - x)), which
-    scales a point into the budgets. y replaces x1 only if its sum rate is
-    strictly higher; beta then grows, else it shrinks. A plain WMMSE step
-    never lowers the rate, so the trace stays monotone.
+    With `project` (the WMMSE solvers), which scales a point into the budgets,
+    the run keeps its last _ANDERSON_MEMORY + 1 (iterate, plain step) pairs,
+    and each plain step x -> f after the first is followed by a try at
+    y = project(`_anderson` point of the pairs). y replaces f only if its sum
+    rate is strictly higher (safeguarded type-II Anderson acceleration:
+    Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J.
+    Optim. 2020). A plain WMMSE step never lowers the rate, so the trace stays
+    monotone. The pairs live for one run.
     """
     cfg = cfg or SolverConfig()
     trace = [score(x)]
     converged = stagnated = False
     it = accepted = 0
-    beta = _BETA_INIT
+    pairs = deque(maxlen=_ANDERSON_MEMORY + 1)
     for it in range(1, cfg.max_iters + 1):
         nxt = step(x, trace[-1])
         if nxt is None:
             stagnated = True
             break
-        x_prev, (x, rate) = x, nxt
-        if project is not None and it > 1:
-            y = project(x + beta * (x - x_prev))
-            y_rate = score(y)
-            if y_rate > rate:
-                x, rate = y, y_rate
-                accepted += 1
-                beta = min(beta * _BETA_GROW, _BETA_MAX)
-            else:
-                beta *= _BETA_SHRINK
+        f, rate = nxt
+        if project is not None:
+            pairs.append((_real(x), _real(f)))
+            if len(pairs) > 1:
+                y = project(_anderson(pairs, f))
+                y_rate = score(y)
+                if y_rate > rate:
+                    f, rate = y, y_rate
+                    accepted += 1
+        x = f
         trace.append(rate)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True

@@ -9,7 +9,7 @@ boundary. Generation is pure given (config, seed).
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -313,14 +313,26 @@ def sample_instances(kind, cfg, seeds):
                             tx_cell=anchor, rx_cell=anchor.copy(), gains=gains)
 
 
+def _checked_view(cls, **values):
+    """A `cls` holding `values` without its __post_init__: for views into a
+    stack whose constructor already checked every element."""
+    view = object.__new__(cls)
+    view.__dict__.update(values)
+    return view
+
+
 def stack_element(stack, graph, i):
     """Element i of a `sample_instances` stack and of its graph, as views into
     the stacked arrays: (instance i, graph i). Element i of graph_of(stack) is
-    graph_of(instance i) bit for bit, since graph_of works per element."""
+    graph_of(instance i) bit for bit, since graph_of works per element. The
+    stack and its graph were validated whole when they were built, so the
+    views are not validated again."""
     shared = ("kind", "serving", "tx_cell", "rx_cell")
-    inst = replace(stack, **{f.name: getattr(stack, f.name)[i] for f in fields(stack)
-                             if f.name not in shared and getattr(stack, f.name) is not None})
-    return inst, HetGraph(graph.f_tx[i], graph.f_rx[i], graph.e[i])
+    values = {f.name: getattr(stack, f.name) for f in fields(stack)}
+    inst = _checked_view(ScenarioInstance, **{
+        name: v if name in shared or v is None else v[i] for name, v in values.items()})
+    return inst, _checked_view(HetGraph, f_tx=graph.f_tx[i], f_rx=graph.f_rx[i],
+                               e=graph.e[i])
 
 
 def build_instance(kind, cfg, seed):

@@ -244,7 +244,7 @@ def solve_set(scenario, geometry, n_samples, seed, which):
     """Baseline `which` on each instance of the seeded set; returns (columns,
     per-sample results), columns in the order `{which}_mean_sum_rate`,
     `{which}_unconverged` (runs that stopped unconverged), `{which}_iterations`
-    and `{which}_extrapolations` (means; accepted extrapolated steps, 0 for
+    and `{which}_extrapolations` (means; accepted Anderson points, 0 for
     GP). A bad baseline raises ConfigError before any instance is built."""
     _check_baseline(scenario, which)
     results = [run_baseline(scenario, inst, which)

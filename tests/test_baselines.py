@@ -256,8 +256,8 @@ def test_wmmse_ibc_isolated_cells_separate():
                              serving=base.serving, tx_cell=cells_tx, rx_cell=cells_rx,
                              gains=gains)
     # with zero cross-cell gains a plain step decouples exactly; only the
-    # first step is plain, as extrapolation's one accept test couples the
-    # cells on purpose
+    # first step is plain, as the Anderson point's one accept test couples
+    # the cells on purpose
     plain = SolverConfig(max_iters=1, tol=1e-300)
     res = wmmse_ibc_power(joint, plain)
     assert res.extrapolations == 0
@@ -418,21 +418,21 @@ def test_baselines_permutation_consistent():
 # (kind, (n_tx, n_rx, antennas), set seed, baseline) -> per instance i of
 # sample_seed(set seed, i): (iterations, converged, stagnated, sum rate).
 # The GP rows were recorded with the hand-written per-solver loops that
-# `_ascend` replaced, the WMMSE rows with `_ascend`'s safeguarded
-# extrapolation and the warm-started multiplier search; a change meant to
+# `_ascend` replaced, the WMMSE rows with `_ascend`'s safeguarded Anderson
+# acceleration and the warm-started multiplier search; a change meant to
 # move the iterates updates these on purpose.
 PINNED = {
     ("ic", (8, 8, 2), 777, "wmmse"): [
-        (63, True, False, 47.55215144994055), (114, True, False, 56.9436029423768),
-        (65, True, False, 52.141696461126955)],
+        (20, True, False, 47.55214828598028), (25, True, False, 56.94360464331705),
+        (27, True, False, 52.141703096552675)],
     ("ibc", (3, 2, 4), 777, "wmmse"): [
-        (54, True, False, 45.25009547748696), (14, True, False, 36.39663564780747),
-        (14, True, False, 41.45687975701112), (24, True, False, 41.93536033167418),
-        (28, True, False, 40.88992502997269), (198, True, False, 44.33345660656626),
-        (47, True, False, 39.398097167337056), (14, True, False, 40.119096539041216)],
+        (16, True, False, 45.25031009347327), (6, True, False, 36.39662821592554),
+        (6, True, False, 41.45687989309224), (9, True, False, 41.935405149213075),
+        (8, True, False, 40.890006568911694), (18, True, False, 44.333938558252385),
+        (11, True, False, 39.3981418408844), (6, True, False, 40.1190968133018)],
     ("coop", (5, 2, 2), 909, "wmmse"): [
-        (22, True, False, 23.449107315112887), (15, True, False, 14.305284929850934),
-        (16, True, False, 15.839661384740173), (27, True, False, 14.96927206687429)],
+        (19, True, False, 23.44911409804081), (11, True, False, 14.305280754984254),
+        (10, True, False, 15.839660573124641), (17, True, False, 14.969276922281637)],
     ("coop", (5, 2, 2), 909, "gp"): [
         (7, True, False, 23.448937151195537), (159, True, False, 14.294880378343692),
         (56, True, False, 15.800508424148356), (25, True, False, 14.968908683738395)],
@@ -460,17 +460,81 @@ def test_solvers_match_pinned_results():
 
 
 def test_extrapolations_counted_on_fixed_set():
-    # every fixed IBC run accepts some extrapolated steps, at most one a step
+    # every fixed IBC run accepts some Anderson points, at most one a step
     for _, res in _fixed_set("ibc", (3, 2, 4), 777, 8, "wmmse"):
         assert 0 < res.extrapolations <= res.iterations
-    # GP adapts its own step and never extrapolates
+    # GP adapts its own step and tries no Anderson point
     for _, res in _fixed_set("coop", (5, 2, 2), 909, 2, "gp"):
         assert res.extrapolations == 0
 
 
+@pytest.mark.parametrize("kind,geometry,seed,which",
+                         [key for key in PINNED if key[3] == "wmmse"],
+                         ids=[key[0] for key in PINNED if key[3] == "wmmse"])
+def test_one_iteration_is_the_plain_step(monkeypatch, kind, geometry, seed, which):
+    # no Anderson try follows the first step, so max_iters=1 is one plain step
+    m, k, n = geometry
+    inst, _ = chansim.build_instance(kind, GeometryConfig(n_tx=m, n_rx=k, n_antennas=n),
+                                     chansim.sample_seed(seed, 0))
+    res = harness.run_baseline(kind, inst, which, SolverConfig(max_iters=1))
+    assert res.iterations == 1 and res.extrapolations == 0
+    plain = []
+
+    def once(instance, step, x, score, variables, cfg, project=None):
+        x, rate = step(x, score(x))
+        plain.extend([variables(x), rate])
+
+    monkeypatch.setattr(baselines, "_ascend", once)
+    harness.run_baseline(kind, inst, which)
+    assert res.variables.tobytes() == plain[0].tobytes()
+    assert res.trace[-1] == plain[1]
+
+
+def test_degenerate_anderson_history_accepts_only_finite_gains(monkeypatch):
+    # single-user ic and one-UE ibc cells give colinear residual differences
+    # (an ibc 1 x 1 history is one-dimensional); a tolerance that only an
+    # unchanged rate meets keeps them trying
+    lstsq, ranks = np.linalg.lstsq, []
+
+    def counted(a, b, rcond=None):
+        ranks.append(np.linalg.matrix_rank(a) < a.shape[1])
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    endless = SolverConfig(max_iters=30, tol=1e-300)
+    for kind, (m, k, n) in (("ic", (1, 1, 4)), ("ic", (1, 1, 1)), ("ibc", (1, 1, 2)),
+                            ("ibc", (3, 1, 2))):
+        for seed in range(3):
+            inst, _ = chansim.build_instance(
+                kind, GeometryConfig(n_tx=m, n_rx=k, n_antennas=n), seed)
+            res = harness.run_baseline(kind, inst, "wmmse", endless)
+            assert np.all(np.isfinite(res.trace)) and np.all(np.isfinite(res.variables))
+            assert obj.constraint_residual(inst, res.variables) <= 1e-9
+            assert_trace_monotone(res.trace)
+    assert sum(ranks) > 0
+
+    # a step that moves by the same vector every time: zero residual
+    # differences, gamma = 0, and the Anderson point is the plain step
+    # itself, whose equal rate is no gain
+    inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=1), 0)
+    beam = baselines._mrt_init_ic(inst)
+    tried = []
+
+    def project(y):
+        tried.append(y)
+        return y
+
+    res = baselines._ascend(inst, lambda x, _: (x + 1.0, float((x + 1.0).sum())),
+                            np.zeros(2), lambda x: float(x.sum()), lambda x: beam,
+                            SolverConfig(max_iters=5), project)
+    assert len(tried) == 4 and res.extrapolations == 0
+    np.testing.assert_array_equal(res.trace, [0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+
+
 def test_no_multiplier_memory_outlives_a_run():
     # A, then B of the same shape, then A again: each run's multiplier search
-    # starts cold, so A's second run repeats its first byte for byte
+    # and Anderson history start cold, so A's second run repeats its first
+    # byte for byte
     for kind, (m, k, n), seed, which in PINNED:
         if which != "wmmse":
             continue
@@ -487,7 +551,7 @@ def test_no_multiplier_memory_outlives_a_run():
 # numpy scores agree with the objectives, and keep their feasibility check
 
 def test_scores_match_objectives_on_fixed_set(monkeypatch):
-    ascend, checked = baselines._ascend, []
+    ascend, checked, expected = baselines._ascend, [], []
 
     def compared(instance, step, x, score, variables, cfg, project=None):
         def agree(x, rate):
@@ -506,13 +570,20 @@ def test_scores_match_objectives_on_fixed_set(monkeypatch):
                 agree(*nxt)
             return nxt
 
-        return ascend(instance, stepped, x, scored, variables, cfg, project)
+        def tried(y):   # one Anderson try: its point is scored next
+            expected.append(y)
+            return project(y)
+
+        res = ascend(instance, stepped, x, scored, variables, cfg, project and tried)
+        expected.extend(res.trace)
+        return res
 
     monkeypatch.setattr(baselines, "_ascend", compared)
     for (kind, geometry, seed, which), want in PINNED.items():
         for _ in _fixed_set(kind, geometry, seed, len(want), which):
             pass
-    assert len(checked) > 1500   # every trace point and extrapolated try of the 19 runs
+    # every trace point and Anderson try of the 19 runs
+    assert len(checked) == len(expected)
 
 
 def test_gp_projection_is_normalize_coop(monkeypatch):
@@ -535,7 +606,7 @@ def test_gp_projection_is_normalize_coop(monkeypatch):
 @pytest.mark.parametrize("kind,geometry,seed,which", list(PINNED),
                          ids=[f"{kind}-{which}" for kind, _, _, which in PINNED])
 def test_scores_reject_infeasible_points(monkeypatch, kind, geometry, seed, which):
-    # with the projections disabled, an extrapolated try (WMMSE) or a gradient
+    # with the projections disabled, an Anderson try (WMMSE) or a gradient
     # move (GP) leaves the budgets; its score must raise, not rate it
     monkeypatch.setattr(baselines, "_shrink", lambda norm2, budgets: np.ones_like(norm2))
     m, k, n = geometry

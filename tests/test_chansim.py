@@ -301,6 +301,33 @@ def test_scenario_instance_refuses_inconsistent_fields(kind, drop, edits, messag
         chansim.ScenarioInstance(kind, **arrays)
 
 
+@pytest.mark.parametrize("kind", chansim.KINDS)
+def test_stack_element_views_equal_validated_elements(kind):
+    # views skip the re-check, and equal what a checked constructor builds
+    # from the same slices, bit for bit
+    stack = sample_instances(kind, GEOMETRIES[kind],
+                             [chansim.sample_seed(5, i) for i in range(3)])
+    graph = graph_of(stack)
+    shared = ("kind", "serving", "tx_cell", "rx_cell")
+    values = {f.name: getattr(stack, f.name) for f in fields(stack)}
+    for i in range(3):
+        inst, g = chansim.stack_element(stack, graph, i)
+        want = chansim.ScenarioInstance(**{
+            name: v if name in shared or v is None else v[i] for name, v in values.items()})
+        for f in fields(want):
+            got, expect = getattr(inst, f.name), getattr(want, f.name)
+            if isinstance(expect, np.ndarray):
+                assert got.dtype == expect.dtype and got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes(), f.name
+                assert np.shares_memory(got, getattr(stack, f.name)), f.name
+            else:
+                assert got == expect
+        for name, arr in zip(("f_tx", "f_rx", "e"), (g.f_tx, g.f_rx, g.e)):
+            assert arr.flags.c_contiguous and arr.dtype == np.float64
+            assert arr.tobytes() == getattr(graph_of(want), name).tobytes(), name
+            assert np.shares_memory(arr, getattr(graph, name)), name
+
+
 def test_sample_instances_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):
         sample_instances("ic", GEOMETRIES["ic"], [])
