@@ -2,11 +2,11 @@
 with TX-, RX-, and edge-update mechanisms, and an affine head on the edges.
 
 All updates in layer l read only layer l-1 representations. The head reads
-only edges, so the last layer runs only its edge update. Every graph is
-complete bipartite, so a node's neighbors are all nodes of the other kind.
-Aggregations are element-wise max; the edge update aggregates both transformed
-neighbor families jointly. Every representation has the one hidden width h, so
-each of the seven layer MLPs maps 2h -> h -> h -> h. Parameter shapes are
+only edges, so the last layer has only its edge update (mlp5..mlp7). Every
+graph is complete bipartite, so a node's neighbors are all nodes of the other
+kind. Aggregations are element-wise max; the edge update aggregates both
+transformed neighbor families jointly. Every representation has the one hidden
+width h, so each layer MLP maps 2h -> h -> h -> h. Parameter shapes are
 independent of the graph size.
 """
 
@@ -20,7 +20,7 @@ from . import container
 from . import numkernel as nk
 from .chansim import COOP, IBC, KINDS, instance_feature_widths
 
-CHECKPOINT_VERSION = 4   # 3 stored the output head too, 2 the aggregator, 1 the widths
+CHECKPOINT_VERSION = 5   # 4 stored unread mlp1..4, 3 the head, 2 the aggregator, 1 the widths
 
 
 class ConfigError(ValueError):
@@ -64,10 +64,10 @@ class ENGNNConfig:
 
 @dataclass
 class ENGNNParams:
-    """All trainable tensors, keyed for checkpointing.
+    """The tensors `forward` reads, all trainable, keyed for checkpointing.
 
     pre_*: one affine map per feature family; layers[l][mlp name]: list of
-    (w, b) tensor pairs; post: the affine head map.
+    (w, b) tensor pairs (the last layer has mlp5..mlp7 only); post: the head.
     """
 
     pre_tx: tuple
@@ -96,15 +96,15 @@ def _init_affine(rng, d_out, d_in):
 
 def _build_params(cfg, affine):
     """ENGNNParams with each affine map from `affine(d_out, d_in)`, in order:
-    the three input maps, then per layer mlp1..mlp7 (2h -> h -> h -> h), then
-    the head. The one place that knows the parameter layout. The last layer's
-    mlp1..mlp4 are built although `forward` never reads them, so that every
-    depth draws the same init stream and stores the same tensors."""
+    the three input maps, then mlp1..mlp7 (2h -> h -> h -> h) per layer but the
+    last, then the last layer's mlp5..mlp7, then the head. The one place that
+    knows the parameter layout: the last layer runs only its edge update, so
+    it has no node-update MLPs."""
     h = cfg.hidden
     pre_tx, pre_rx, pre_e = [affine(h, d)
                              for d in instance_feature_widths(cfg.kind, cfg.n_antennas)]
     layers = [{f"mlp{i}": [affine(h, d_in) for d_in in (2 * h, h, h)]
-               for i in range(1, 8)} for _ in range(cfg.layers)]
+               for i in range(5 if li == cfg.layers - 1 else 1, 8)} for li in range(cfg.layers)]
     post = affine(1 if cfg.kind == IBC else 2 * cfg.n_antennas, h)
     return ENGNNParams(pre_tx, pre_rx, pre_e, layers, post)
 

@@ -101,7 +101,8 @@ def train(cfg, log=None):
     A checkpoint lands at cfg.checkpoint_path before the first epoch (the
     initialization) and after every epoch; its "epoch" is the number of
     epochs completed, and its "train" is cfg without checkpoint_path, so a
-    run writes the same bytes wherever it writes them.
+    run writes the same bytes wherever it writes them. Every tensor of the
+    net reaches the loss, so RMSProp steps each with its minibatch gradient.
     """
     s_tx, s_rx, s_e = _calibrate_scales(cfg.scenario, cfg.geometry, cfg.seed)
     net = engnn.config_for_scenario(cfg.scenario, cfg.geometry.n_antennas,
@@ -137,9 +138,7 @@ def train(cfg, log=None):
             epoch_residual = max(epoch_residual, report.residual)
             batch_mean = nk.tsum(rates) * (1.0 / cfg.batch_size)
             nk.backward(batch_mean)
-            grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                     for t in tensors]
-            nk.rmsprop_step(tensors, grads, state)
+            nk.rmsprop_step(tensors, [t.grad for t in tensors], state)
             epoch_rates.append(float(batch_mean.data))
         t_now = time.perf_counter()
         row = MetricsRow(run_id, epoch, float(np.mean(epoch_rates)), epoch_residual,

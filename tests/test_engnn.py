@@ -70,7 +70,7 @@ def test_preprocess_commutes_with_permutation():
 
 def test_tx_update_singleton_neighbor_is_plain_message():
     rng = np.random.default_rng(4)
-    cfg = small_config(hidden=4)
+    cfg = small_config(hidden=4, layers=2)   # layer 0 is hidden, so it runs tx/rx updates
     params = init_params(cfg, seed=4)
     layer = params.layers[0]
     f_tx = rng.normal(size=(1, 4))
@@ -84,7 +84,7 @@ def test_tx_update_singleton_neighbor_is_plain_message():
 
 def test_tx_update_duplicate_rx_is_invariant():
     rng = np.random.default_rng(5)
-    cfg = small_config(hidden=4)
+    cfg = small_config(hidden=4, layers=2)   # layer 0 is hidden, so it runs tx/rx updates
     params = init_params(cfg, seed=5)
     layer = params.layers[0]
     f_tx = rng.normal(size=(2, 4))
@@ -99,7 +99,7 @@ def test_tx_update_duplicate_rx_is_invariant():
 
 def test_rx_update_mirrors_tx_update():
     rng = np.random.default_rng(6)
-    cfg = small_config(hidden=4)
+    cfg = small_config(hidden=4, layers=2)   # layer 0 is hidden, so it runs tx/rx updates
     params = init_params(cfg, seed=6)
     layer = params.layers[0]
     f_tx = rng.normal(size=(1, 4))
@@ -240,7 +240,7 @@ def test_layer_synchrony_sequential_update_differs():
     # must change the result relative to the synchronous forward
     rng = np.random.default_rng(15)
     g = random_graph(rng, 3, 3)
-    cfg = small_config(hidden=4)
+    cfg = small_config(hidden=4, layers=2)   # layer 0 is hidden, so it runs tx/rx updates
     params = init_params(cfg, seed=15)
     f_tx, f_rx, e = preprocess(g, cfg, params)
     layer = params.layers[0]
@@ -274,6 +274,22 @@ def test_degenerate_graphs_forward_backward_and_pe():
         p = NodePermutation.random(m, k, rng)
         permuted = forward(permute_graph(g, p), cfg, params).data
         assert np.max(np.abs(permuted[np.ix_(p.pi_tx, p.pi_rx)] - raw.data)) <= 1e-9
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("kind,geo", scenario_cases() + [
+    ("ic", GeometryConfig(n_tx=1, n_rx=1, n_antennas=2))], ids=["ic", "ibc", "coop", "ic-1x1"])
+def test_every_parameter_reaches_the_loss(kind, geo, layers):
+    # the net holds only tensors the loss reads, so training steps each one
+    # with its own gradient, even on a 1 x 1 graph whose edge update
+    # aggregates over no neighbors
+    inst, g = chansim.build_instance(kind, geo, 25)
+    cfg = config_for_scenario(kind, geo.n_antennas, hidden=4, layers=layers)
+    params = init_params(cfg, seed=25)
+    xi = forward(g, cfg, params)
+    report = obj.evaluate(inst, obj.normalize(engnn.extract_variables(xi, inst, cfg), inst))
+    nk.backward(report.sum_rate)
+    assert [name for name, t in params.named_tensors() if t.grad is None] == []
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +394,16 @@ def _missing_field(meta, arrays):
     del meta["config"]["hidden"]
 
 
+def _version_4(meta, arrays):
+    # version 4 also stored the last layer's mlp1..mlp4, shaped as its mlp5
+    meta["checkpoint_version"] = 4
+    arrays.update({f"layers.0.mlp{i}.{j}.{part}": arrays[f"layers.0.mlp5.{j}.{part}"]
+                   for i in range(1, 5) for j in range(3) for part in "wb"})
+
+
 def _undefined_tensor(meta, arrays):
-    arrays["layers.1.mlp1.0.w"] = arrays["layers.0.mlp1.0.w"]
+    # the last layer runs only its edge update, so it defines no mlp1
+    arrays["layers.0.mlp1.0.w"] = arrays["layers.0.mlp5.0.w"]
 
 
 def _config_value(name, value):
@@ -393,10 +417,12 @@ def _config_value(name, value):
     pytest.param(_version_1, "version 1 .*retrain", id="version-1"),
     pytest.param(_version_2, "version 2 .*retrain", id="version-2"),
     pytest.param(_version_3, "version 3 .*retrain", id="version-3"),
+    pytest.param(_version_4, "version 4 .*retrain", id="version-4"),
     pytest.param(_no_config, "config None", id="no-config"),
     pytest.param(_unknown_field, "hidden_e", id="unknown-field"),
     pytest.param(_missing_field, "fields", id="missing-field"),
-    pytest.param(_undefined_tensor, "layers.1.mlp1.0.w", id="undefined-tensor"),
+    pytest.param(_undefined_tensor, re.escape("undefined ones ['layers.0.mlp1.0.w']"),
+                 id="undefined-tensor"),
     pytest.param(_config_value("hidden", 4.0), "hidden must be an integer", id="float-hidden"),
     pytest.param(_config_value("layers", True), "layers must be an integer", id="bool-layers"),
     pytest.param(_config_value("input_scale_e", "x"), "input_scale_e must be a finite",
