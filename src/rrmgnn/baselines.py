@@ -392,7 +392,7 @@ def wmmse_coop(instance, cfg=None):
 
 def _project_split_coop(x, budgets):
     """Scale each BS's split beams x[m] (K, 2N) into its power ball, by the
-    formula of `objectives.normalize_coop`."""
+    coop formula of `objectives.normalize`."""
     return x * _shrink((x ** 2).sum(axis=(1, 2)), budgets)[:, None, None]
 
 

@@ -472,7 +472,10 @@ def rmsprop_step(params, grads, state):
     if len(state.square_avg) != len(params):
         raise ValueError("optimizer state does not match parameter count")
     lr = state.learning_rate
-    for p, g, v in zip(params, grads, state.square_avg):
+    for i, (p, g, v) in enumerate(zip(params, grads, state.square_avg)):
+        if g is None:
+            raise ValueError(f"parameter {i} of shape {p.data.shape} has no gradient: "
+                             "the loss does not reach it")
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter "

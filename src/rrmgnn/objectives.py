@@ -1,5 +1,11 @@
 """Differentiable SINR and sum-rate evaluators for the three scenarios, plus
-the feasibility projections used after postprocessing.
+the feasibility projection (`normalize`) used after postprocessing.
+
+The scenarios share one objective, the sum over UEs of log2(1 + SINR), and
+differ in which variables share a power budget: an ic beam has its own, a
+coop BS's beams share one, an ibc cell's UE powers share one. Each evaluator
+builds its received-power table and ends in one SINR rule
+(`_signal_over_rest`).
 
 Every evaluator accepts either a kernel Tensor holding split-complex variables
 (gradients flow) or a plain numpy array of complex/real variables (a RateReport
@@ -71,7 +77,9 @@ def check_feasible(instance, v):
 
 def _signal_over_rest(power, noise):
     """SINR from a (..., K', K) received-power table: [j, k] = power of
-    stream j at UE k, the diagonal being each UE's own stream."""
+    stream j at UE k, the diagonal being each UE's own stream. ic and coop
+    fill the table with |h^H v|^2, ibc with p_j g_{m1(j),k}^2; the solvers'
+    numpy scores (`baselines._rate`) use the same tables."""
     idx = np.arange(power.shape[-1])
     signal = power[..., idx, idx]
     interference = nk.tsum(power, axis=-2) - signal
@@ -110,17 +118,15 @@ def _cell_indicator(instance):
 
 
 def sinr_ibc(instance, p):
-    """Rates for per-UE power allocation over the equivalent scalar gains."""
+    """Rates for per-UE power allocation over the equivalent scalar gains:
+    stream j reaches UE k with power p_j g_{m1(j),k}^2."""
     p_t, tensor_in = _as_split_tensor(p, complex_input=False)
     lead, k = instance.batch_shape, instance.n_ue
     p_t = nk.reshape(p_t, lead + (k,))
     residual = check_feasible(instance, p_t)
     g2 = nk.constant(instance.gains[..., instance.serving, :] ** 2)  # [j, k]: TX_j -> UE k
-    received = nk.reshape(nk.matmul(nk.reshape(p_t, lead + (1, k)), g2), lead + (k,))
-    idx = np.arange(k)
-    signal = g2[..., idx, idx] * p_t
-    sinr = signal / (received - signal + nk.constant(instance.noise))
-    return _report(sinr, tensor_in, residual)
+    power = nk.reshape(p_t, lead + (k, 1)) * g2
+    return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
 
 
 def sinr_coop(instance, v):
@@ -159,57 +165,37 @@ def _power_balls(instance):
     """The ic and coop constraints, ||v||^2 <= P per ball: (P per ball, the
     axes of one ball). An ic ball is one beam, a coop ball one BS's beams."""
     if instance.kind == IC:
-        return instance.budgets[..., instance.serving], -1
+        return instance.budgets[..., instance.serving], (-1,)
     return instance.budgets, (-2, -1)
 
 
-def _scale_into_balls(raw, instance):
-    """v <- v * sqrt(P / max(||v||^2, P)) per power ball."""
-    budgets, axes = _power_balls(instance)
-    budgets = nk.constant(budgets)
-    norms2 = nk.tsum(nk.square(raw), axis=axes)
-    scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
-    return raw * nk.reshape(scale, scale.data.shape + (1,) * (raw.data.ndim - scale.data.ndim))
-
-
-def normalize_ic(raw, instance):
-    """Scale each beam into its power ball: v_k <- v_k * min(1, sqrt(P_k)/||v_k||)."""
-    raw = nk.as_tensor(raw)
-    lead, k = instance.batch_shape, instance.n_ue
-    if raw.data.shape[:-1] != lead + (k,):
-        raise ValueError(f"expected {lead + (k,)} raw beams of width 2N, got {raw.data.shape}")
-    return _scale_into_balls(raw, instance)
-
-
-def normalize_ibc(raw, instance):
-    """Squash raw scores into (0, P_b) per UE, then rescale each cell to budget."""
-    lead, k = instance.batch_shape, instance.n_ue
-    raw = nk.reshape(nk.as_tensor(raw), lead + (k,))
-    budgets = nk.constant(instance.budgets)
-    p = nk.sigmoid(raw) * nk.constant(instance.budgets[..., instance.rx_cell])
-    ind = nk.constant(_cell_indicator(instance))
-    cell_sums = nk.reshape(nk.matmul(ind, nk.reshape(p, lead + (k, 1))), instance.budgets.shape)
-    cell_scale = budgets / nk.maximum(cell_sums, budgets)
-    return p * cell_scale[..., instance.rx_cell]
-
-
-def normalize_coop(raw, instance):
-    """Per-BS ball scaling: row m shrinks when sum_k ||v_{m,k}||^2 exceeds P_m."""
-    raw = nk.as_tensor(raw)
-    lead, m = instance.batch_shape, instance.n_tx_entities
-    if raw.data.shape[:-2] != lead + (m,):
-        raise ValueError(f"expected {lead + (m,)} raw beam rows of shape (K, 2N), "
-                         f"got {raw.data.shape}")
-    return _scale_into_balls(raw, instance)
-
-
 def normalize(raw, instance):
-    if instance.kind == IC:
-        return normalize_ic(raw, instance)
+    """Scale raw variables into the scenario's feasible set.
+
+    ic and coop: v <- v * sqrt(P / max(||v||^2, P)) per power ball.
+    ibc: squash raw scores into (0, P_b) per UE, then rescale each cell to budget.
+    """
+    raw = nk.as_tensor(raw)
+    if instance.kind in (IC, COOP):
+        budgets, axes = _power_balls(instance)
+        ball = (instance.n_ue, 2 * instance.channels.shape[-1])[-len(axes):]  # (2N,) or (K, 2N)
+        if raw.data.shape != budgets.shape + ball:
+            raise ValueError(f"expected {budgets.shape} raw power balls of split shape "
+                             f"{ball}, got {raw.data.shape}")
+        budgets = nk.constant(budgets)
+        norms2 = nk.tsum(nk.square(raw), axis=axes)
+        scale = nk.sqrt(budgets / nk.maximum(norms2, budgets))
+        return raw * nk.reshape(scale, scale.data.shape + (1,) * len(axes))
     if instance.kind == IBC:
-        return normalize_ibc(raw, instance)
-    if instance.kind == COOP:
-        return normalize_coop(raw, instance)
+        lead, k = instance.batch_shape, instance.n_ue
+        raw = nk.reshape(raw, lead + (k,))
+        budgets = nk.constant(instance.budgets)
+        p = nk.sigmoid(raw) * nk.constant(instance.budgets[..., instance.rx_cell])
+        ind = nk.constant(_cell_indicator(instance))
+        cell_sums = nk.reshape(nk.matmul(ind, nk.reshape(p, lead + (k, 1))),
+                               instance.budgets.shape)
+        cell_scale = budgets / nk.maximum(cell_sums, budgets)
+        return p * cell_scale[..., instance.rx_cell]
     raise ValueError(f"unknown scenario kind {instance.kind!r}")
 
 

@@ -102,7 +102,7 @@ def test_acceptance_3_gradient_correctness():
     def loss_value():
         raw = forward(g, net, params)
         head = engnn.extract_variables(raw, inst, net)
-        return objectives.sinr_ic(inst, objectives.normalize_ic(head, inst)).sum_rate
+        return objectives.sinr_ic(inst, objectives.normalize(head, inst)).sum_rate
 
     loss = loss_value()
     nk.backward(loss)
@@ -318,7 +318,7 @@ def test_acceptance_10_degenerate_graphs():
         net = config_for_scenario("coop", 2, hidden=6)
         params = init_params(net, seed=1010)
         raw = forward(g, net, params)
-        v = objectives.normalize_coop(engnn.extract_variables(raw, inst, net), inst)
+        v = objectives.normalize(engnn.extract_variables(raw, inst, net), inst)
         rep = objectives.sinr_coop(inst, v)
         nk.backward(rep.sum_rate)
         assert all(t.grad is None or np.isfinite(t.grad).all()

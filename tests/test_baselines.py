@@ -420,16 +420,18 @@ def test_baselines_permutation_consistent():
 # The GP rows were recorded with the hand-written per-solver loops that
 # `_ascend` replaced, the WMMSE rows with `_ascend`'s safeguarded Anderson
 # acceleration and the warm-started multiplier search; a change meant to
-# move the iterates updates these on purpose.
+# move the iterates updates these on purpose. Counts and flags compare
+# exactly, rates to 1e-11 relative: BLAS kernels picked per CPU round the
+# same run differently, by up to 1.44e-12 relative (ibc row 0).
 PINNED = {
     ("ic", (8, 8, 2), 777, "wmmse"): [
         (20, True, False, 47.55214828598028), (25, True, False, 56.94360464331705),
         (27, True, False, 52.141703096552675)],
     ("ibc", (3, 2, 4), 777, "wmmse"): [
-        (16, True, False, 45.25031009347327), (6, True, False, 36.39662821592554),
-        (6, True, False, 41.45687989309224), (9, True, False, 41.935405149213075),
-        (8, True, False, 40.890006568911694), (18, True, False, 44.333938558252385),
-        (11, True, False, 39.3981418408844), (6, True, False, 40.1190968133018)],
+        (16, True, False, 45.25031009347327), (6, True, False, 36.39662821592556),
+        (6, True, False, 41.45687989309224), (9, True, False, 41.93540514921306),
+        (8, True, False, 40.89000656891173), (18, True, False, 44.3339385582524),
+        (11, True, False, 39.3981418408842), (6, True, False, 40.11909681330193)],
     ("coop", (5, 2, 2), 909, "wmmse"): [
         (19, True, False, 23.44911409804081), (11, True, False, 14.305280754984254),
         (10, True, False, 15.839660573124641), (17, True, False, 14.969276922281637)],
@@ -456,7 +458,7 @@ def test_solvers_match_pinned_results():
                         res.report.sum_rate_value()))
             assert_trace_monotone(res.trace)
             assert obj.constraint_residual(inst, res.variables) <= 1e-9
-        assert got == want, (kind, which)
+        assert got == [(*w[:3], pytest.approx(w[3], rel=1e-11)) for w in want], (kind, which)
 
 
 def test_extrapolations_counted_on_fixed_set():
@@ -594,7 +596,7 @@ def test_gp_projection_is_normalize_coop(monkeypatch):
 
         def compared(x, budgets, inst=inst):
             out = project(x, budgets)
-            np.testing.assert_array_equal(out, obj.normalize_coop(nk.constant(x), inst).data)
+            np.testing.assert_array_equal(out, obj.normalize(nk.constant(x), inst).data)
             moved.append(not np.array_equal(out, x))
             return out
 

@@ -267,7 +267,7 @@ def test_degenerate_graphs_forward_backward_and_pe():
         cfg = config_for_scenario("coop", 2, hidden=4)
         params = init_params(cfg, seed=17)
         raw = forward(g, cfg, params)
-        v = obj.normalize_coop(engnn.extract_variables(raw, inst, cfg), inst)
+        v = obj.normalize(engnn.extract_variables(raw, inst, cfg), inst)
         rep = obj.sinr_coop(inst, v)
         nk.backward(rep.sum_rate)
         assert all(t.grad is None or np.isfinite(t.grad).all() for t in params.tensors())
@@ -478,7 +478,7 @@ def test_param_gradients_match_finite_differences():
 
     def loss_fn():
         raw = forward(g, cfg, params)
-        v = obj.normalize_ic(engnn.extract_variables(raw, inst, cfg), inst)
+        v = obj.normalize(engnn.extract_variables(raw, inst, cfg), inst)
         return obj.sinr_ic(inst, v).sum_rate
 
     loss = loss_fn()

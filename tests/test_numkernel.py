@@ -541,6 +541,15 @@ def test_rmsprop_single_step_hand_computed():
     assert abs(expected - 1e-3) < 1e-6
 
 
+def test_rmsprop_missing_gradient_names_the_parameter():
+    params = [nk.Tensor([0.0], requires_grad=True),
+              nk.Tensor(np.zeros((2, 3)), requires_grad=True)]
+    state = nk.RMSPropState(learning_rate=1e-4)
+    with pytest.raises(ValueError, match=r"parameter 1 of shape \(2, 3\) has no gradient: "
+                                         "the loss does not reach it"):
+        nk.rmsprop_step(params, [np.array([1.0]), None], state)
+
+
 def test_rmsprop_symmetry():
     p = nk.Tensor([0.3, 0.3], requires_grad=True)
     state = nk.RMSPropState(learning_rate=1e-4)

@@ -2,6 +2,8 @@
 from the received-signal terms with plain complex arithmetic, independently of
 the vectorized evaluators under test."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -327,14 +329,14 @@ def test_normalize_ic_feasible_unchanged_and_ball_projection():
     inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=2, n_rx=2), 14)
     rng = np.random.default_rng(14)
     inside = split_complex(feasible_ic_beams(inst, rng, fill=0.5))
-    np.testing.assert_array_equal(obj.normalize_ic(nk.constant(inside), inst).data, inside)
+    np.testing.assert_array_equal(obj.normalize(nk.constant(inside), inst).data, inside)
 
     over = split_complex(feasible_ic_beams(inst, rng, fill=1.0)) * 2.0  # norm^2 = 4P
-    out = obj.normalize_ic(nk.constant(over), inst).data
+    out = obj.normalize(nk.constant(over), inst).data
     np.testing.assert_allclose(out, over / 2.0, rtol=1e-12)
 
     zero = np.zeros_like(inside)
-    np.testing.assert_array_equal(obj.normalize_ic(nk.constant(zero), inst).data, zero)
+    np.testing.assert_array_equal(obj.normalize(nk.constant(zero), inst).data, zero)
 
 
 def test_normalize_ic_random_feasibility():
@@ -342,7 +344,7 @@ def test_normalize_ic_random_feasibility():
     inst, _ = chansim.build_instance("ic", GeometryConfig(n_tx=3, n_rx=3), 15)
     for _ in range(50):
         raw = rng.normal(size=(3, 4)) * rng.uniform(0, 5)
-        out = obj.normalize_ic(nk.constant(raw), inst).data
+        out = obj.normalize(nk.constant(raw), inst).data
         used = (out ** 2).sum(axis=1)
         assert np.all(used <= inst.budgets[inst.serving] + 1e-12)
 
@@ -350,13 +352,13 @@ def test_normalize_ic_random_feasibility():
 def test_normalize_ibc_midpoint_and_rescale():
     inst, _ = chansim.build_instance("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4), 16)
     p_b = inst.budgets[0]
-    out = obj.normalize_ibc(nk.constant(np.zeros(4)), inst).data
+    out = obj.normalize(nk.constant(np.zeros(4)), inst).data
     # logistic midpoint gives P_b/2 per UE; cells of 2 then rescale to the budget
     np.testing.assert_allclose(out, np.full(4, p_b / 2), rtol=1e-12)
     rng = np.random.default_rng(16)
     for _ in range(50):
         raw = rng.normal(size=4) * 3
-        p = obj.normalize_ibc(nk.constant(raw), inst).data
+        p = obj.normalize(nk.constant(raw), inst).data
         assert np.all(p >= 0) and np.all(p <= inst.budgets[inst.rx_cell] + 1e-12)
         sums = np.bincount(inst.rx_cell, weights=p)
         assert np.all(sums <= inst.budgets + 1e-12)
@@ -366,16 +368,31 @@ def test_normalize_coop_row_scaling():
     inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=2, n_rx=2), 17)
     rng = np.random.default_rng(17)
     ok = split_complex(feasible_coop_beams(inst, rng, fill=0.9))
-    np.testing.assert_array_equal(obj.normalize_coop(nk.constant(ok), inst).data, ok)
+    np.testing.assert_array_equal(obj.normalize(nk.constant(ok), inst).data, ok)
 
     over = split_complex(feasible_coop_beams(inst, rng, fill=1.0)) * 2.0
-    out = obj.normalize_coop(nk.constant(over), inst).data
+    out = obj.normalize(nk.constant(over), inst).data
     np.testing.assert_allclose(out, over / 2.0, rtol=1e-12)
     for _ in range(50):
         raw = rng.normal(size=over.shape) * rng.uniform(0, 4)
-        out = obj.normalize_coop(nk.constant(raw), inst).data
+        out = obj.normalize(nk.constant(raw), inst).data
         used = (out ** 2).sum(axis=(1, 2))
         assert np.all(used <= inst.budgets + 1e-12)
+
+
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["alone", "stacked"])
+@pytest.mark.parametrize("kind,m,balls,ball,bad", [
+    ("ic", 3, (3,), (4,), (3, 1, 4)), ("ic", 3, (3,), (4,), (4, 4)),
+    ("coop", 2, (2,), (3, 4), (2, 12)), ("coop", 2, (2,), (3, 4), (3, 3, 4))])
+def test_normalize_refuses_misshaped_raw_variables(kind, m, balls, ball, bad, stack):
+    # K = 3 UEs of N = 2 antennas: an ic ball is one beam, a coop ball one BS's beams
+    geo = GeometryConfig(n_tx=m, n_rx=3, n_antennas=2)
+    inst = (chansim.sample_instances(kind, geo, [[19, i] for i in range(stack[0])]) if stack
+            else chansim.build_instance(kind, geo, 19)[0])
+    want = (f"expected {stack + balls} raw power balls of split shape {ball}, "
+            f"got {stack + bad}")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        obj.normalize(nk.constant(np.zeros(stack + bad)), inst)
 
 
 def test_constraint_residual_reports_violation():
