@@ -32,6 +32,7 @@ point raises as it would in `objectives`; the result's report is
 """
 
 import dataclasses
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -76,8 +77,11 @@ class SolverConfig:
     tol: float = 1e-6              # absolute sum-rate change at convergence
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) \
+                or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass

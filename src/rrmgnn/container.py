@@ -61,8 +61,9 @@ def read_bundle(path):
     """Read a container written by write_bundle; returns (meta, arrays).
 
     The magic and version are checked first, then the checksum, and every
-    length against the bytes left before the trailer, so a corrupt, truncated
-    or out-of-date file raises ValueError naming the path.
+    length against the bytes left before the trailer; the arrays must have
+    distinct names and end at the trailer. So a corrupt, truncated or
+    out-of-date file raises ValueError naming the path.
     """
     with open(path, "rb") as f:
         data = memoryview(f.read())
@@ -98,10 +99,15 @@ def read_bundle(path):
         for i in range(n_arrays):
             (name_len,) = unpack("<I", f"array {i} name length")
             name = bytes(take(name_len, f"array {i} name")).decode("utf-8")
+            if name in arrays:
+                raise ValueError(f"{path}: corrupt container: duplicate array {name!r}")
             (ndim,) = unpack("<B", f"array {name!r} ndim")
             shape = unpack(f"<{ndim}Q", f"array {name!r} dims")
             raw = take(math.prod(shape) * 8, f"array {name!r} payload")
             arrays[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt container: {exc}") from exc
+    if pos != end:
+        raise ValueError(f"{path}: corrupt container: {end - pos} bytes left after "
+                         f"the last of {n_arrays} arrays")
     return meta, arrays

@@ -4,8 +4,8 @@ the feasibility projection (`normalize`) used after postprocessing.
 The scenarios share one objective, the sum over UEs of log2(1 + SINR), and
 differ in which variables share a power budget: an ic beam has its own, a
 coop BS's beams share one, an ibc cell's UE powers share one. Each evaluator
-builds its received-power table and ends in one SINR rule
-(`_signal_over_rest`).
+builds its received-power table and ends in one SINR rule (`_signal_over_rest`);
+ic's and coop's |h^H v|^2 is one matmul by a real `_split_channel_table`.
 
 Every evaluator accepts either a kernel Tensor holding split-complex variables
 (gradients flow) or a plain numpy array of complex/real variables (a RateReport
@@ -78,22 +78,28 @@ def check_feasible(instance, v):
 def _signal_over_rest(power, noise):
     """SINR from a (..., K', K) received-power table: [j, k] = power of
     stream j at UE k, the diagonal being each UE's own stream. ic and coop
-    fill the table with |h^H v|^2, ibc with p_j g_{m1(j),k}^2; the solvers'
-    numpy scores (`baselines._rate`) use the same tables."""
+    fill it with |h^H v|^2 (`_received_power`), ibc with p_j g_{m1(j),k}^2;
+    the solvers' numpy scores (`baselines._rate`) use the same tables."""
     idx = np.arange(power.shape[-1])
     signal = power[..., idx, idx]
     interference = nk.tsum(power, axis=-2) - signal
     return signal / (interference + nk.constant(noise))
 
 
-def _complex_quadratic(h, v, n, axis):
-    """|h^H v|^2 for complex channels h (.., n) and split tensor v (.., 2n),
-    the inner product summed over `axis` (which includes the last)."""
-    h_re, h_im = nk.constant(h.real), nk.constant(h.imag)
-    v_re, v_im = v[..., :n], v[..., n:]
-    re = nk.tsum(h_re * v_re + h_im * v_im, axis=axis)
-    im = nk.tsum(h_re * v_im - h_im * v_re, axis=axis)
-    return nk.square(re) + nk.square(im)
+def _split_channel_table(h):
+    """Complex channels h (..., K, N) as one real (..., 2N, 2K) table [[Re h^T,
+    -Im h^T], [Im h^T, Re h^T]]: split v (..., 2N) times it is [Re h^H v; Im h^H v].
+    Filled in C order: np.block keeps h's strides, and builds and multiplies slower."""
+    k, n = h.shape[-2:]
+    ht, table = np.swapaxes(h, -1, -2), np.empty(h.shape[:-2] + (2 * n, 2 * k))
+    table[..., :n, :k] = table[..., n:, k:] = ht.real
+    table[..., :n, k:], table[..., n:, :k] = -ht.imag, ht.imag
+    return nk.constant(table)
+
+
+def _received_power(re_im, shape):
+    """|h^H v|^2 as the (..., K', K) table `shape` from [Re; Im] halves."""
+    return nk.tsum(nk.reshape(nk.square(re_im), shape[:-1] + (2, shape[-1])), axis=-2)
 
 
 def sinr_ic(instance, v):
@@ -106,8 +112,8 @@ def sinr_ic(instance, v):
     _check_shape("beams", v_t, lead + (k, 2 * n))
     residual = check_feasible(instance, v_t)
     h_eff = instance.channels[..., instance.serving, :, :]  # [j, k] = h_{m1(j), k}
-    v3 = nk.reshape(v_t, lead + (k, 1, 2 * n))
-    power = _complex_quadratic(h_eff, v3, n, axis=-1)
+    re_im = nk.matmul(nk.reshape(v_t, lead + (k, 1, 2 * n)), _split_channel_table(h_eff))
+    power = _received_power(re_im, lead + (k, k))
     return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
 
 
@@ -140,9 +146,8 @@ def sinr_coop(instance, v):
     m, k, n = instance.channels.shape[-3:]
     _check_shape("beams", v_t, lead + (m, k, 2 * n))
     residual = check_feasible(instance, v_t)
-    h = instance.channels[..., :, None, :, :]                      # (M, 1, K, N)
-    v4 = nk.reshape(v_t, lead + (m, k, 1, 2 * n))                  # (M, K', 1, 2N)
-    power = _complex_quadratic(h, v4, n, axis=(-4, -1))           # (K', K)
+    re_im = nk.matmul(v_t, _split_channel_table(instance.channels))  # (M, K', 2K)
+    power = _received_power(nk.tsum(re_im, axis=-3), lead + (k, k))
     return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,20 @@ from rrmgnn.hetgraph import NodePermutation
 def assert_trace_monotone(trace, tol=1e-8):
     diffs = np.diff(trace)
     assert diffs.min() >= -tol, f"trace decreased by {-diffs.min():.3e}"
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, float("nan"), float("inf")],
+                         ids=str)
+def test_solver_config_refuses_iteration_caps_below_one_or_not_integers(value):
+    with pytest.raises(ValueError, match=re.escape(f"max_iters must be an integer >= 1, "
+                                                   f"got {value!r}")):
+        SolverConfig(max_iters=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0], ids=str)
+def test_solver_config_refuses_tolerances_not_finite_and_positive(value):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        SolverConfig(tol=value)
 
 
 # ---------------------------------------------------------------------------

@@ -108,3 +108,28 @@ def test_container_corrupt_metadata_is_a_clear_error(tmp_path):
     with pytest.raises(ValueError, match="corrupt") as info:
         container.read_bundle(path)
     assert "checksum" not in str(info.value)
+
+
+def test_container_short_array_count_is_a_clear_error(tmp_path):
+    # an array count one short, CRC resealed: the last array is left unread
+    path = tmp_path / "s.bin"
+    container.write_bundle(path, {}, {"a": np.ones(2), "b": np.zeros(3)})
+    raw = bytearray(path.read_bytes())
+    count_at = 20 + int.from_bytes(raw[12:20], "little")
+    raw[count_at:count_at + 4] = (1).to_bytes(4, "little")
+    path.write_bytes(reseal(raw))
+    with pytest.raises(ValueError, match="bytes left after the last of 1 arrays") as info:
+        container.read_bundle(path)
+    assert str(path) in str(info.value)
+
+
+def test_container_duplicate_array_name_is_a_clear_error(tmp_path):
+    # the second array renamed "a" (same name length), CRC resealed
+    path = tmp_path / "d.bin"
+    container.write_bundle(path, {}, {"a": np.ones(2), "b": np.zeros(3)})
+    raw = path.read_bytes()
+    name_at = raw.rindex(b"\x01\x00\x00\x00b") + 4
+    path.write_bytes(reseal(raw[:name_at] + b"a" + raw[name_at + 1:]))
+    with pytest.raises(ValueError, match="duplicate array 'a'") as info:
+        container.read_bundle(path)
+    assert str(path) in str(info.value)

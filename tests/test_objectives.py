@@ -212,6 +212,39 @@ def test_coop_matches_oracle():
         assert abs(rep.sum_rate - oracle_coop(inst, v)) <= 1e-12 * max(1.0, abs(rep.sum_rate))
 
 
+def split_shape(inst):
+    """Split variable shape of an ic or coop instance, stacked or not."""
+    m, k, n = inst.channels.shape[-3:]
+    return inst.batch_shape + ((k, 2 * n) if inst.kind == "ic" else (m, k, 2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "stacked"])
+@pytest.mark.parametrize("kind", ["ic", "coop"])
+def test_received_power_table_matches_complex_products(monkeypatch, kind, batch, n):
+    # the split-table matmul against |h^H v|^2 on the complex channels:
+    # ic [j, k] = |h_{m1(j),k}^H v_j|^2, coop [j, k] = |sum_m h_{m,k}^H v_{m,j}|^2
+    geo = GeometryConfig(n_tx=3, n_rx=3, n_antennas=n)
+    if batch is None:
+        inst, _ = chansim.build_instance(kind, geo, 21)
+    else:
+        inst = chansim.sample_instances(kind, geo, [[21, i] for i in range(batch)])
+    rng = np.random.default_rng(22)
+    v = obj.normalize(rng.normal(size=split_shape(inst)), inst).data
+    tables = []
+    rule = obj._signal_over_rest
+    monkeypatch.setattr(obj, "_signal_over_rest",
+                        lambda power, noise: tables.append(power.data) or rule(power, noise))
+    obj.evaluate(inst, nk.constant(v))
+    vc = v[..., :n] + 1j * v[..., n:]
+    h = inst.channels.conj()
+    if kind == "ic":
+        want = np.einsum("...jkn,...jn->...jk", h[..., inst.serving, :, :], vc)
+    else:
+        want = np.einsum("...mkn,...mjn->...jk", h, vc)
+    np.testing.assert_allclose(tables[0], np.abs(want) ** 2, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # permutation invariance of the objective
 
@@ -307,6 +340,20 @@ def test_sum_rate_gradients_match_fd():
     nk.backward(obj.sinr_coop(inst_c, t).sum_rate)
     fd = fd_scalar(f_coop, v0.copy())
     assert np.max(np.abs(t.grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    # stacked (B=2) ic and coop: the summed rate of the stack, through `matmul`
+    for kind, seed in (("ic", 23), ("coop", 24)):
+        stack = chansim.sample_instances(kind, GeometryConfig(n_tx=2, n_rx=2),
+                                         [[seed, i] for i in range(2)])
+        x0 = 0.5 * obj.normalize(rng.normal(size=split_shape(stack)), stack).data
+
+        def f_stack(x):
+            return float(np.sum(obj.evaluate(stack, nk.constant(x)).sum_rate.data))
+
+        t = nk.Tensor(x0.copy(), requires_grad=True)
+        nk.backward(nk.tsum(obj.evaluate(stack, t).sum_rate))
+        fd = fd_scalar(f_stack, x0.copy())
+        assert np.max(np.abs(t.grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd))), kind
 
 
 def test_ic_single_user_rate_increases_along_matched_filter():
