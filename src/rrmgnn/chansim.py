@@ -9,6 +9,7 @@ boundary. Generation is pure given (config, seed).
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -170,20 +171,21 @@ def _draw_geometry(cfg, rng, n_bs, anchor_bs):
             raise GenerationError(
                 f"could not place {n_bs} BSs with spacing >= {spacing} m "
                 f"in a {size} m field after {MAX_REJECTION_ATTEMPTS} attempts")
-        if any(math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) < spacing
-               for x, y in bs):
-            stalled += 1
-            if stalled >= 200:  # partial layout wedged the sampler; restart the set
-                bs.clear()
-                stalled = 0
-            continue
-        bs.append((cx, cy))
-        stalled = 0
+        for x, y in bs:
+            if math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) < spacing:
+                stalled += 1
+                if stalled >= 200:  # partial layout wedged the sampler; restart the set
+                    bs.clear()
+                    stalled = 0
+                break
+        else:
+            bs.append((cx, cy))
+            stalled = 0
 
     lo2 = cfg.serve_dist_min * cfg.serve_dist_min
     span2, turn = cfg.serve_dist_max * cfg.serve_dist_max - lo2, 2 * math.pi
     radius, angle = [], []
-    for j, b in enumerate(anchor_bs):
+    for j, b in enumerate(anchor_bs.tolist()):
         if i == len(u):
             u += rng.random(len(u)).tolist()
         r = math.sqrt(lo2 + span2 * u[i])
@@ -267,9 +269,32 @@ def zero_forcing(h_cell):
     return w / np.linalg.norm(w, axis=-2, keepdims=True)
 
 
+def _seed_words(seed):
+    """The 32-bit words `np.random.default_rng(seed)` hands its SeedSequence,
+    for a nonnegative integer or a sequence of them: each integer's words,
+    least significant first, one word for 0. A negative integer raises
+    ValueError and a float TypeError, as in default_rng."""
+    words = []
+    for x in (seed,) if isinstance(seed, (int, np.integer)) else seed:
+        x = operator.index(x)
+        if x < 0:
+            raise ValueError(f"seed {seed!r}: expected non-negative integers")
+        words.append(x & 0xFFFFFFFF)
+        while x > 0xFFFFFFFF:
+            x >>= 32
+            words.append(x & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def sample_instances(kind, cfg, seeds):
-    """A stack of len(seeds) instances; element i is drawn from
-    default_rng(seeds[i]) alone, so it does not depend on the other seeds.
+    """A stack of len(seeds) instances; element i is drawn from seeds[i] alone,
+    so it does not depend on the other seeds.
+
+    Each seed, an integer or a sequence of integers, seeds its own generator
+    Generator(PCG64(SeedSequence(words))) from its 32-bit words in one uint32
+    array (`_seed_words`). Those are the words np.random.default_rng(seed)
+    derives itself, so the generator is default_rng(seed)'s, state for state,
+    at a fraction of default_rng's cost of converting a list int by int.
 
     ic: K BS-UE pairs, BS k serves UE k. coop: M BSs serve all K UEs together;
     `serving` (BS j mod M for UE j) only anchors UE j's placement. ibc: B cells
@@ -289,16 +314,16 @@ def sample_instances(kind, cfg, seeds):
         raise ValueError("sample_instances needs at least one seed")
     k = m * q if kind == IBC else q
     anchor = np.repeat(np.arange(m), q) if kind == IBC else np.arange(k) % m
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append((*_draw_geometry(cfg, rng, m, anchor),
-                      rng.standard_normal((m, k, 2, n))))
-    bs, radius, angle, fading = (np.array(x) for x in zip(*draws))
+    draws, fading = [], np.empty((len(seeds), m, k, 2, n))
+    for j, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed_words(seed))))
+        draws.append(_draw_geometry(cfg, rng, m, anchor))
+        rng.standard_normal(out=fading[j])
+    bs, radius, angle = (np.array(x) for x in zip(*draws))
     ue = _ue_positions(bs, anchor, radius, angle)
     h = _faded(np.linalg.norm(bs[:, :, None] - ue[:, None], axis=-1), fading)
-    budgets = np.full((len(draws), m), dbm_to_watts(cfg.budget_dbm))
-    noise = np.full((len(draws), k), dbm_to_watts(cfg.noise_dbm))
+    budgets = np.full((len(seeds), m), dbm_to_watts(cfg.budget_dbm))
+    noise = np.full((len(seeds), k), dbm_to_watts(cfg.noise_dbm))
     if kind != IBC:
         return ScenarioInstance(kind, h, budgets, noise, anchor)
 

@@ -133,10 +133,9 @@ def preprocess(graph, cfg, params):
 def _on_edges(f, axis, n):
     """Node rows (..., X, d) copied onto every edge: a new axis of length n at
     `axis` of the (..., M, K, d) result (-2 for TX rows, -3 for RX rows)."""
-    f = nk.reshape(f, np.expand_dims(f.data, axis).shape)
-    shape = list(f.shape)
-    shape[axis] = n
-    return nk.broadcast_to(f, tuple(shape))
+    cut = len(f.shape) + axis + 1       # where np.expand_dims(f, axis) puts its axis
+    head, tail = f.shape[:cut], f.shape[cut:]
+    return nk.broadcast_to(nk.reshape(f, head + (1,) + tail), head + (n,) + tail)
 
 
 def tx_update(layer, f_tx, f_rx, e):

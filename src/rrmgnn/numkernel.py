@@ -13,6 +13,11 @@ back to its parent's shape and accumulates it, for the parents that require
 grad. So a forward computes values only; whatever only a gradient needs, such
 as the max aggregations' argmax routes, is worked out inside the VJP.
 
+A tensor's `.grad` is a result to read, never to write into: a first gradient
+is kept as its VJP returned it and later ones are added out of place, so a
+`.grad` may share memory with another tensor's gradient (an `add` hands the
+same array to both parents) or be a read-only broadcast view.
+
 Graph tensors count their axes from the end: edge tensors are (..., M, K, d),
 node tensors (..., M, d) or (..., K, d). Any leading axes (a minibatch axis B)
 ride along, so one graph and a stack of equally shaped graphs run the same
@@ -245,7 +250,11 @@ def tsum(a, axis=None):
     a = as_tensor(a)
 
     def vjp(g, y, a):
-        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape)
+        shape = a.data.shape
+        if axis is not None:   # g at the keepdims shape: 1 on every summed axis
+            summed = [ax % len(shape) for ax in (axis if isinstance(axis, tuple) else (axis,))]
+            g = g.reshape([1 if i in summed else n for i, n in enumerate(shape)])
+        return np.broadcast_to(g, shape)
 
     return _make(a.data.sum(axis=axis), (a,), (vjp,))
 
@@ -380,10 +389,9 @@ def pair_excl_agg(t_row, t_col):
 
 
 def _accumulate(t, g):
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    # out of place: a first gradient is kept as the VJP returned it, so it may
+    # be the very array another tensor holds as its gradient
+    t.grad = g if t.grad is None else t.grad + g
 
 
 class GradTape:
@@ -446,16 +454,14 @@ _RMSPROP_EPSILON = 1e-8
 
 
 class RMSPropState:
-    """Running mean of squared gradients plus the learning rate."""
+    """Running mean of squared gradients plus the learning rate. `square_avg`
+    is one flat array over the parameters, in order, each one raveled."""
 
     def __init__(self, learning_rate):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
         self.learning_rate = learning_rate
         self.square_avg = None
-
-    def _init(self, params):
-        self.square_avg = [np.zeros_like(p.data) for p in params]
 
 
 def rmsprop_step(params, grads, state):
@@ -463,23 +469,28 @@ def rmsprop_step(params, grads, state):
     with the decay d = 0.99 and eps = 1e-8.
 
     `grads` must be aligned one-to-one with `params` and hold the gradient of
-    the objective to MAXIMIZE.
+    the objective to MAXIMIZE. The rule runs once over the flat concatenation
+    of the gradients, then each parameter adds its slice of the step.
     """
     if len(params) != len(grads):
         raise ValueError("params and grads must align one-to-one")
-    if state.square_avg is None:
-        state._init(params)
-    if len(state.square_avg) != len(params):
-        raise ValueError("optimizer state does not match parameter count")
-    lr = state.learning_rate
-    for i, (p, g, v) in enumerate(zip(params, grads, state.square_avg)):
+    for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             raise ValueError(f"parameter {i} of shape {p.data.shape} has no gradient: "
                              "the loss does not reach it")
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter "
+        if np.shape(g) != p.data.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
                              f"shape {p.data.shape}")
-        v *= _RMSPROP_DECAY
-        v += (1.0 - _RMSPROP_DECAY) * g * g
-        p.data += lr * g / (np.sqrt(v) + _RMSPROP_EPSILON)
+    g = np.concatenate([np.ravel(g) for g in grads], dtype=np.float64)
+    if state.square_avg is None:
+        state.square_avg = np.zeros_like(g)
+    v = state.square_avg
+    if v.shape != g.shape:
+        raise ValueError(f"optimizer state holds {v.size} values, the parameters {g.size}")
+    v *= _RMSPROP_DECAY
+    v += (1.0 - _RMSPROP_DECAY) * g * g
+    step = state.learning_rate * g / (np.sqrt(v) + _RMSPROP_EPSILON)
+    end = 0
+    for p in params:
+        start, end = end, end + p.data.size
+        p.data += step[start:end].reshape(p.data.shape)

@@ -333,6 +333,41 @@ def test_sample_instances_needs_a_seed():
         sample_instances("ic", GEOMETRIES["ic"], [])
 
 
+# seeds whose words differ from their ints: a zero, a full word, words past 2**32
+# and 2**64, a bool, and the two seed streams the program draws from
+SEED_FORMS = [0, [0], [2**32 - 1, 7], [2**32, 7], [2**64 + 3, 5, 1], [True, 2],
+              [3, 1, 4, 1], [9, 26]]
+
+
+def test_sample_instances_seeds_each_generator_as_default_rng(monkeypatch):
+    from rrmgnn.harness import batch_seed
+    assert SEED_FORMS[-2:] == [batch_seed(3, 1, 4, 1), chansim.sample_seed(9, 26)]
+    geo = GEOMETRIES["ic"]
+    anchor = np.arange(geo.n_rx) % geo.n_tx
+    built, draw = [], chansim._draw_geometry
+
+    def recording(cfg, rng, n_bs, anchor_bs):
+        built.append(rng)
+        return draw(cfg, rng, n_bs, anchor_bs)
+
+    monkeypatch.setattr(chansim, "_draw_geometry", recording)
+    sample_instances("ic", geo, SEED_FORMS)
+    assert len(built) == len(SEED_FORMS)
+    for seed, rng in zip(SEED_FORMS, built):     # each after its geometry and fading
+        want = np.random.default_rng(seed)
+        draw(geo, want, geo.n_tx, anchor)
+        want.standard_normal((geo.n_tx, geo.n_rx, 2, geo.n_antennas))
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("seed,error", [([-1, 0], ValueError), ([1.5, 2], TypeError)])
+def test_sample_instances_refuses_the_seeds_default_rng_refuses(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        sample_instances("ic", GEOMETRIES["ic"], [[1, 2], seed])
+
+
 # ---------------------------------------------------------------------------
 # sample_instances against the per-sample builder it replaced
 

@@ -134,6 +134,36 @@ def test_backward_shared_subexpression_accumulates():
     np.testing.assert_allclose(x.grad, [2 * 2 * 1.5])
 
 
+def test_backward_sums_a_gradient_that_reaches_a_leaf_twice():
+    a = nk.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    s = a + a                   # add hands the one output gradient to both parents
+    nk.backward(nk.tsum(s))
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(s.grad, [1.0, 1.0, 1.0])   # not written into
+
+    x = nk.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    nk.backward(nk.tsum(nk.reshape(x, (3, 2)) * 2.0) + nk.tsum(x))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+
+
+# every axis form the program sums over, on the 2-, 3- and 4-D inputs that have it
+TSUM_CASES = [(axis, ndim) for ndim in (2, 3, 4)
+              for axis in (None, -1, -2, -3, (-2, -1), (1, 2))
+              if axis is None or all(-ndim <= ax < ndim for ax in np.atleast_1d(axis))]
+
+
+@pytest.mark.parametrize("axis,ndim", TSUM_CASES, ids=str)
+def test_tsum_vjp_matches_expand_dims(axis, ndim):
+    rng = np.random.default_rng(ndim)
+    shape = (2, 3, 4, 5)[:ndim]
+    x = nk.Tensor(rng.standard_normal(shape), requires_grad=True)
+    y = nk.tsum(x, axis)
+    c = rng.standard_normal(y.shape)       # the gradient that reaches y
+    nk.backward(nk.tsum(y * nk.constant(c)))
+    want = np.broadcast_to(c if axis is None else np.expand_dims(c, axis), shape)
+    assert x.grad.shape == shape and x.grad.tobytes() == want.tobytes()
+
+
 def test_second_backward_resets_grads():
     x = nk.Tensor([1.0, 2.0], requires_grad=True)
     nk.backward(nk.tsum(nk.square(x)))
@@ -526,19 +556,46 @@ def test_rmsprop_zero_gradient_keeps_params():
     nk.rmsprop_step([p], [np.zeros(2)], state)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     nk.rmsprop_step([p], [np.ones(2)], state)
-    v_after = state.square_avg[0].copy()
+    v_after = state.square_avg.copy()
     nk.rmsprop_step([p], [np.zeros(2)], state)
-    np.testing.assert_allclose(state.square_avg[0], 0.99 * v_after)
+    np.testing.assert_allclose(state.square_avg, 0.99 * v_after)
 
 
 def test_rmsprop_single_step_hand_computed():
     p = nk.Tensor([0.0], requires_grad=True)
     state = nk.RMSPropState(learning_rate=1e-4)
     nk.rmsprop_step([p], [np.array([1.0])], state)
-    np.testing.assert_allclose(state.square_avg[0], [0.01])
+    np.testing.assert_allclose(state.square_avg, [0.01])
     expected = 1e-4 * 1.0 / (np.sqrt(0.01) + 1e-8)
     np.testing.assert_allclose(p.data, [expected])
     assert abs(expected - 1e-3) < 1e-6
+
+
+def test_rmsprop_flat_pass_matches_the_per_tensor_rule():
+    # the rule applied tensor by tensor, with the decay and epsilon it states
+    rng = np.random.default_rng(41)
+    shapes = [(), (3,), (2, 3)]
+    start = [rng.standard_normal(s) for s in shapes]
+    params = [nk.Tensor(x.copy(), requires_grad=True) for x in start]
+    want, want_v = [x.copy() for x in start], [np.zeros(s) for s in shapes]
+    state = nk.RMSPropState(learning_rate=1e-2)
+    for _ in range(3):
+        grads = [rng.standard_normal(s) for s in shapes]
+        nk.rmsprop_step(params, grads, state)
+        for x, v, g in zip(want, want_v, grads):
+            v *= 0.99
+            v += (1.0 - 0.99) * g * g
+            x += 1e-2 * g / (np.sqrt(v) + 1e-8)
+        for p, x in zip(params, want):
+            assert p.data.shape == x.shape and p.data.tobytes() == x.tobytes()
+        assert state.square_avg.tobytes() == np.concatenate(
+            [v.ravel() for v in want_v]).tobytes()
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rmsprop_refuses_a_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {rate}"):
+        nk.RMSPropState(rate)
 
 
 def test_rmsprop_missing_gradient_names_the_parameter():
@@ -556,6 +613,13 @@ def test_rmsprop_symmetry():
     for _ in range(5):
         nk.rmsprop_step([p], [np.array([0.7, 0.7])], state)
     assert p.data[0] == p.data[1]
+
+
+def test_rmsprop_state_of_other_parameters_is_refused():
+    state = nk.RMSPropState(learning_rate=1e-4)
+    nk.rmsprop_step([nk.Tensor([0.0, 1.0], requires_grad=True)], [np.ones(2)], state)
+    with pytest.raises(ValueError, match="optimizer state holds 2 values, the parameters 3"):
+        nk.rmsprop_step([nk.Tensor(np.zeros(3), requires_grad=True)], [np.ones(3)], state)
 
 
 def test_rmsprop_shape_mismatch():
