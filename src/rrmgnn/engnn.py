@@ -4,7 +4,8 @@ with TX-, RX-, and edge-update mechanisms, and an affine head on the edges.
 All updates in layer l read only layer l-1 representations. The head reads
 only edges, so the last layer has only its edge update (mlp5..mlp7). Every
 graph is complete bipartite, so a node's neighbors are all nodes of the other
-kind. Aggregations are element-wise max; the edge update aggregates both
+kind, and a node's rows reach its edges by broadcasting, with no copy per
+edge. Aggregations are element-wise max; the edge update aggregates both
 transformed neighbor families jointly. Every representation has the one hidden
 width h, so each layer MLP maps 2h -> h -> h -> h. Parameter shapes are
 independent of the graph size.
@@ -130,40 +131,40 @@ def preprocess(graph, cfg, params):
     return f_tx, f_rx, e0
 
 
-def _on_edges(f, axis, n):
-    """Node rows (..., X, d) copied onto every edge: a new axis of length n at
-    `axis` of the (..., M, K, d) result (-2 for TX rows, -3 for RX rows)."""
-    cut = len(f.shape) + axis + 1       # where np.expand_dims(f, axis) puts its axis
-    head, tail = f.shape[:cut], f.shape[cut:]
-    return nk.broadcast_to(nk.reshape(f, head + (1,) + tail), head + (n,) + tail)
+def _on_edges(f, axis):
+    """Node rows (..., X, d) as an edge tensor with a length-1 M (axis=0) or K
+    (axis=1) axis: (..., 1, K, d) for RX rows, (..., M, 1, d) for TX rows. A
+    reshape, not a copy: `nk.concat` broadcasts the rows over the edges."""
+    lead, (n, d) = f.shape[:-2], f.shape[-2:]
+    return nk.reshape(f, lead + ((1, n, d) if axis == 0 else (n, 1, d)))
+
+
+def _node_update(own, other, e, axis, msg_mlp, update_mlp):
+    """The node update of both kinds: `msg_mlp` forms messages from the other
+    kind's rows and the edges, a max over each node's edges (the M axis for
+    axis=0, the K axis for axis=1) aggregates them, `update_mlp` updates."""
+    msgs = nk.mlp_forward(nk.concat([_on_edges(other, 1 - axis), e]), msg_mlp)
+    return nk.mlp_forward(nk.concat([own, nk.max_agg_axis(msgs, axis)]), update_mlp)
 
 
 def tx_update(layer, f_tx, f_rx, e):
     """New TX representations from layer l-1 RX and edge representations:
     mlp1 forms the RX+edge messages, mlp2 the update."""
-    rx_b = _on_edges(f_rx, -3, e.shape[-3])
-    msgs = nk.mlp_forward(nk.concat([rx_b, e], axis=-1), layer["mlp1"])
-    agg = nk.max_agg_axis(msgs, axis=1)
-    return nk.mlp_forward(nk.concat([f_tx, agg], axis=-1), layer["mlp2"])
+    return _node_update(f_tx, f_rx, e, 1, layer["mlp1"], layer["mlp2"])
 
 
 def rx_update(layer, f_tx, f_rx, e):
     """Mirror of tx_update with the node roles reversed (mlp3, mlp4)."""
-    tx_b = _on_edges(f_tx, -2, e.shape[-2])
-    msgs = nk.mlp_forward(nk.concat([tx_b, e], axis=-1), layer["mlp3"])
-    agg = nk.max_agg_axis(msgs, axis=0)
-    return nk.mlp_forward(nk.concat([f_rx, agg], axis=-1), layer["mlp4"])
+    return _node_update(f_rx, f_tx, e, 0, layer["mlp3"], layer["mlp4"])
 
 
 def edge_update(layer, f_tx, f_rx, e):
     """New edge fibers from both neighbor families, aggregated jointly: mlp5
     transforms the same-TX family, mlp6 the same-RX family, mlp7 updates."""
-    tx_b = _on_edges(f_tx, -2, e.shape[-2])
-    rx_b = _on_edges(f_rx, -3, e.shape[-3])
-    t_row = nk.mlp_forward(nk.concat([e, tx_b], axis=-1), layer["mlp5"])
-    t_col = nk.mlp_forward(nk.concat([e, rx_b], axis=-1), layer["mlp6"])
+    t_row = nk.mlp_forward(nk.concat([e, _on_edges(f_tx, 1)]), layer["mlp5"])
+    t_col = nk.mlp_forward(nk.concat([e, _on_edges(f_rx, 0)]), layer["mlp6"])
     agg = nk.pair_excl_agg(t_row, t_col)
-    return nk.mlp_forward(nk.concat([e, agg], axis=-1), layer["mlp7"])
+    return nk.mlp_forward(nk.concat([e, agg]), layer["mlp7"])
 
 
 def forward(graph, cfg, params):

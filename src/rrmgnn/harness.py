@@ -52,8 +52,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.scenario not in chansim.KINDS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.epochs < 0 or self.minibatches < 1 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0; minibatches and batch size >= 1")
+        # Python ints only: the checkpoint's JSON metadata takes no numpy integer
+        for name, least in (("epochs", 0), ("minibatches", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

@@ -22,7 +22,9 @@ Graph tensors count their axes from the end: edge tensors are (..., M, K, d),
 node tensors (..., M, d) or (..., K, d). Any leading axes (a minibatch axis B)
 ride along, so one graph and a stack of equally shaped graphs run the same
 code. `axis=0/1` of the aggregations names the M or the K axis, wherever they
-sit.
+sit. `concat` joins on the last axis only and broadcasts the others, so node
+rows given a length-1 edge axis, (..., M, 1, d) or (..., 1, K, d), join an
+edge tensor without being copied onto every edge first.
 """
 
 import numpy as np
@@ -125,7 +127,7 @@ def _flip(g, y, *parents):
     return -g
 
 
-_ADD, _SUB, _BROADCAST_TO = (_pass, _pass), (_pass, _flip), (_pass,)
+_ADD, _SUB = (_pass, _pass), (_pass, _flip)
 _MUL = (lambda g, y, a, b: g * b.data, lambda g, y, a, b: g * a.data)
 _DIV = (lambda g, y, a, b: g / b.data,
         lambda g, y, a, b: -g * a.data / (b.data * b.data))
@@ -186,10 +188,8 @@ def log1p(a):
 
 def sigmoid(a):
     a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _make(out_data, (a,), _SIGMOID)
+    z = np.exp(-np.abs(a.data))      # in (0, 1]: never overflows
+    return _make(np.where(a.data >= 0, 1.0, z) / (1.0 + z), (a,), _SIGMOID)
 
 
 def relu(a):
@@ -225,24 +225,19 @@ def take(a, idx):
     return _make(a.data[idx], (a,), (vjp,))
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Join tensors along the last axis. The other axes broadcast as in numpy,
+    so a part with a length-1 axis repeats along it; each part's VJP is its
+    slice of the output gradient, which the tape sums back to the part's shape."""
     tensors = tuple(as_tensor(t) for t in tensors)
-
-    def piece(i):
-        def vjp(g, y, *parents):
-            start = sum(p.data.shape[axis] for p in parents[:i])
-            cut = [slice(None)] * g.ndim
-            cut[axis] = slice(start, start + parents[i].data.shape[axis])
-            return g[tuple(cut)]
-        return vjp
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
-                 [piece(i) for i in range(len(tensors))])
-
-
-def broadcast_to(a, shape):
-    a = as_tensor(a)
-    return _make(np.broadcast_to(a.data, shape).copy(), (a,), _BROADCAST_TO)
+    widths = [t.data.shape[-1] for t in tensors]
+    out = np.empty(np.broadcast(*(t.data[..., 0] for t in tensors)).shape + (sum(widths),))
+    vjps, end = [], 0
+    for t, width in zip(tensors, widths):
+        start, end = end, end + width
+        out[..., start:end] = t.data
+        vjps.append(lambda g, y, *parents, cut=slice(start, end): g[..., cut])
+    return _make(out, tensors, vjps)
 
 
 def tsum(a, axis=None):

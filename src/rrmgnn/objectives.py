@@ -8,8 +8,9 @@ builds its received-power table and ends in one SINR rule (`_signal_over_rest`);
 ic's and coop's |h^H v|^2 is one matmul by a real `_split_channel_table`.
 
 Every evaluator accepts either a kernel Tensor holding split-complex variables
-(gradients flow) or a plain numpy array of complex/real variables (a RateReport
-of numpy values comes back). Rates are log2(1+SINR) computed via log1p.
+(gradients flow) or a plain numpy array of complex/real variables (wrapped as a
+constant); the RateReport holds tensors either way. Rates are log2(1+SINR)
+computed via log1p.
 """
 
 import numpy as np
@@ -23,8 +24,8 @@ FEAS_TOL = 1e-9
 
 
 class RateReport:
-    """Per-UE SINR (linear), the sum rate (bits/s/Hz), and the constraint
-    residual of the variables scored (`constraint_residual`, a float).
+    """Per-UE SINR (linear) and the sum rate (bits/s/Hz) as tensors, and the
+    constraint residual of the variables scored (`constraint_residual`, a float).
 
     For a stacked instance `sinr` and `sum_rate` carry its batch axis:
     `sum_rate` then holds one sum per instance, shape (B,), and `residual` is
@@ -37,26 +38,21 @@ class RateReport:
         self.residual = residual
 
     def sum_rate_value(self):
-        return float(self.sum_rate.data) if isinstance(self.sum_rate, nk.Tensor) \
-            else float(self.sum_rate)
+        return float(self.sum_rate.data)
 
 
 def _as_split_tensor(v, complex_input):
-    """Normalize variables to a split-real Tensor; remember if grads flow."""
+    """Variables as a split-real Tensor: a Tensor as it is, numpy as a constant."""
     if isinstance(v, nk.Tensor):
-        return v, True
+        return v
     v = np.asarray(v)
     if complex_input:
         v = split_complex(v.astype(np.complex128))
-    return nk.constant(v), False
+    return nk.constant(v)
 
 
-def _report(sinr_t, tensor_in, residual):
-    total = nk.tsum(nk.log1p(sinr_t) * (1.0 / LN2), axis=-1)
-    if tensor_in:
-        return RateReport(sinr_t, total, residual)
-    sum_rate = float(total.data) if total.data.ndim == 0 else total.data
-    return RateReport(sinr_t.data, sum_rate, residual)
+def _report(sinr_t, residual):
+    return RateReport(sinr_t, nk.tsum(nk.log1p(sinr_t) * (1.0 / LN2), axis=-1), residual)
 
 
 def _check_shape(what, v, shape):
@@ -107,14 +103,14 @@ def sinr_ic(instance, v):
 
     SINR_k = |h_{m1(k),k}^H v_k|^2 / (sum_{k'!=k} |h_{m1(k'),k}^H v_{k'}|^2 + noise_k).
     """
-    v_t, tensor_in = _as_split_tensor(v, complex_input=True)
+    v_t = _as_split_tensor(v, complex_input=True)
     lead, k, n = instance.batch_shape, instance.n_ue, instance.channels.shape[-1]
     _check_shape("beams", v_t, lead + (k, 2 * n))
     residual = check_feasible(instance, v_t)
     h_eff = instance.channels[..., instance.serving, :, :]  # [j, k] = h_{m1(j), k}
     re_im = nk.matmul(nk.reshape(v_t, lead + (k, 1, 2 * n)), _split_channel_table(h_eff))
     power = _received_power(re_im, lead + (k, k))
-    return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
+    return _report(_signal_over_rest(power, instance.noise), residual)
 
 
 def _cell_indicator(instance):
@@ -126,13 +122,13 @@ def _cell_indicator(instance):
 def sinr_ibc(instance, p):
     """Rates for per-UE power allocation over the equivalent scalar gains:
     stream j reaches UE k with power p_j g_{m1(j),k}^2."""
-    p_t, tensor_in = _as_split_tensor(p, complex_input=False)
+    p_t = _as_split_tensor(p, complex_input=False)
     lead, k = instance.batch_shape, instance.n_ue
     p_t = nk.reshape(p_t, lead + (k,))
     residual = check_feasible(instance, p_t)
     g2 = nk.constant(instance.gains[..., instance.serving, :] ** 2)  # [j, k]: TX_j -> UE k
     power = nk.reshape(p_t, lead + (k, 1)) * g2
-    return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
+    return _report(_signal_over_rest(power, instance.noise), residual)
 
 
 def sinr_coop(instance, v):
@@ -141,14 +137,14 @@ def sinr_coop(instance, v):
     Signals combine coherently across BSs before squaring:
     SINR_k = |sum_m h_{m,k}^H v_{m,k}|^2 / (sum_{k'!=k} |sum_m h_{m,k}^H v_{m,k'}|^2 + noise_k).
     """
-    v_t, tensor_in = _as_split_tensor(v, complex_input=True)
+    v_t = _as_split_tensor(v, complex_input=True)
     lead = instance.batch_shape
     m, k, n = instance.channels.shape[-3:]
     _check_shape("beams", v_t, lead + (m, k, 2 * n))
     residual = check_feasible(instance, v_t)
     re_im = nk.matmul(v_t, _split_channel_table(instance.channels))  # (M, K', 2K)
     power = _received_power(nk.tsum(re_im, axis=-3), lead + (k, k))
-    return _report(_signal_over_rest(power, instance.noise), tensor_in, residual)
+    return _report(_signal_over_rest(power, instance.noise), residual)
 
 
 def evaluate(instance, variables):

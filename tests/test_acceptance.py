@@ -81,9 +81,9 @@ def test_acceptance_2_objective_permutation_invariance():
             inst, _ = _instance(kind, geo, [202, trial])
             v = _random_variables(kind, inst, rng)
             p = NodePermutation.random(inst.n_tx_entities, inst.n_ue, rng)
-            base = objectives.evaluate(inst, v).sum_rate
+            base = objectives.evaluate(inst, v).sum_rate_value()
             permuted = objectives.evaluate(permute_instance(inst, p),
-                                           _permute_variables(kind, v, p)).sum_rate
+                                           _permute_variables(kind, v, p)).sum_rate_value()
             worst = max(worst, abs(base - permuted) / max(1.0, abs(base)))
     assert worst <= 1e-12, f"max relative deviation {worst:.3e}"
     print(f"\nACCEPTANCE 2 (objective permutation invariance): PASS "
@@ -161,7 +161,7 @@ def test_acceptance_5_closed_form_oracles():
         res = baselines.wmmse_ic(inst)
         h = inst.channels[0, 0]
         expect = np.log2(1 + inst.budgets[0] * np.linalg.norm(h) ** 2 / inst.noise[0])
-        worst_ic = max(worst_ic, abs(res.report.sum_rate - expect) / expect)
+        worst_ic = max(worst_ic, abs(res.report.sum_rate_value() - expect) / expect)
     assert worst_ic <= 1e-9, f"single-user WMMSE rel err {worst_ic:.3e}"
 
     worst_gp = 0.0
@@ -171,7 +171,7 @@ def test_acceptance_5_closed_form_oracles():
         norms = np.linalg.norm(inst.channels[:, 0, :], axis=1)
         expect = np.log2(1 + (np.sqrt(inst.budgets) * norms).sum() ** 2 / inst.noise[0])
         res = baselines.gp_coop(inst)
-        worst_gp = max(worst_gp, (expect - res.report.sum_rate) / expect)
+        worst_gp = max(worst_gp, (expect - res.report.sum_rate_value()) / expect)
     assert worst_gp <= 0.01, f"single-user GP shortfall {worst_gp:.3%}"
     print(f"\nACCEPTANCE 5 (closed-form single-user oracles): PASS "
           f"(WMMSE rel err {worst_ic:.2e}, GP shortfall {worst_gp:.2%})")
@@ -267,7 +267,7 @@ def test_acceptance_8_desk_scale_training_quality(tmp_path):
             baselines.wmmse_ic(chansim.build_instance("ic", geo_t,
                                                       chansim.sample_seed(777, i))[0])
             for i in range(100)]
-        ratios[k] = row.mean_sum_rate / np.mean([r.report.sum_rate for r in denominators])
+        ratios[k] = row.mean_sum_rate / np.mean([r.report.sum_rate_value() for r in denominators])
         unconverged[k] = sum(not r.converged for r in denominators)
     elapsed = time.perf_counter() - t0
     assert ratios[4] >= 0.90, f"K=4 ratio {ratios[4]:.3f} < 0.90"

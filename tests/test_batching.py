@@ -102,6 +102,7 @@ def test_graph_of_stack_is_stack_of_graphs():
 
 def test_gradcheck_masked_agg_axis_batched():
     rng = np.random.default_rng(19)
+    rng_rows = np.random.default_rng(20)   # leaves the aggregation inputs as they were
     for _ in range(5):
         x = rng.normal(size=(3, 4, 5, 2)) * 2.0
         for axis in (0, 1):
@@ -111,6 +112,13 @@ def test_gradcheck_masked_agg_axis_batched():
             got = nk.max_agg_axis(nk.constant(x), axis).data
             for b in range(3):
                 assert np.array_equal(got[b], nk.max_agg_axis(nk.constant(x[b]), axis).data)
+            # stacked node rows joined to the edges by broadcasting, as in a node
+            # update: a length-1 edge axis whose gradient the tape sums back
+            rows = rng_rows.normal(size=(3, 1, 5, 2) if axis == 1 else (3, 4, 1, 2))
+            cc4 = rng_rows.normal(size=cc.shape[:-1] + (4,))
+            check_op(lambda t, axis=axis, cc4=cc4: nk.tsum(
+                nk.max_agg_axis(nk.concat([t, nk.constant(x)]), axis) * nk.constant(cc4)),
+                rows)
 
 
 def test_gradcheck_pair_excl_agg_batched():

@@ -538,6 +538,25 @@ def test_parse_config_rejects_bad_learning_rate(text):
         parse_config_text(f"learning_rate = {text}\n")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("epochs", 1.5), ("epochs", True), ("epochs", -1),
+    ("minibatches", True), ("minibatches", 2.0), ("minibatches", 0),
+    ("batch_size", False), ("batch_size", 1.5), ("batch_size", 0),
+    ("seed", 1.5), ("seed", -1), ("seed", "0"),
+    pytest.param("seed", np.int64(3), id="seed-int64")])
+def test_train_config_refuses_counts_train_cannot_run(tmp_path, name, value):
+    # refused when built, before train draws or writes anything; a numpy
+    # integer would fail in the checkpoint's JSON metadata
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= "):
+        tiny_cfg(tmp_path, **{name: value})
+
+
+def test_train_config_takes_the_least_counts(tmp_path):
+    params, net, rows = harness.train(tiny_cfg(tmp_path, epochs=0, minibatches=1,
+                                               batch_size=1, seed=0))
+    assert rows == [] and (tmp_path / "ckpt.bin").exists()
+
+
 def test_parse_config_rejects_missing_equals():
     with pytest.raises(ConfigError):
         parse_config_text("scenario ic\n")

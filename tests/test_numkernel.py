@@ -8,7 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from gradcheck_util import check_op
+from gradcheck_util import analytic_grad, check_op
 
 from rrmgnn import numkernel as nk
 
@@ -320,10 +320,20 @@ def test_gradcheck_reshape_take_concat_sum_axis():
     check_op(build_take, x)
 
     def build_concat(t):
-        joined = nk.concat([t, nk.constant(other_half)], axis=0)
-        return nk.tsum(joined * nk.constant(np.concatenate([c, c2], axis=0)))
+        joined = nk.concat([t, nk.constant(other_half)])
+        return nk.tsum(joined * nk.constant(np.concatenate([c, c2], axis=-1)))
 
     check_op(build_concat, x)
+
+    # a part with a length-1 axis repeats along it; the tape sums its gradient back
+    rows = rng.normal(size=(3, 1, 2))
+    c4 = rng.normal(size=(3, 4, 4))
+
+    def build_concat_broadcast(t):
+        return nk.tsum(nk.concat([t, nk.constant(other_half)]) * nk.constant(c4))
+
+    check_op(build_concat_broadcast, rows)
+    assert analytic_grad(build_concat_broadcast, rows).shape == rows.shape
 
     def build_sum_axis(t):
         return nk.tsum(nk.tsum(t, axis=1) * nk.constant(c[:, 0, :]))
@@ -334,13 +344,6 @@ def test_gradcheck_reshape_take_concat_sum_axis():
         return nk.tsum(nk.tsum(t, axis=(0, 2)) * nk.constant(c[0, :, 0]))
 
     check_op(build_sum_tuple, x)
-
-    def build_broadcast(t):
-        small = nk.reshape(t, (3, 4, 2))
-        return nk.tsum(nk.broadcast_to(nk.reshape(nk.tsum(small, axis=1), (3, 1, 2)),
-                                       (3, 4, 2)) * nk.constant(c))
-
-    check_op(build_broadcast, x)
 
 
 def test_gradcheck_masked_aggregates():
