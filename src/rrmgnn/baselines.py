@@ -27,8 +27,8 @@ table, [j, k] = power of stream j at UE k: for beams |h_k^H v_j|^2, the table
 whose MMSE weights are w_k = 1 + SINR_k (Shi, Razaviyayn, Luo & He, IEEE TSP
 2011). Each score first runs `objectives.check_feasible`, so an infeasible
 point raises as it would in `objectives`; the result's report is
-`objectives.evaluate` on the final variables. Only GP's gradient uses the
-`numkernel` tape.
+`objectives.evaluate` on the final variables. GP's gradient is the same
+table's closed form (`_coop_rate_gradient`), so no solver runs on a tape.
 """
 
 import dataclasses
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkernel as nk
 from . import objectives
 from .chansim import IBC, NumericalError
 from .hetgraph import merge_complex, split_complex
@@ -234,6 +233,23 @@ def _rate(instance, variables, power):
     return float(np.log1p(sinr).sum()) / objectives.LN2
 
 
+def _coop_rate_gradient(channels, h_conj, noise, x):
+    """Gradient of the coop sum rate at split beams x (M, K, 2N), split alike.
+
+    With a[j, k] = sum_m h_{m,k}^H v_{m,j}, P = |a|^2, T_k its column sum plus
+    noise and I_k = T_k - P[k, k], the rate sum_k log2(T_k / I_k) has
+    d/dP[j, k] = W[j, k] / ln 2, W[j, k] = 1/T_k - [j != k]/I_k, and the
+    packed gradient d/dRe v + i d/dIm v is G_{m,j} = (2/ln 2) sum_k W[j, k]
+    a[j, k] h_{m,k}, returned as [Re G; Im G]."""
+    a = np.einsum("mkn,mjn->jk", h_conj, merge_complex(x))
+    power = np.abs(a) ** 2
+    totals = power.sum(axis=0) + noise
+    off_diagonal = ~np.eye(len(totals), dtype=bool)
+    weights = 1.0 / totals - off_diagonal / (totals - np.diagonal(power))
+    grad = np.einsum("jk,mkn->mjn", weights * a, channels)
+    return split_complex(grad * (2.0 / objectives.LN2))
+
+
 def _mmse(a_jk, noise):
     """MMSE receivers u and rate weights w from a[j, k], beam j's gain at UE k."""
     totals = noise + (np.abs(a_jk) ** 2).sum(axis=0)
@@ -406,8 +422,9 @@ def gp_coop(instance, cfg=None):
     Starts from the full-power matched filter (the all-zero point is
     stationary); each step doubles the step size, then halves it until the
     projected move ascends, and stagnates below _GP_MIN_STEP. Every iterate
-    is feasible. The iterate is split-real (M, K, 2N); its gradient comes from
-    the tape, its projection and line-search scores from numpy.
+    is feasible. The iterate is split-real (M, K, 2N); its gradient (the
+    closed form `_coop_rate_gradient`), projection and line-search scores
+    are all numpy.
     """
     # matched filter scaled to full per-BS power (projection only shrinks)
     v = split_complex(instance.channels)
@@ -424,11 +441,10 @@ def gp_coop(instance, cfg=None):
 
     def step(x, rate):
         nonlocal size
-        t = nk.Tensor(x, requires_grad=True)
-        nk.backward(objectives.sinr_coop(instance, t).sum_rate)
+        grad = _coop_rate_gradient(instance.channels, h_conj, instance.noise, x)
         size = min(size * 2.0, 1e12)
         while True:
-            cand = _project_split_coop(x + size * t.grad, instance.budgets)
+            cand = _project_split_coop(x + size * grad, instance.budgets)
             f_new = value(cand)
             if f_new > rate:
                 return cand, f_new

@@ -8,7 +8,6 @@ boundary. Generation is pure given (config, seed).
 """
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 
@@ -59,10 +58,11 @@ class GeometryConfig:
     noise_dbm: float = -99.0
 
     def __post_init__(self):
+        # Python ints only: training writes the geometry into the checkpoint's
+        # JSON metadata, which takes no numpy integer
         for name in ("n_tx", "n_rx", "n_antennas"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-                    or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("field_size", "min_bs_spacing", "serve_dist_min", "serve_dist_max",
                      "budget_dbm", "noise_dbm"):

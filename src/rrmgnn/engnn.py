@@ -12,7 +12,6 @@ independent of the graph size.
 """
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -51,14 +50,15 @@ class ENGNNConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
+        # Python numbers only: the checkpoint's JSON metadata takes no numpy
+        # integer or float32
         for name in ("n_antennas", "hidden", "layers"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-                    or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("input_scale_tx", "input_scale_rx", "input_scale_e"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 

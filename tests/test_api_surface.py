@@ -172,3 +172,14 @@ def test_default_allowlist_entries_exist_and_are_unpassed():
     unpassed = set(_unpassed())
     stale = [p for p in ALLOWED_DEFAULTS if p not in unpassed]
     assert not stale, f"default allowlist entries to remove: {stale}"
+
+
+def test_baselines_import_no_tape():
+    # the solvers score, step and differentiate in numpy: the tape serves
+    # training and the gradient checks alone
+    tree = ast.parse((PACKAGE / "baselines.py").read_text())
+    modules, names = _imports(tree)
+    imported = {*modules.values(), *(mod for mod, _ in names.values()),
+                *(a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                  for a in node.names)}
+    assert not any("numkernel" in name for name in imported), sorted(imported)

@@ -6,7 +6,9 @@ import pytest
 from rrmgnn import baselines, chansim, harness, numkernel as nk, objectives as obj
 from rrmgnn.baselines import SolverConfig, gp_coop, wmmse_coop, wmmse_ibc_power, wmmse_ic
 from rrmgnn.chansim import GeometryConfig, NumericalError, ScenarioInstance, permute_instance
-from rrmgnn.hetgraph import NodePermutation
+from rrmgnn.hetgraph import NodePermutation, merge_complex, split_complex
+
+from gradcheck_util import fd_grad
 
 
 def assert_trace_monotone(trace, tol=1e-8):
@@ -402,6 +404,54 @@ def test_gp_trace_ascends_and_iterates_feasible():
         res = gp_coop(inst, SolverConfig(max_iters=150))
         assert np.all(np.diff(res.trace) > 0)
         assert obj.constraint_residual(inst, res.variables) <= 1e-12
+
+
+def _gp_points(inst, rng):
+    """GP's matched-filter start, a random feasible point and GP's final
+    iterate, split (M, K, 2N)."""
+    start = split_complex(inst.channels)
+    start *= np.sqrt(inst.budgets / (start ** 2).sum(axis=(1, 2)))[:, None, None]
+    drawn = rng.standard_normal(start.shape)
+    drawn *= np.sqrt(rng.uniform(0.1, 1.0, len(inst.budgets)) * inst.budgets
+                     / (drawn ** 2).sum(axis=(1, 2)))[:, None, None]
+    return {"start": start, "random": drawn,
+            "final": split_complex(gp_coop(inst).variables)}
+
+
+def _closed_form(inst, x):
+    return baselines._coop_rate_gradient(inst.channels, inst.channels.conj(), inst.noise, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 3), (3, 1), (5, 2), (4, 8)])
+def test_gp_gradient_matches_the_tape(m, k, n):
+    # the closed form GP steps along against the tape's gradient of the same
+    # sum rate; both sit about 1e-12 from an extended-precision reference
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=m, n_rx=k, n_antennas=n),
+                                     [30, m, k, n])
+    for name, x in _gp_points(inst, np.random.default_rng([30, m, k, n])).items():
+        assert obj.constraint_residual(inst, x) <= obj.FEAS_TOL, name
+        t = nk.Tensor(x, requires_grad=True)
+        nk.backward(obj.sinr_coop(inst, t).sum_rate)
+        got = _closed_form(inst, x)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - t.grad) <= 1e-11 * np.linalg.norm(t.grad), name
+
+
+def test_gp_gradient_matches_finite_differences():
+    # the rate written out from its definition, with no feasibility check,
+    # since a difference step leaves a full-power ball
+    inst, _ = chansim.build_instance("coop", GeometryConfig(n_tx=3, n_rx=2), 31)
+
+    def sum_rate(x):
+        gains = np.abs(np.einsum("mkn,mjn->jk", inst.channels.conj(), merge_complex(x))) ** 2
+        signal = np.diagonal(gains)
+        return float(np.log2(1 + signal / (gains.sum(axis=0) - signal + inst.noise)).sum())
+
+    for name, x in _gp_points(inst, np.random.default_rng(31)).items():
+        want = fd_grad(sum_rate, x)
+        got = _closed_form(inst, x)
+        assert np.max(np.abs(got - want)) <= 1e-6 * max(np.abs(want).max(), 1.0), name
 
 
 # ---------------------------------------------------------------------------

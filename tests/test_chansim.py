@@ -141,7 +141,10 @@ def test_geometry_config_refuses_non_finite_values(field, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("n_tx", 4.0), ("n_antennas", 2.5), ("n_tx", True), ("n_rx", 0)],
+    ("n_tx", 4.0), ("n_antennas", 2.5), ("n_tx", True), ("n_rx", 0),
+    # training writes the geometry into the checkpoint's JSON metadata
+    pytest.param("n_tx", np.int64(4), id="n_tx-int64"),
+    pytest.param("n_rx", np.int32(2), id="n_rx-int32")],
     ids=lambda v: str(v))
 def test_geometry_config_refuses_non_integral_counts(field, value):
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer >= 1, "

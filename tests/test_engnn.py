@@ -456,6 +456,19 @@ def test_config_refuses_nets_no_scenario_uses():
         ENGNNConfig("mimo", 2)
 
 
+@pytest.mark.parametrize("name,value", [
+    pytest.param(name, value, id=f"{name}-{type(value).__name__}")
+    for name, value in (("n_antennas", np.int64(2)), ("hidden", np.int64(8)),
+                        ("layers", np.int32(1)), ("input_scale_e", np.float32(2.0)))])
+def test_config_refuses_numpy_numbers_checkpoints_cannot_store(name, value):
+    # refused when built, naming the field: save_checkpoint writes the config
+    # into JSON metadata, which raised TypeError only then
+    message = ("must be a finite real number" if name.startswith("input_scale")
+               else "must be an integer >= 1")
+    with pytest.raises(ConfigError, match=re.escape(f"{name} {message}, got {value!r}")):
+        ENGNNConfig(**{"kind": "ic", "n_antennas": 2, name: value})
+
+
 def test_extract_variables_refuses_another_kind():
     # an ic net at N=1 and a coop graph at N=2 both have edge width 4, so only
     # the kind tells them apart
