@@ -27,8 +27,10 @@ table, [j, k] = power of stream j at UE k: for beams |h_k^H v_j|^2, the table
 whose MMSE weights are w_k = 1 + SINR_k (Shi, Razaviyayn, Luo & He, IEEE TSP
 2011). Each score first runs `objectives.check_feasible`, so an infeasible
 point raises as it would in `objectives`; the result's report is
-`objectives.evaluate` on the final variables. GP's gradient is the same
-table's closed form (`_coop_rate_gradient`), so no solver runs on a tape.
+`objectives.evaluate` on the final variables. GP runs on coop WMMSE's stacked
+beams (`_coop_stack`), unscaled; its gradient is the table's closed form
+(`_coop_rate_gradient`), read from the table of the last scored point, so no
+solver runs on a tape and no GP step forms a table twice.
 """
 
 import dataclasses
@@ -40,7 +42,6 @@ import numpy as np
 
 from . import objectives
 from .chansim import IBC, NumericalError
-from .hetgraph import merge_complex, split_complex
 
 _NEWTON_STEPS = 100
 _POWER_TOL = 1e-10        # relative power residual of a binding budget
@@ -118,32 +119,30 @@ def _secular_solve(lam, c, pmax, mu0, solver):
     # get lam = 1, so they add exactly 0 to p and to y
     lam = np.where(c2 > 0, np.maximum(lam, 0.0), 1.0)
     target = pmax * (1.0 - 0.5 * _POWER_TOL)
-
-    def power(mu):
-        d = lam + mu[:, None]
-        q = c2 / (d * d)
-        return q.sum(axis=1), (q / d).sum(axis=1)
+    floor = pmax * (1.0 - _POWER_TOL)
 
     # p(0) divides by a live lam = 0 (it is then inf), and closed rows compute
     # throwaway steps (0/0 for a zero rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
+        open_ = ~((c2 / (lam * lam)).sum(axis=1) <= pmax)  # also p(0) = inf
         mu = np.zeros(lam.shape[0])
-        p, _ = power(mu)
-        open_ = ~(p <= pmax)  # also p = inf from a live lam = 0
-        # phi <= 0 at lo, the largest of the per-direction and total bounds
-        total = np.sqrt(c2.sum(axis=1) / target)
-        lo = np.maximum(np.maximum(total - lam.max(axis=1),
-                                   (np.sqrt(c2 / target[:, None]) - lam).max(axis=1)), 0.0)
-        mu = np.where(open_, np.minimum(np.maximum(mu0, lo), total), 0.0)
-        for _ in range(_NEWTON_STEPS):
-            p, p3 = power(mu)
-            open_ &= ~((p <= pmax) & (p >= pmax * (1.0 - _POWER_TOL)))
-            if not open_.any():
-                break
-            # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]
-            step = np.minimum(np.maximum(mu + p * (np.sqrt(p / target) - 1.0) / p3, lo),
-                              total)
-            mu = np.where(open_, step, mu)
+        if open_.any():
+            # phi <= 0 at lo, the largest of the per-direction and total bounds
+            total = np.sqrt(c2.sum(axis=1) / target)
+            per_direction = (np.sqrt(c2 / target[:, None]) - lam).max(axis=1)
+            lo = np.maximum(np.maximum(total - lam.max(axis=1), per_direction), 0.0)
+            mu = np.where(open_, np.minimum(np.maximum(mu0, lo), total), 0.0)
+            for _ in range(_NEWTON_STEPS):
+                d = lam + mu[:, None]
+                q = c2 / (d * d)
+                p = q.sum(axis=1)
+                open_ &= ~((p <= pmax) & (p >= floor))
+                if not open_.any():
+                    break
+                # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]
+                p3 = (q / d).sum(axis=1)
+                mu = np.where(open_, np.minimum(np.maximum(
+                    mu + p * (np.sqrt(p / target) - 1.0) / p3, lo), total), mu)
     if open_.any() or not np.all(np.isfinite(mu) & (mu >= 0)):
         raise NumericalError(f"{solver}: no finite nonnegative power multiplier "
                              f"meets the budget")
@@ -233,21 +232,18 @@ def _rate(instance, variables, power):
     return float(np.log1p(sinr).sum()) / objectives.LN2
 
 
-def _coop_rate_gradient(channels, h_conj, noise, x):
-    """Gradient of the coop sum rate at split beams x (M, K, 2N), split alike.
+def _coop_rate_gradient(h, noise, a, power):
+    """Gradient of the coop sum rate at stacked beams v (K, MN), stacked alike,
+    from their table: a = v @ h^H and power = |a|^2, rows of h the stacked h_k.
 
-    With a[j, k] = sum_m h_{m,k}^H v_{m,j}, P = |a|^2, T_k its column sum plus
-    noise and I_k = T_k - P[k, k], the rate sum_k log2(T_k / I_k) has
-    d/dP[j, k] = W[j, k] / ln 2, W[j, k] = 1/T_k - [j != k]/I_k, and the
-    packed gradient d/dRe v + i d/dIm v is G_{m,j} = (2/ln 2) sum_k W[j, k]
-    a[j, k] h_{m,k}, returned as [Re G; Im G]."""
-    a = np.einsum("mkn,mjn->jk", h_conj, merge_complex(x))
-    power = np.abs(a) ** 2
+    With a[j, k] = h_k^H v_j, P = |a|^2, T_k its column sum plus noise and
+    I_k = T_k - P[k, k], the rate sum_k log2(T_k / I_k) has d/dP[j, k] =
+    W[j, k] / ln 2, W[j, k] = 1/T_k - [j != k]/I_k, and the packed gradient
+    d/dRe v + i d/dIm v is G_j = (2/ln 2) sum_k W[j, k] a[j, k] h_k."""
     totals = power.sum(axis=0) + noise
     off_diagonal = ~np.eye(len(totals), dtype=bool)
     weights = 1.0 / totals - off_diagonal / (totals - np.diagonal(power))
-    grad = np.einsum("jk,mkn->mjn", weights * a, channels)
-    return split_complex(grad * (2.0 / objectives.LN2))
+    return ((weights * a) @ h) * (2.0 / objectives.LN2)
 
 
 def _mmse(a_jk, noise):
@@ -370,15 +366,33 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, mu, m, n):
     return v.reshape(k_n, m * n)
 
 
-def wmmse_coop(instance, cfg=None):
-    """Cooperative WMMSE on stacked per-UE beams; returns beams (M, K, N)."""
-    work = _scaled_copy(instance)
-    m, k_n, n = work.channels.shape
-    h = work.channels.transpose(1, 0, 2).reshape(k_n, m * n)  # rows are stacked h_k
-    h_conj_t = h.conj().T
+def _coop_stack(instance):
+    """The coop solvers' stacked form: rows h_k (K, MN) of the channels, the
+    beams (M, K, N) view of stacked beams, the per-BS projection into the
+    power balls and the matched filter at full per-BS power (a block's power
+    sums over UEs and antennas), stacked."""
+    m, k_n, n = instance.channels.shape
+    h = instance.channels.transpose(1, 0, 2).reshape(k_n, m * n)
 
     def beams(v_stack):
         return v_stack.reshape(k_n, m, n).transpose(1, 0, 2)
+
+    def project(v):   # each BS's block of beams into its power ball
+        blocks = v.reshape(k_n, m, n)
+        power = (np.abs(blocks) ** 2).sum(axis=(0, 2))
+        return (blocks * _shrink(power, instance.budgets)[None, :, None]).reshape(k_n, m * n)
+
+    blocks = h.reshape(k_n, m, n)
+    scale = np.sqrt(instance.budgets / (np.abs(blocks) ** 2).sum(axis=(0, 2)))
+    return h, beams, project, (blocks * scale[None, :, None]).reshape(k_n, m * n)
+
+
+def wmmse_coop(instance, cfg=None):
+    """Cooperative WMMSE on stacked per-UE beams; returns beams (M, K, N)."""
+    work = _scaled_copy(instance)
+    m, _, n = work.channels.shape
+    h, beams, project, v = _coop_stack(work)
+    h_conj_t = h.conj().T
 
     def gains(v):   # [j, k] = h_k^H v_j
         return v @ h_conj_t
@@ -393,16 +407,6 @@ def wmmse_coop(instance, cfg=None):
         v = _coop_vstep(h, w * np.abs(u) ** 2, w * u, v, work.budgets, mu, m, n)
         return v, score(v)
 
-    def project(v):   # each BS's block of beams into its power ball
-        blocks = v.reshape(k_n, m, n)
-        power = (np.abs(blocks) ** 2).sum(axis=(0, 2))
-        return (blocks * _shrink(power, work.budgets)[None, :, None]).reshape(k_n, m * n)
-
-    # stacked matched filter scaled to full per-BS power: a block's power sums
-    # over UEs and antennas
-    blocks = h.reshape(k_n, m, n)
-    scale = np.sqrt(work.budgets / (np.abs(blocks) ** 2).sum(axis=(0, 2)))
-    v = (blocks * scale[None, :, None]).reshape(k_n, m * n)
     return _ascend(instance, step, v, score, beams, cfg, project)
 
 
@@ -410,41 +414,35 @@ def wmmse_coop(instance, cfg=None):
 # projected gradient ascent (cooperative)
 
 
-def _project_split_coop(x, budgets):
-    """Scale each BS's split beams x[m] (K, 2N) into its power ball, by the
-    coop formula of `objectives.normalize`."""
-    return x * _shrink((x ** 2).sum(axis=(1, 2)), budgets)[:, None, None]
-
-
 def gp_coop(instance, cfg=None):
     """Projected gradient ascent on the cooperative sum rate.
 
-    Starts from the full-power matched filter (the all-zero point is
-    stationary); each step doubles the step size, then halves it until the
-    projected move ascends, and stagnates below _GP_MIN_STEP. Every iterate
-    is feasible. The iterate is split-real (M, K, 2N); its gradient (the
-    closed form `_coop_rate_gradient`), projection and line-search scores
-    are all numpy.
+    Runs on `wmmse_coop`'s stacked beams (K, MN), projection and full-power
+    matched-filter start (the all-zero point is stationary), on the unscaled
+    instance. Each step doubles the step size, then halves it until the
+    projected move ascends, and stagnates below _GP_MIN_STEP; every iterate is
+    feasible. Each score keeps its table (a = v @ h^H, |a|^2), and the step's
+    gradient (`_coop_rate_gradient`) reads the last scored point's: the
+    iterate's, as a step returns its last candidate and `_ascend` scores x0.
     """
-    # matched filter scaled to full per-BS power (projection only shrinks)
-    v = split_complex(instance.channels)
-    used = (v ** 2).sum(axis=(1, 2))
-    v *= np.sqrt(instance.budgets / used)[:, None, None]
-    v = _project_split_coop(v, instance.budgets)
-    h_conj = instance.channels.conj()
+    h, beams, project, v = _coop_stack(instance)
+    h_conj_t = h.conj().T
+    table = None
 
-    def value(x):   # [j, k] = |sum_m h_{m,k}^H v_{m,j}|^2
-        power = np.abs(np.einsum("mkn,mjn->jk", h_conj, merge_complex(x))) ** 2
-        return _rate(instance, x, power)
+    def value(v):
+        nonlocal table
+        a = v @ h_conj_t
+        table = a, np.abs(a) ** 2
+        return _rate(instance, beams(v), table[1])
 
     size = _GP_INIT_STEP
 
-    def step(x, rate):
+    def step(v, rate):
         nonlocal size
-        grad = _coop_rate_gradient(instance.channels, h_conj, instance.noise, x)
+        grad = _coop_rate_gradient(h, instance.noise, *table)
         size = min(size * 2.0, 1e12)
         while True:
-            cand = _project_split_coop(x + size * grad, instance.budgets)
+            cand = project(v + size * grad)
             f_new = value(cand)
             if f_new > rate:
                 return cand, f_new
@@ -452,4 +450,4 @@ def gp_coop(instance, cfg=None):
             if size < _GP_MIN_STEP:
                 return None
 
-    return _ascend(instance, step, v, value, merge_complex, cfg)
+    return _ascend(instance, step, v, value, beams, cfg)

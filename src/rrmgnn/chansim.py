@@ -58,8 +58,8 @@ class GeometryConfig:
     noise_dbm: float = -99.0
 
     def __post_init__(self):
-        # Python ints only: training writes the geometry into the checkpoint's
-        # JSON metadata, which takes no numpy integer
+        # Python numbers only: training writes the geometry into the
+        # checkpoint's JSON metadata, which takes no numpy integer or float32
         for name in ("n_tx", "n_rx", "n_antennas"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -67,8 +67,10 @@ class GeometryConfig:
         for name in ("field_size", "min_bs_spacing", "serve_dist_min", "serve_dist_max",
                      "budget_dbm", "noise_dbm"):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite and a Python int or float, "
+                                 f"got {value!r}")
         if not (0 < self.serve_dist_min <= self.serve_dist_max <= self.field_size):
             raise ValueError("serve distances must satisfy 0 < serve_dist_min <= "
                              "serve_dist_max <= field_size")

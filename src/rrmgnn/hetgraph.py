@@ -18,15 +18,6 @@ def split_complex(c):
     return np.concatenate([c.real, c.imag], axis=-1).astype(np.float64)
 
 
-def merge_complex(x):
-    """Inverse of split_complex along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    half = x.shape[-1] // 2
-    if 2 * half != x.shape[-1]:
-        raise ValueError("last axis must have even width to merge into complex")
-    return x[..., :half] + 1j * x[..., half:]
-
-
 @dataclass(frozen=True)
 class HetGraph:
     """Complete heterogeneous bipartite graph: M TX-nodes, K RX-nodes, an edge

@@ -1,13 +1,22 @@
-"""Shared finite-difference gradient oracle for the kernel tests."""
+"""Shared test helpers: the finite-difference gradient oracle for the kernel
+tests, and the inverse of `hetgraph.split_complex`."""
 
 import numpy as np
 
 from rrmgnn import numkernel as nk
 
 
+def merge_complex(x):
+    """Complex array of split [Re; Im] reals along the last axis."""
+    half = x.shape[-1] // 2
+    return x[..., :half] + 1j * x[..., half:]
+
+
 def fd_grad(f, x, h=1e-6):
     """Central finite differences of a scalar-valued f at x (numpy array)."""
-    x = np.asarray(x, dtype=np.float64)
+    # a C-ordered copy: `reshape(-1)` of any other layout copies, and the
+    # perturbations would then never reach f
+    x = np.array(x, dtype=np.float64, order="C")
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)

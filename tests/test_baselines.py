@@ -6,9 +6,9 @@ import pytest
 from rrmgnn import baselines, chansim, harness, numkernel as nk, objectives as obj
 from rrmgnn.baselines import SolverConfig, gp_coop, wmmse_coop, wmmse_ibc_power, wmmse_ic
 from rrmgnn.chansim import GeometryConfig, NumericalError, ScenarioInstance, permute_instance
-from rrmgnn.hetgraph import NodePermutation, merge_complex, split_complex
+from rrmgnn.hetgraph import NodePermutation, split_complex
 
-from gradcheck_util import fd_grad
+from gradcheck_util import fd_grad, merge_complex
 
 
 def assert_trace_monotone(trace, tol=1e-8):
@@ -419,7 +419,11 @@ def _gp_points(inst, rng):
 
 
 def _closed_form(inst, x):
-    return baselines._coop_rate_gradient(inst.channels, inst.channels.conj(), inst.noise, x)
+    """`_coop_rate_gradient` at split beams x (M, K, 2N), split alike."""
+    h, beams, _, _ = baselines._coop_stack(inst)
+    a = merge_complex(x).transpose(1, 0, 2).reshape(h.shape) @ h.conj().T
+    return split_complex(beams(baselines._coop_rate_gradient(h, inst.noise, a,
+                                                             np.abs(a) ** 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -656,22 +660,61 @@ def test_scores_match_objectives_on_fixed_set(monkeypatch):
 
 
 def test_gp_projection_is_normalize_coop(monkeypatch):
-    project, moved = baselines._project_split_coop, []
+    # GP's candidates go through the coop solvers' shared stacked projection,
+    # which must scale them as `objectives.normalize` scales the split beams
+    stack, moved = baselines._coop_stack, []
+
+    def compared_stack(instance):
+        h, beams, project, start = stack(instance)
+
+        def compared(v):
+            out = project(v)
+            want = obj.normalize(nk.constant(split_complex(beams(v))), instance).data
+            np.testing.assert_allclose(split_complex(beams(out)), want, rtol=1e-15, atol=0)
+            moved.append(not np.array_equal(out, v))
+            return out
+
+        return h, beams, compared, start
+
+    monkeypatch.setattr(baselines, "_coop_stack", compared_stack)
     geo = GeometryConfig(n_tx=5, n_rx=2, n_antennas=2)
     for i in range(4):
         inst, _ = chansim.build_instance("coop", geo, chansim.sample_seed(909, i))
-
-        def compared(x, budgets, inst=inst):
-            out = project(x, budgets)
-            np.testing.assert_array_equal(out, obj.normalize(nk.constant(x), inst).data)
-            moved.append(not np.array_equal(out, x))
-            return out
-
-        monkeypatch.setattr(baselines, "_project_split_coop", compared)
         gp_coop(inst)
     assert sum(moved) > 100   # candidates outside a ball were scaled back
 
 
+def test_gp_gradient_is_taken_at_its_own_iterate(monkeypatch):
+    # the gradient reads the table its iterate's score left; a table of a
+    # rejected line-search candidate would steer the step from another point
+    ascend, gradient, rate = baselines._ascend, baselines._coop_rate_gradient, baselines._rate
+    iterates, graded, scores = [], [], []
+
+    def traced(instance, step, x, score, variables, cfg, project=None):
+        def stepped(x, rate):
+            iterates.append(x)
+            return step(x, rate)
+
+        return ascend(instance, stepped, x, score, variables, cfg, project)
+
+    def scored(instance, variables, power):
+        scores.append(power)
+        return rate(instance, variables, power)
+
+    def checked(h, noise, a, power):
+        fresh = iterates[-1] @ h.conj().T
+        np.testing.assert_array_equal(a, fresh)
+        np.testing.assert_array_equal(power, np.abs(fresh) ** 2)
+        graded.append(len(iterates))
+        return gradient(h, noise, a, power)
+
+    monkeypatch.setattr(baselines, "_ascend", traced)
+    monkeypatch.setattr(baselines, "_coop_rate_gradient", checked)
+    monkeypatch.setattr(baselines, "_rate", scored)
+    runs = list(_fixed_set("coop", (5, 2, 2), 909, 4, "gp"))
+    assert graded == list(range(1, len(iterates) + 1))   # one gradient per step
+    # some candidates were scored and rejected between two iterates
+    assert len(scores) > len(iterates) + len(runs)
 @pytest.mark.parametrize("kind,geometry,seed,which", list(PINNED),
                          ids=[f"{kind}-{which}" for kind, _, _, which in PINNED])
 def test_scores_reject_infeasible_points(monkeypatch, kind, geometry, seed, which):

@@ -8,7 +8,9 @@ from rrmgnn import chansim
 from rrmgnn.chansim import (GenerationError, GeometryConfig, _faded, build_instance,
                             dbm_to_watts, graph_of, instance_feature_widths, path_loss_db,
                             permute_instance, sample_instances, zero_forcing)
-from rrmgnn.hetgraph import NodePermutation, merge_complex, permute_graph
+from rrmgnn.hetgraph import NodePermutation, permute_graph
+
+from gradcheck_util import merge_complex
 
 GEOMETRIES = {"ic": GeometryConfig(n_tx=4, n_rx=4, n_antennas=2),
               "ibc": GeometryConfig(n_tx=2, n_rx=2, n_antennas=4),
@@ -133,10 +135,16 @@ def test_geometry_serving_distance_annulus():
 
 @pytest.mark.parametrize("field,value", [
     ("field_size", np.inf), ("min_bs_spacing", np.nan), ("serve_dist_min", np.nan),
-    ("serve_dist_max", np.inf), ("budget_dbm", np.inf), ("noise_dbm", np.nan)],
+    ("serve_dist_max", np.inf), ("budget_dbm", np.inf), ("noise_dbm", np.nan),
+    # training writes the geometry into the checkpoint's JSON metadata
+    pytest.param("field_size", np.float32(2000.0), id="field_size-float32"),
+    pytest.param("budget_dbm", np.float32(33.0), id="budget_dbm-float32"),
+    pytest.param("noise_dbm", True, id="noise_dbm-True"),
+    pytest.param("serve_dist_max", "250", id="serve_dist_max-str")],
     ids=lambda v: str(v).replace(" ", ""))
 def test_geometry_config_refuses_non_finite_values(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} must be finite and a Python int or float, got {value!r}")):
         GeometryConfig(**{field: value})
 
 

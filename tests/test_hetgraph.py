@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rrmgnn.hetgraph import (HetGraph, NodePermutation, merge_complex, permute_graph,
-                             split_complex)
+from rrmgnn.hetgraph import HetGraph, NodePermutation, permute_graph, split_complex
+
+from gradcheck_util import merge_complex
 
 
 def random_graph(rng, m, k, d_tx=2, d_rx=3, d_e=4):

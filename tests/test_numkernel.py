@@ -8,7 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from gradcheck_util import analytic_grad, check_op
+from gradcheck_util import analytic_grad, check_op, fd_grad
 
 from rrmgnn import numkernel as nk
 
@@ -107,6 +107,13 @@ def test_masked_max_tie_routes_to_lowest_index():
 
 # ---------------------------------------------------------------------------
 # backward basics
+
+
+def test_fd_grad_perturbs_a_non_contiguous_input():
+    # a transposed view's flat reshape is a copy; the oracle must still move f
+    a = np.arange(1.0, 7.0).reshape(2, 3).T
+    np.testing.assert_allclose(fd_grad(lambda x: float((x ** 2).sum()), a), 2 * a,
+                               rtol=1e-8)
 
 
 def test_backward_sum_is_ones():
