@@ -661,7 +661,9 @@ def test_scores_match_objectives_on_fixed_set(monkeypatch):
 
 def test_gp_projection_is_normalize_coop(monkeypatch):
     # GP's candidates go through the coop solvers' shared stacked projection,
-    # which must scale them as `objectives.normalize` scales the split beams
+    # which must scale them as `objectives.normalize` scales the split beams;
+    # it sums |v|^2 of complex entries, normalize the squares of split reals,
+    # and the two round apart by up to 3e-16 relative
     stack, moved = baselines._coop_stack, []
 
     def compared_stack(instance):
