@@ -4,8 +4,9 @@ and projected gradient ascent for the cooperative one.
 WMMSE alternates MMSE receivers u, rate weights w, and transmit variables. The
 transmit step minimizes convex quadratics under power budgets: each quadratic
 is eigendecomposed once, and its budget's multiplier mu >= 0 is the root of a
-scalar secular equation, found by safeguarded Newton for a batch of
-quadratics at a time (`_secular_solve`). Newton starts from the previous
+scalar secular equation, found by safeguarded Newton on Python floats, one
+quadratic at a time (`_secular_solve`: its rows are few and small, so numpy
+calls would cost more than their arithmetic). Newton starts from the previous
 step's multiplier of the same budget, clamped into the bracket [lo, total]
 around the root, and returns the new one: each solver's step keeps one mu per
 pair (ic), per cell (ibc) or per BS (coop), for the length of one run. In coop
@@ -34,6 +35,7 @@ solver runs on a tape and no GP step forms a table twice.
 """
 
 import dataclasses
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -80,8 +82,9 @@ class SolverConfig:
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) \
                 or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
+                or not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass
@@ -103,50 +106,80 @@ def _secular_solve(lam, c, pmax, mu0, solver):
     its rhs in the eigenbasis (trailing axes of c are rhs columns sharing the
     row's budget). The minimizer is y = c / (lam + mu), with mu = 0 if that is
     feasible, else the root of p(mu) = sum_i |c_i|^2 / (lam_i + mu)^2 = pmax.
-    Newton runs on phi(mu) = p^(-1/2) - t^(-1/2), t = pmax (1 - _POWER_TOL/2),
-    which is concave and increasing (More & Sorensen), from the start mu0[r]
-    clamped into [lo, total], the bounds that bracket the root. From below
-    the root Newton climbs to it; from above, the tangent lies over phi, so
-    the first step lands at or below the root and the climb follows. A
-    binding row ends with power in [pmax (1 - _POWER_TOL), pmax]. mu0 only
-    saves steps: a solver passes its previous step's multipliers for the
-    same rows. Directions with c = 0 contribute nothing, also where lam = 0
-    (a rank-deficient quadratic). Returns (y, mu): y shaped like c, and
-    each row's multiplier, 0 where the budget does not bind.
+    Directions with c = 0 contribute nothing, also where lam = 0 (a
+    rank-deficient quadratic). Returns (y, mu): y shaped like c, and each
+    row's multiplier, 0 where the budget does not bind.
+
+    |c|^2 and y are numpy expressions over the batch; each row's mu is
+    searched on Python floats (`_row_multiplier`). Rows are few (one per
+    pair, cell or BS) with at most N directions, and a numpy call costs more
+    than such a row's arithmetic; the masked batch search this replaced had a
+    flat cost in the row count, so only past about 32 rows is it faster. Each
+    row sums first term first, the order numpy's sum uses below 8 terms: up
+    to 7 directions, y and mu are bit for bit the batch search's
+    (`tests/secular_reference.py`); from 8 they differ at rounding.
     """
     c2 = (np.abs(c) ** 2).reshape(lam.shape + (-1,)).sum(axis=-1)
     # eigh rounding can leave PSD eigenvalues below 0; directions without rhs
     # get lam = 1, so they add exactly 0 to p and to y
     lam = np.where(c2 > 0, np.maximum(lam, 0.0), 1.0)
-    target = pmax * (1.0 - 0.5 * _POWER_TOL)
-    floor = pmax * (1.0 - _POWER_TOL)
-
-    # p(0) divides by a live lam = 0 (it is then inf), and closed rows compute
-    # throwaway steps (0/0 for a zero rhs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        open_ = ~((c2 / (lam * lam)).sum(axis=1) <= pmax)  # also p(0) = inf
-        mu = np.zeros(lam.shape[0])
-        if open_.any():
-            # phi <= 0 at lo, the largest of the per-direction and total bounds
-            total = np.sqrt(c2.sum(axis=1) / target)
-            per_direction = (np.sqrt(c2 / target[:, None]) - lam).max(axis=1)
-            lo = np.maximum(np.maximum(total - lam.max(axis=1), per_direction), 0.0)
-            mu = np.where(open_, np.minimum(np.maximum(mu0, lo), total), 0.0)
-            for _ in range(_NEWTON_STEPS):
-                d = lam + mu[:, None]
-                q = c2 / (d * d)
-                p = q.sum(axis=1)
-                open_ &= ~((p <= pmax) & (p >= floor))
-                if not open_.any():
-                    break
-                # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]
-                p3 = (q / d).sum(axis=1)
-                mu = np.where(open_, np.minimum(np.maximum(
-                    mu + p * (np.sqrt(p / target) - 1.0) / p3, lo), total), mu)
-    if open_.any() or not np.all(np.isfinite(mu) & (mu >= 0)):
+    mu = [_row_multiplier(*row)
+          for row in zip(lam.tolist(), c2.tolist(), pmax.tolist(), mu0.tolist())]
+    if None in mu:
         raise NumericalError(f"{solver}: no finite nonnegative power multiplier "
                              f"meets the budget")
+    mu = np.array(mu)
     return c / (lam + mu[:, None]).reshape(lam.shape + (1,) * (c.ndim - 2)), mu
+
+
+def _row_multiplier(lam, c2, pmax, mu0):
+    """One row's multiplier from its eigenvalues lam and |c|^2 c2 (lists of
+    floats; lam = 1 where c2 = 0), or None if the row is not finite or Newton
+    does not meet the budget.
+
+    Newton runs on phi(mu) = p^(-1/2) - t^(-1/2), t = pmax (1 - _POWER_TOL/2),
+    which is concave and increasing (More & Sorensen), from mu0 clamped into
+    [lo, total], the bounds that bracket the root. From below the root Newton
+    climbs to it; from above, the tangent lies over phi, so the first step
+    lands at or below the root and the climb follows. A binding row ends with
+    power in [pmax (1 - _POWER_TOL), pmax]. mu0 only saves steps: a solver
+    passes its previous step's multiplier for the same budget. Finiteness is
+    checked, not left to the clamps: Python's max and min may drop a NaN.
+    """
+    p0 = c2_sum = 0.0
+    for l, c in zip(lam, c2):
+        ll = l * l
+        p0 += c / ll if ll else math.inf   # a live lam = 0: p(0) = inf
+        c2_sum += c
+    if p0 <= pmax:
+        return 0.0
+    # a NaN or inf rhs shows in c2_sum, a NaN lam on a live direction in p0
+    if not (math.isfinite(c2_sum) and not math.isnan(p0) and pmax > 0):
+        return None
+    target = pmax * (1.0 - 0.5 * _POWER_TOL)
+    floor = pmax * (1.0 - _POWER_TOL)
+    # phi <= 0 at lo, the largest of the per-direction and total bounds
+    total = math.sqrt(c2_sum / target)
+    lo = max(total - max(lam), max([math.sqrt(c / target) - l for l, c in zip(lam, c2)]),
+             0.0)
+    mu = min(max(mu0, lo), total)
+    try:
+        for _ in range(_NEWTON_STEPS):
+            p = p3 = 0.0
+            for l, c in zip(lam, c2):
+                d = l + mu
+                q = c / (d * d)
+                p += q
+                p3 += q / d
+            if floor <= p <= pmax:
+                return mu
+            # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]; where
+            # every q / d underflows, p3 = 0 and the step is IEEE's +-inf
+            step = p * (math.sqrt(p / target) - 1.0)
+            mu = min(max(mu + (step / p3 if p3 else step * math.inf), lo), total)
+    except ZeroDivisionError:   # d * d underflowed: p = inf, so the step would be NaN
+        pass
+    return None
 
 
 def _real(x):

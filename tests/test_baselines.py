@@ -9,6 +9,7 @@ from rrmgnn.chansim import GeometryConfig, NumericalError, ScenarioInstance, per
 from rrmgnn.hetgraph import NodePermutation, split_complex
 
 from gradcheck_util import fd_grad, merge_complex
+from secular_reference import batched_secular_solve
 
 
 def assert_trace_monotone(trace, tol=1e-8):
@@ -24,7 +25,8 @@ def test_solver_config_refuses_iteration_caps_below_one_or_not_integers(value):
         SolverConfig(max_iters=value)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0], ids=str)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0, True, None, "1e-6"],
+                         ids=repr)
 def test_solver_config_refuses_tolerances_not_finite_and_positive(value):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         SolverConfig(tol=value)
@@ -188,11 +190,112 @@ def test_secular_solve_feasible_and_binding():
                 assert p >= pmax * (1 - baselines._POWER_TOL)
 
 
+def _secular_batch(rng, n):
+    """Random `_secular_solve` arguments with n directions, 1-40 rows: real c
+    (ibc's form) or complex c with 1 or 3 rhs columns; zero eigenvalues on live
+    directions (p(0) = inf), some whose square underflows, and some rounded
+    below 0; dead directions, zero-rhs rows, and budgets from loose (mu = 0)
+    to tight. Returns lam, c, pmax and the rows' p(0)."""
+    rows = int(rng.integers(1, 41))
+    cols = int(rng.choice([0, 1, 3]))                     # 0: real c, no rhs axis
+    lam = rng.exponential(size=(rows, n)) * 10.0 ** rng.uniform(-2, 2, (rows, 1))
+    for value, share in ((0.0, 0.1), (1e-170, 0.03), (-1e-17, 0.05)):
+        lam[rng.random((rows, n)) < share] = value
+    shape = (rows, n) + ((cols,) if cols else ())
+    c = rng.standard_normal(shape)
+    if cols:
+        c = c + 1j * rng.standard_normal(shape)
+    c[rng.random((rows, n)) < 0.2] = 0.0                  # dead directions
+    c[rng.random(rows) < 0.1] = 0.0                       # zero-rhs rows
+    c2 = (np.abs(c) ** 2).reshape(rows, n, -1).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        p0 = (c2 / np.where(c2 > 0, np.maximum(lam, 0.0), 1.0) ** 2).sum(axis=1)
+    pmax = np.where(np.isfinite(p0) & (p0 > 0), p0, 1.0) * 10.0 ** rng.uniform(-2, 0.5, rows)
+    return lam, c, pmax, p0
+
+
+def _secular_starts(c, pmax, root):
+    """Starts of 0, negative, 10x the root and above the bracket's top."""
+    c2_sum = (np.abs(c) ** 2).reshape(len(pmax), -1).sum(axis=1)
+    return (np.zeros(len(pmax)), -1.0 - root, 10.0 * root,
+            10.0 * np.sqrt(c2_sum / pmax) + 1.0)
+
+
+def _secular_pairs(n, batches, seed):
+    """(search, reference) results of `_secular_solve` and the batched search
+    it replaced on random batches of n directions from every start, and the
+    row kinds seen: live zero eigenvalues, loose and binding budgets."""
+    rng = np.random.default_rng(seed)
+    seen = {"p(0) = inf": 0, "loose": 0, "binding": 0}
+    pairs = []
+    for _ in range(batches):
+        lam, c, pmax, p0 = _secular_batch(rng, n)
+        _, root = batched_secular_solve(lam, c, pmax, np.zeros(len(pmax)), "test")
+        seen["p(0) = inf"] += int(np.isinf(p0).sum())
+        seen["loose"] += int((root == 0).sum())
+        seen["binding"] += int((root > 0).sum())
+        for mu0 in _secular_starts(c, pmax, root):
+            pairs.append((baselines._secular_solve(lam, c, pmax, mu0, "test"),
+                          batched_secular_solve(lam, c, pmax, mu0, "test")))
+    assert all(seen.values()), seen
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_secular_solve_matches_batched_search_bit_for_bit(n):
+    # up to 7 directions numpy sums a row first term first, as the per-row
+    # search does, so y and mu agree byte for byte
+    for (y, mu), (y_ref, mu_ref) in _secular_pairs(n, 40, 100 + n):
+        assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+        assert y.tobytes() == y_ref.tobytes()
+        assert mu.dtype == mu_ref.dtype and mu.tobytes() == mu_ref.tobytes()
+
+
+def test_secular_solve_matches_batched_search_at_extreme_scales():
+    # eigenvalues, rhs, budgets and starts over 600 decades, where squares and
+    # q / d underflow: both searches succeed byte for byte or both raise
+    rng = np.random.default_rng(31)
+    outcomes = {"same": 0, "raised": 0}
+    for _ in range(1000):
+        n, rows = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        lam = 10.0 ** rng.uniform(-320, 300, (rows, n)) * (rng.random((rows, n)) > 0.3)
+        c = 10.0 ** rng.uniform(-170, 150, (rows, n)) * (rng.random((rows, n)) > 0.2)
+        pmax = 10.0 ** rng.uniform(-300, 300, rows)
+        mu0 = 10.0 ** rng.uniform(-300, 300, rows) * (rng.random(rows) > 0.5)
+        try:
+            with np.errstate(all="ignore"):
+                y_ref, mu_ref = batched_secular_solve(lam, c, pmax, mu0, "test")
+        except NumericalError:
+            with pytest.raises(NumericalError, match="test"):
+                baselines._secular_solve(lam, c, pmax, mu0, "test")
+            outcomes["raised"] += 1
+            continue
+        y, mu = baselines._secular_solve(lam, c, pmax, mu0, "test")
+        assert y.tobytes() == y_ref.tobytes() and mu.tobytes() == mu_ref.tobytes()
+        outcomes["same"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_secular_solve_matches_batched_search_past_seven_directions(n):
+    # from 8 terms numpy sums pairwise, so the two searches round differently
+    # (218 of these 240 calls differ in some byte); the largest relative gap
+    # in y or mu over these batches measures 5.3e-16, at n = 8
+    worst = 0.0
+    for (y, mu), (y_ref, mu_ref) in _secular_pairs(n, 20, 200 + n):
+        worst = max(worst, _deviation(y, y_ref), _deviation(mu, mu_ref))
+    assert worst <= 1e-14, f"worst relative gap to the batched search {worst:.3e}"
+
+
 def test_secular_solve_rejects_non_finite_rows():
-    lam = np.array([[1.0, 2.0], [1.0, 2.0]])
-    c = np.array([[3.0, 1.0], [np.nan, 1.0]])
-    with pytest.raises(NumericalError, match="wmmse_ic"):
-        baselines._secular_solve(lam, c, np.ones(2), np.zeros(2), "wmmse_ic")
+    finite = [3.0, 1.0]
+    for lam, c, pmax in [([1.0, 2.0], [np.nan, 1.0], 1.0),     # NaN rhs
+                         ([1.0, 2.0], [np.inf, 1.0], 1.0),     # inf rhs
+                         ([np.nan, 2.0], [3.0, 1.0], 1.0),     # NaN eigenvalue, live
+                         ([1.0, 2.0], [1e-3, np.nan], 1e6)]:   # NaN, loose budget
+        with pytest.raises(NumericalError, match="wmmse_ic"):
+            baselines._secular_solve(np.array([[1.0, 2.0], lam]), np.array([finite, c]),
+                                     np.array([1.0, pmax]), np.zeros(2), "wmmse_ic")
 
 
 # ---------------------------------------------------------------------------
