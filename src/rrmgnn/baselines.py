@@ -123,8 +123,7 @@ def _secular_solve(lam, c, pmax, mu0, solver):
     # eigh rounding can leave PSD eigenvalues below 0; directions without rhs
     # get lam = 1, so they add exactly 0 to p and to y
     lam = np.where(c2 > 0, np.maximum(lam, 0.0), 1.0)
-    mu = [_row_multiplier(*row)
-          for row in zip(lam.tolist(), c2.tolist(), pmax.tolist(), mu0.tolist())]
+    mu = list(map(_row_multiplier, lam.tolist(), c2.tolist(), pmax.tolist(), mu0.tolist()))
     if None in mu:
         raise NumericalError(f"{solver}: no finite nonnegative power multiplier "
                              f"meets the budget")
@@ -144,10 +143,12 @@ def _row_multiplier(lam, c2, pmax, mu0):
     lands at or below the root and the climb follows. A binding row ends with
     power in [pmax (1 - _POWER_TOL), pmax]. mu0 only saves steps: a solver
     passes its previous step's multiplier for the same budget. Finiteness is
-    checked, not left to the clamps: Python's max and min may drop a NaN.
+    checked, not left to the clamps: a comparison with a NaN is false, so a
+    clamp keeps or drops a NaN by its argument order.
     """
+    terms = list(zip(lam, c2))
     p0 = c2_sum = 0.0
-    for l, c in zip(lam, c2):
+    for l, c in terms:
         ll = l * l
         p0 += c / ll if ll else math.inf   # a live lam = 0: p(0) = inf
         c2_sum += c
@@ -158,15 +159,24 @@ def _row_multiplier(lam, c2, pmax, mu0):
         return None
     target = pmax * (1.0 - 0.5 * _POWER_TOL)
     floor = pmax * (1.0 - _POWER_TOL)
-    # phi <= 0 at lo, the largest of the per-direction and total bounds
+    # phi <= 0 at lo, the largest of the per-direction and total bounds. The
+    # clamps are comparisons, as a max or min call costs more than a step's
+    # arithmetic; on ties they keep the first argument, as max and min do
     total = math.sqrt(c2_sum / target)
-    lo = max(total - max(lam), max([math.sqrt(c / target) - l for l, c in zip(lam, c2)]),
-             0.0)
-    mu = min(max(mu0, lo), total)
+    lo = total - max(lam)
+    for l, c in terms:
+        bound = math.sqrt(c / target) - l
+        if bound > lo:
+            lo = bound
+    if 0.0 > lo:
+        lo = 0.0
+    mu = lo if lo > mu0 else mu0
+    if total < mu:
+        mu = total
     try:
         for _ in range(_NEWTON_STEPS):
             p = p3 = 0.0
-            for l, c in zip(lam, c2):
+            for l, c in terms:
                 d = l + mu
                 q = c / (d * d)
                 p += q
@@ -176,7 +186,11 @@ def _row_multiplier(lam, c2, pmax, mu0):
             # mu - phi / phi' with phi' = p^(-3/2) p3, kept in [lo, total]; where
             # every q / d underflows, p3 = 0 and the step is IEEE's +-inf
             step = p * (math.sqrt(p / target) - 1.0)
-            mu = min(max(mu + (step / p3 if p3 else step * math.inf), lo), total)
+            mu += step / p3 if p3 else step * math.inf
+            if lo > mu:
+                mu = lo
+            if total < mu:
+                mu = total
     except ZeroDivisionError:   # d * d underflowed: p = inf, so the step would be NaN
         pass
     return None
