@@ -28,10 +28,11 @@ table, [j, k] = power of stream j at UE k: for beams |h_k^H v_j|^2, the table
 whose MMSE weights are w_k = 1 + SINR_k (Shi, Razaviyayn, Luo & He, IEEE TSP
 2011). Each score first runs `objectives.check_feasible`, so an infeasible
 point raises as it would in `objectives`; the result's report is
-`objectives.evaluate` on the final variables. GP runs on coop WMMSE's stacked
-beams (`_coop_stack`), unscaled; its gradient is the table's closed form
-(`_coop_rate_gradient`), read from the table of the last scored point, so no
-solver runs on a tape and no GP step forms a table twice.
+`objectives.evaluate` on the final variables. A score returns the table with
+the rate, and `_ascend` hands each step its iterate's: ic and coop WMMSE read
+it in `_mmse`, GP (coop WMMSE's stacked form `_coop_stack`, unscaled) in its
+closed-form gradient (`_coop_rate_gradient`), so no step forms a table twice
+and no solver runs on a tape.
 """
 
 import dataclasses
@@ -219,40 +220,42 @@ def _anderson(pairs, like):
 def _ascend(instance, step, x, score, variables, cfg, project=None):
     """The one ascent loop every solver runs, from iterate x.
 
-    step(x, rate) returns the next iterate and its sum rate, or None when it
-    finds no ascent (the run then stops stagnated); score(x) is an iterate's
-    sum rate, from its received-power table (`_rate`), and raises on an
-    infeasible x. The run converges once the rate moves by less than cfg.tol and
+    score(x) returns a point's sum rate and the received-power table it was
+    rated from (`_rate`), and raises on an infeasible x. step(x, rate, table)
+    gets the iterate with its rate and table and returns the next iterate
+    with its own, or None when it finds no ascent (the run then stops
+    stagnated). The run converges once the rate moves by less than cfg.tol and
     otherwise stops after cfg.max_iters steps. variables(x) maps an iterate to
     the solver's output; the report scores that output on `instance`, unscaled.
 
     With `project` (the WMMSE solvers), which scales a point into the budgets,
     the run keeps its last _ANDERSON_MEMORY + 1 (iterate, plain step) pairs,
     and each plain step x -> f after the first is followed by a try at
-    y = project(`_anderson` point of the pairs). y replaces f only if its sum
-    rate is strictly higher (safeguarded type-II Anderson acceleration:
-    Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J.
-    Optim. 2020). A plain WMMSE step never lowers the rate, so the trace stays
-    monotone. The pairs live for one run.
+    y = project(`_anderson` point of the pairs). y replaces f, with its rate and
+    table, only if its sum rate is strictly higher (safeguarded type-II
+    Anderson acceleration: Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang,
+    O'Donoghue & Boyd, SIAM J. Optim. 2020). A plain WMMSE step never lowers
+    the rate, so the trace stays monotone. The pairs live for one run.
     """
     cfg = cfg or SolverConfig()
-    trace = [score(x)]
+    rate, table = score(x)
+    trace = [rate]
     converged = stagnated = False
     it = accepted = 0
     pairs = deque(maxlen=_ANDERSON_MEMORY + 1)
     for it in range(1, cfg.max_iters + 1):
-        nxt = step(x, trace[-1])
+        nxt = step(x, rate, table)
         if nxt is None:
             stagnated = True
             break
-        f, rate = nxt
+        f, rate, table = nxt
         if project is not None:
             pairs.append((_real(x), _real(f)))
             if len(pairs) > 1:
                 y = project(_anderson(pairs, f))
-                y_rate = score(y)
+                y_rate, y_table = score(y)
                 if y_rate > rate:
-                    f, rate = y, y_rate
+                    f, rate, table = y, y_rate, y_table
                     accepted += 1
         x = f
         trace.append(rate)
@@ -293,10 +296,11 @@ def _coop_rate_gradient(h, noise, a, power):
     return ((weights * a) @ h) * (2.0 / objectives.LN2)
 
 
-def _mmse(a_jk, noise):
-    """MMSE receivers u and rate weights w from a[j, k], beam j's gain at UE k."""
-    totals = noise + (np.abs(a_jk) ** 2).sum(axis=0)
-    direct = np.diagonal(a_jk)
+def _mmse(a, power, noise):
+    """MMSE receivers u and rate weights w from the table: a[j, k], beam j's
+    gain at UE k, and power = |a|^2."""
+    totals = noise + power.sum(axis=0)
+    direct = np.diagonal(a)
     u = direct / totals
     return u, 1.0 / (1.0 - (u.conj() * direct).real)
 
@@ -316,16 +320,15 @@ def wmmse_ic(instance, cfg=None):
     h_own = np.diagonal(h_eff).T         # (K, N): pair j's direct channel
     h_conj = h_eff.conj()
 
-    def gains(v):   # [j, k] = h_{jk}^H v_j
-        return np.einsum("jkn,jn->jk", h_conj, v)
-
-    def score(v):
-        return _rate(work, v, np.abs(gains(v)) ** 2)
+    def score(v):   # table a[j, k] = h_{jk}^H v_j and |a|^2
+        a = np.einsum("jkn,jn->jk", h_conj, v)
+        power = np.abs(a) ** 2
+        return _rate(work, v, power), (a, power)
 
     mu = np.zeros(len(budgets))   # each pair's last multiplier, its next search's start
 
-    def step(v, _):
-        u, w = _mmse(gains(v), work.noise)
+    def step(v, _, table):
+        u, w = _mmse(*table, work.noise)
         # pair j's quadratic collects the interference v_j causes at every UE;
         # it depends only on (u, w), so the K problems are solved as one batch
         a_mat = np.einsum("jkn,k,jkm->jnm", h_eff, w * np.abs(u) ** 2, h_eff.conj())
@@ -334,7 +337,7 @@ def wmmse_ic(instance, cfg=None):
         y, mu[:] = _secular_solve(lam, np.einsum("jni,jn->ji", q.conj(), rhs), budgets, mu,
                                   "wmmse_ic")
         v = np.einsum("jni,ji->jn", q, y)
-        return v, score(v)
+        return (v, *score(v))
 
     def project(v):   # each beam into its power ball
         return v * _shrink((np.abs(v) ** 2).sum(axis=1), budgets)[:, None]
@@ -359,11 +362,12 @@ def wmmse_ibc_power(instance, cfg=None):
 
     def score(x):
         p = x ** 2
-        return _rate(work, p, g2 * p[:, None])
+        power = g2 * p[:, None]
+        return _rate(work, p, power), power
 
     mu = np.zeros(cell_budget.size)   # each cell's last multiplier
 
-    def step(x, _):
+    def step(x, *_):   # its own amplitude update; it reads no table
         u = diag * x / (work.noise + g2.T @ (x ** 2))
         w = 1.0 / (1.0 - u * diag * x)
         lam, c = np.zeros(padded), np.zeros(padded)   # padding slots carry c = 0
@@ -371,7 +375,7 @@ def wmmse_ibc_power(instance, cfg=None):
         c[cells, slot] = w * u * diag
         y, mu[:] = _secular_solve(lam, c, cell_budget, mu, "wmmse_ibc_power")
         x = y[cells, slot]
-        return x, score(x)
+        return (x, *score(x))
 
     def project(x):   # nonnegative amplitudes, each cell's power into its budget
         x = np.abs(x)
@@ -415,14 +419,21 @@ def _coop_vstep(h, scale, beta, v_prev, budgets, mu, m, n):
 
 def _coop_stack(instance):
     """The coop solvers' stacked form: rows h_k (K, MN) of the channels, the
-    beams (M, K, N) view of stacked beams, the per-BS projection into the
+    beams (M, K, N) view of stacked beams, the score of stacked beams (their
+    sum rate and table a = v @ h^H, |a|^2), the per-BS projection into the
     power balls and the matched filter at full per-BS power (a block's power
     sums over UEs and antennas), stacked."""
     m, k_n, n = instance.channels.shape
     h = instance.channels.transpose(1, 0, 2).reshape(k_n, m * n)
+    h_conj_t = h.conj().T
 
     def beams(v_stack):
         return v_stack.reshape(k_n, m, n).transpose(1, 0, 2)
+
+    def score(v):   # table a[j, k] = h_k^H v_j and |a|^2
+        a = v @ h_conj_t
+        power = np.abs(a) ** 2
+        return _rate(instance, beams(v), power), (a, power)
 
     def project(v):   # each BS's block of beams into its power ball
         blocks = v.reshape(k_n, m, n)
@@ -431,28 +442,20 @@ def _coop_stack(instance):
 
     blocks = h.reshape(k_n, m, n)
     scale = np.sqrt(instance.budgets / (np.abs(blocks) ** 2).sum(axis=(0, 2)))
-    return h, beams, project, (blocks * scale[None, :, None]).reshape(k_n, m * n)
+    return h, beams, score, project, (blocks * scale[None, :, None]).reshape(k_n, m * n)
 
 
 def wmmse_coop(instance, cfg=None):
     """Cooperative WMMSE on stacked per-UE beams; returns beams (M, K, N)."""
     work = _scaled_copy(instance)
     m, _, n = work.channels.shape
-    h, beams, project, v = _coop_stack(work)
-    h_conj_t = h.conj().T
-
-    def gains(v):   # [j, k] = h_k^H v_j
-        return v @ h_conj_t
-
-    def score(v):
-        return _rate(work, beams(v), np.abs(gains(v)) ** 2)
-
+    h, beams, score, project, v = _coop_stack(work)
     mu = np.zeros(m)   # each BS's last multiplier, updated by `_coop_vstep`
 
-    def step(v, _):
-        u, w = _mmse(gains(v), work.noise)
+    def step(v, _, table):
+        u, w = _mmse(*table, work.noise)
         v = _coop_vstep(h, w * np.abs(u) ** 2, w * u, v, work.budgets, mu, m, n)
-        return v, score(v)
+        return (v, *score(v))
 
     return _ascend(instance, step, v, score, beams, cfg, project)
 
@@ -464,37 +467,28 @@ def wmmse_coop(instance, cfg=None):
 def gp_coop(instance, cfg=None):
     """Projected gradient ascent on the cooperative sum rate.
 
-    Runs on `wmmse_coop`'s stacked beams (K, MN), projection and full-power
-    matched-filter start (the all-zero point is stationary), on the unscaled
-    instance. Each step doubles the step size, then halves it until the
-    projected move ascends, and stagnates below _GP_MIN_STEP; every iterate is
-    feasible. Each score keeps its table (a = v @ h^H, |a|^2), and the step's
-    gradient (`_coop_rate_gradient`) reads the last scored point's: the
-    iterate's, as a step returns its last candidate and `_ascend` scores x0.
+    Runs on `wmmse_coop`'s stacked beams (K, MN), score, projection and
+    full-power matched-filter start (the all-zero point is stationary), on the
+    unscaled instance. Each step doubles the step size, then halves it until
+    the projected move ascends, and stagnates below _GP_MIN_STEP; every
+    iterate is feasible. The gradient (`_coop_rate_gradient`) reads the table
+    `_ascend` hands the step with its iterate, and the step returns the
+    accepted candidate with the table its score formed.
     """
-    h, beams, project, v = _coop_stack(instance)
-    h_conj_t = h.conj().T
-    table = None
-
-    def value(v):
-        nonlocal table
-        a = v @ h_conj_t
-        table = a, np.abs(a) ** 2
-        return _rate(instance, beams(v), table[1])
-
+    h, beams, score, project, v = _coop_stack(instance)
     size = _GP_INIT_STEP
 
-    def step(v, rate):
+    def step(v, rate, table):
         nonlocal size
         grad = _coop_rate_gradient(h, instance.noise, *table)
         size = min(size * 2.0, 1e12)
         while True:
             cand = project(v + size * grad)
-            f_new = value(cand)
-            if f_new > rate:
-                return cand, f_new
+            cand_rate, cand_table = score(cand)
+            if cand_rate > rate:
+                return cand, cand_rate, cand_table
             size *= 0.5
             if size < _GP_MIN_STEP:
                 return None
 
-    return _ascend(instance, step, v, value, beams, cfg)
+    return _ascend(instance, step, v, score, beams, cfg)

@@ -52,13 +52,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.scenario not in chansim.KINDS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        # Python ints only: the checkpoint's JSON metadata takes no numpy integer
+        # Python numbers only: the checkpoint's JSON metadata takes no numpy integer or float32
         for name, least in (("epochs", 0), ("minibatches", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < np.inf:
+            raise ConfigError(f"learning_rate must be a Python number in (0, inf), got {lr!r}")
 
 
 @dataclass
@@ -233,6 +234,9 @@ def _check_baseline(scenario, which):
 
 def run_baseline(scenario, instance, which, solver_cfg=None):
     _check_baseline(scenario, which)
+    if instance.kind != scenario:
+        raise ConfigError(f"the {scenario} baseline got an instance of the "
+                          f"{instance.kind} scenario")
     if which == "gp":
         return baselines.gp_coop(instance, solver_cfg)
     if scenario == "ic":

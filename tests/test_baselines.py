@@ -523,7 +523,7 @@ def _gp_points(inst, rng):
 
 def _closed_form(inst, x):
     """`_coop_rate_gradient` at split beams x (M, K, 2N), split alike."""
-    h, beams, _, _ = baselines._coop_stack(inst)
+    h, beams = baselines._coop_stack(inst)[:2]
     a = merge_complex(x).transpose(1, 0, 2).reshape(h.shape) @ h.conj().T
     return split_complex(beams(baselines._coop_rate_gradient(h, inst.noise, a,
                                                              np.abs(a) ** 2)))
@@ -657,7 +657,7 @@ def test_one_iteration_is_the_plain_step(monkeypatch, kind, geometry, seed, whic
     plain = []
 
     def once(instance, step, x, score, variables, cfg, project=None):
-        x, rate = step(x, score(x))
+        x, rate, _ = step(x, *score(x))
         plain.extend([variables(x), rate])
 
     monkeypatch.setattr(baselines, "_ascend", once)
@@ -700,8 +700,8 @@ def test_degenerate_anderson_history_accepts_only_finite_gains(monkeypatch):
         tried.append(y)
         return y
 
-    res = baselines._ascend(inst, lambda x, _: (x + 1.0, float((x + 1.0).sum())),
-                            np.zeros(2), lambda x: float(x.sum()), lambda x: beam,
+    res = baselines._ascend(inst, lambda x, *_: (x + 1.0, float((x + 1.0).sum()), None),
+                            np.zeros(2), lambda x: (float(x.sum()), None), lambda x: beam,
                             SolverConfig(max_iters=5), project)
     assert len(tried) == 4 and res.extrapolations == 0
     np.testing.assert_array_equal(res.trace, [0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
@@ -736,14 +736,14 @@ def test_scores_match_objectives_on_fixed_set(monkeypatch):
             checked.append(rate)
 
         def scored(x):
-            rate = score(x)
+            rate, table = score(x)
             agree(x, rate)
-            return rate
+            return rate, table
 
-        def stepped(x, rate):
-            nxt = step(x, rate)
+        def stepped(x, rate, table):
+            nxt = step(x, rate, table)
             if nxt is not None:
-                agree(*nxt)
+                agree(*nxt[:2])
             return nxt
 
         def tried(y):   # one Anderson try: its point is scored next
@@ -770,7 +770,7 @@ def test_gp_projection_is_normalize_coop(monkeypatch):
     stack, moved = baselines._coop_stack, []
 
     def compared_stack(instance):
-        h, beams, project, start = stack(instance)
+        h, beams, score, project, start = stack(instance)
 
         def compared(v):
             out = project(v)
@@ -779,7 +779,7 @@ def test_gp_projection_is_normalize_coop(monkeypatch):
             moved.append(not np.array_equal(out, v))
             return out
 
-        return h, beams, compared, start
+        return h, beams, score, compared, start
 
     monkeypatch.setattr(baselines, "_coop_stack", compared_stack)
     geo = GeometryConfig(n_tx=5, n_rx=2, n_antennas=2)
@@ -789,37 +789,86 @@ def test_gp_projection_is_normalize_coop(monkeypatch):
     assert sum(moved) > 100   # candidates outside a ball were scaled back
 
 
-def test_gp_gradient_is_taken_at_its_own_iterate(monkeypatch):
-    # the gradient reads the table its iterate's score left; a table of a
-    # rejected line-search candidate would steer the step from another point
-    ascend, gradient, rate = baselines._ascend, baselines._coop_rate_gradient, baselines._rate
-    iterates, graded, scores = [], [], []
+def _table_bytes(table):
+    """A table, (a, |a|^2) or ibc's powers alone, as bytes."""
+    return [t.tobytes() for t in (table if isinstance(table, tuple) else (table,))]
+
+
+def test_each_step_reads_its_own_iterates_table(monkeypatch):
+    # `_ascend` hands each step the table of its iterate: after an accepted
+    # Anderson try the try's, not the plain step's. The ic and coop WMMSE
+    # steps read it in `_mmse`, GP in its gradient (ibc's step reads none); a
+    # table of a rejected try or line-search candidate would steer the step
+    # from another point
+    ascend, mmse, gradient, rate = (baselines._ascend, baselines._mmse,
+                                    baselines._coop_rate_gradient, baselines._rate)
+    steps, reads, scores = [], [], []
 
     def traced(instance, step, x, score, variables, cfg, project=None):
-        def stepped(x, rate):
-            iterates.append(x)
-            return step(x, rate)
+        # a fresh table of an iterate, formed as its solver's score forms it
+        work = instance if project is None else baselines._scaled_copy(instance)
+        if work.kind == "ibc":
+            g2 = work.gains[work.serving] ** 2
+        elif work.kind == "ic":
+            h_conj = work.channels[work.serving].conj()
+        else:
+            h_conj_t = baselines._coop_stack(work)[0].conj().T
+
+        def fresh(v):
+            if work.kind == "ibc":
+                return g2 * (v ** 2)[:, None]
+            a = np.einsum("jkn,jn->jk", h_conj, v) if work.kind == "ic" else v @ h_conj_t
+            return a, np.abs(a) ** 2
+
+        plain = []
+
+        def stepped(x, rate, table):
+            want = fresh(x)
+            assert _table_bytes(table) == _table_bytes(want)
+            # x is not the last plain step's point: an Anderson try replaced it
+            steps.append((want, bool(plain) and x is not plain[-1]))
+            nxt = step(x, rate, table)
+            if nxt is not None:
+                plain.append(nxt[0])
+            return nxt
 
         return ascend(instance, stepped, x, score, variables, cfg, project)
+
+    def read(want):
+        assert _table_bytes(want) == _table_bytes(steps[-1][0])
+        reads.append(len(steps))
+
+    def mmsed(a, power, noise):
+        read((a, power))
+        return mmse(a, power, noise)
+
+    def graded(h, noise, a, power):
+        read((a, power))
+        return gradient(h, noise, a, power)
 
     def scored(instance, variables, power):
         scores.append(power)
         return rate(instance, variables, power)
 
-    def checked(h, noise, a, power):
-        fresh = iterates[-1] @ h.conj().T
-        np.testing.assert_array_equal(a, fresh)
-        np.testing.assert_array_equal(power, np.abs(fresh) ** 2)
-        graded.append(len(iterates))
-        return gradient(h, noise, a, power)
-
     monkeypatch.setattr(baselines, "_ascend", traced)
-    monkeypatch.setattr(baselines, "_coop_rate_gradient", checked)
+    monkeypatch.setattr(baselines, "_mmse", mmsed)
+    monkeypatch.setattr(baselines, "_coop_rate_gradient", graded)
     monkeypatch.setattr(baselines, "_rate", scored)
-    runs = list(_fixed_set("coop", (5, 2, 2), 909, 4, "gp"))
-    assert graded == list(range(1, len(iterates) + 1))   # one gradient per step
-    # some candidates were scored and rejected between two iterates
-    assert len(scores) > len(iterates) + len(runs)
+    for (kind, geometry, seed, which), want in PINNED.items():
+        first_step, first_read, first_score = len(steps), len(reads), len(scores)
+        runs = list(_fixed_set(kind, geometry, seed, len(want), which))
+        n_steps = len(steps) - first_step
+        if kind == "ibc":
+            assert len(reads) == first_read
+        else:   # one read per step, of that step's table
+            assert reads[first_read:] == list(range(first_step + 1, len(steps) + 1)), kind
+        if which == "gp":
+            # some candidates were scored and rejected between two iterates
+            assert len(scores) - first_score > n_steps + len(runs)
+        else:   # some steps start from an accepted Anderson point
+            assert any(after_try for _, after_try in steps[first_step:]), kind
+
+
 @pytest.mark.parametrize("kind,geometry,seed,which", list(PINNED),
                          ids=[f"{kind}-{which}" for kind, _, _, which in PINNED])
 def test_scores_reject_infeasible_points(monkeypatch, kind, geometry, seed, which):

@@ -400,6 +400,27 @@ def test_bad_baseline_fails_before_any_work(monkeypatch):
     assert calls == []
 
 
+def test_run_baseline_refuses_an_instance_of_another_scenario(monkeypatch):
+    # each solver would fail later and elsewhere (an IndexError, a power
+    # violation, a broadcast error, a report of the wrong shape)
+    calls = []
+    for name in ("wmmse_ic", "wmmse_ibc_power", "wmmse_coop", "gp_coop"):
+        monkeypatch.setattr(baselines, name, lambda *a, name=name: calls.append(name))
+    geo = GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)
+    instances = {kind: chansim.build_instance(kind, geo, 7)[0] for kind in chansim.KINDS}
+    pairs = 0
+    for scenario, which in (("ic", "wmmse"), ("ibc", "wmmse"), ("coop", "wmmse"),
+                            ("coop", "gp")):
+        for kind, inst in instances.items():
+            if kind == scenario:
+                continue
+            with pytest.raises(ConfigError, match=f"the {scenario} baseline got an instance "
+                                                  f"of the {kind} scenario"):
+                harness.run_baseline(scenario, inst, which)
+            pairs += 1
+    assert pairs == 8 and calls == []
+
+
 @pytest.mark.parametrize("scenario,geo", [
     ("ibc", GeometryConfig(n_tx=2, n_rx=2, n_antennas=4)),
     ("coop", GeometryConfig(n_tx=2, n_rx=2, n_antennas=2)),
@@ -549,6 +570,20 @@ def test_train_config_refuses_counts_train_cannot_run(tmp_path, name, value):
     # integer would fail in the checkpoint's JSON metadata
     with pytest.raises(ConfigError, match=f"{name} must be an integer >= "):
         tiny_cfg(tmp_path, **{name: value})
+
+
+@pytest.mark.parametrize("value", [True, np.float32(1e-3), "1e-3", None], ids=repr)
+def test_train_config_refuses_learning_rates_not_python_numbers(tmp_path, value):
+    # True would train at a rate of 1.0; a float32 would fail at the first
+    # checkpoint, whose JSON metadata takes no numpy float32
+    with pytest.raises(ConfigError, match=re.escape(
+            f"learning_rate must be a Python number in (0, inf), got {value!r}")):
+        tiny_cfg(tmp_path, learning_rate=value)
+
+
+@pytest.mark.parametrize("value", [1, 1e-3, np.float64(1e-3)], ids=repr)
+def test_train_config_takes_python_learning_rates(tmp_path, value):
+    assert tiny_cfg(tmp_path, learning_rate=value).learning_rate == value
 
 
 def test_train_config_takes_the_least_counts(tmp_path):
